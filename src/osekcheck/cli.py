@@ -8,8 +8,8 @@ Subcommands::
     osekcheck conform CONFIG TASKS        verification/testing adjudication
 
 Exit codes: 0 success, 1 bad input, 2 deadlock / violation / inconformance,
-3 step bound exhausted (run), 4 state budget exhausted (search-final),
-5 formulas hold only up to the exploration bound (ltlmc).
+3 step bound exhausted (run), 4 state budget exhausted (an exploring
+command), 5 formulas hold only up to the exploration bound (ltlmc).
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import sys
 from pathlib import Path
 
 from . import conformance, explorer, kernel_core, ltl, timing
-from .model import ALLIDLE, NORMAL, is_deadlocked
+from .model import ALLIDLE, NORMAL
 from .oil_config import KernelConfig, OilError, parse_oil
 from .task_lang import TaskBody, parse_task_file
 
@@ -88,11 +88,7 @@ def _emit_trace(trace: explorer.Trace, fmt: str, out: Path | None,
 
 def cmd_run(args: argparse.Namespace) -> int:
     config, bodies = _load_app(args.config, args.tasks)
-    try:
-        state = kernel_core.boot(config, bodies)
-    except kernel_core.BootError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    state = kernel_core.boot(config, bodies)
     states = [state]
     choices: list[explorer.Choice | None] = []
     outcome = None
@@ -128,13 +124,8 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def cmd_search_final(args: argparse.Namespace) -> int:
     config, bodies = _load_app(args.config, args.tasks)
-    try:
-        result = explorer.search_final(
-            config, bodies, bound=args.bound, strict=True,
-            idle_mode=args.idle_tick_mode, workers=args.workers)
-    except explorer.ResourceLimit as exc:
-        print(f"error: state budget exhausted: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
+    result = explorer.search_final(config, bodies, bound=args.bound,
+                                   idle_mode=args.idle_tick_mode)
     out = _out_dir(args)
     print(f"visited {result.visited} states"
           + (" (bound reached, exploration incomplete)"
@@ -173,21 +164,14 @@ def cmd_ltlmc(args: argparse.Namespace) -> int:
     if not formulas:
         print(f"error: {args.formula}: no formulas", file=sys.stderr)
         return EXIT_INPUT
-    graphs: dict[bool, explorer.StateGraph] = {}
-
-    def graph_for(strict: bool) -> explorer.StateGraph:
-        if strict not in graphs:
-            graphs[strict] = explorer.build_graph(
-                config, bodies, bound=args.bound, strict=strict,
-                idle_mode=args.idle_tick_mode, workers=args.workers)
-        return graphs[strict]
-
+    graphs = explorer.build_graphs(
+        config, bodies, {ltl.mentions_deadlock(f) for _, f in formulas},
+        bound=args.bound, idle_mode=args.idle_tick_mode)
     out = _out_dir(args)
     any_violated = False
     any_bounded = False
     for name, formula in formulas:
-        strict = ltl.mentions_deadlock(formula)
-        graph = graph_for(strict)
+        graph = graphs[ltl.mentions_deadlock(formula)]
         result = ltl.model_check(ltl.KernelGraphView(graph), formula)
         print(f"{name}: {result.verdict}   {formula}")
         if result.verdict == "violated":
@@ -224,7 +208,7 @@ def cmd_conform(args: argparse.Namespace) -> int:
         selected = tuple(names)
     results = conformance.verify_all(
         config, bodies, bound=args.bound, idle_mode=args.idle_tick_mode,
-        workers=args.workers, properties=selected)
+        properties=selected)
     rows = conformance.adjudicate(results, testing)
     out = _out_dir(args)
     witness_paths: dict[str, str] = {}
@@ -248,7 +232,7 @@ def cmd_conform(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(sub: argparse.ArgumentParser, *, workers: bool = True) -> None:
+def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("config", help="kernel configuration file")
     sub.add_argument("tasks", help="task body file")
     sub.add_argument("--bound", type=int, default=10_000,
@@ -260,9 +244,6 @@ def _add_common(sub: argparse.ArgumentParser, *, workers: bool = True) -> None:
     sub.add_argument("--idle-tick-mode", choices=timing.IDLE_MODES,
                      default=timing.JUMP,
                      help="idle time passes in one jump or unit ticks")
-    if workers:
-        sub.add_argument("--workers", type=int, default=1,
-                         help="parallel successor expansion workers")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -273,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = commands.add_parser(
         "run", help="execute deterministically until rest or error")
-    _add_common(run, workers=False)
+    _add_common(run)
     run.set_defaults(func=cmd_run)
 
     search = commands.add_parser(
@@ -305,14 +286,15 @@ def main(argv: list[str] | None = None) -> int:
     if getattr(args, "bound", 1) <= 0:
         print("error: --bound must be positive", file=sys.stderr)
         return EXIT_INPUT
-    if getattr(args, "workers", 1) <= 0:
-        print("error: --workers must be positive", file=sys.stderr)
-        return EXIT_INPUT
     try:
         return args.func(args)
-    except (CliInputError, conformance.AdjudicationError) as exc:
+    except (CliInputError, conformance.AdjudicationError,
+            kernel_core.BootError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except explorer.ResourceLimit as exc:
+        print(f"error: state budget exhausted: {exc}", file=sys.stderr)
+        return EXIT_BUDGET
 
 
 if __name__ == "__main__":

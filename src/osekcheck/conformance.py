@@ -87,12 +87,9 @@ def lasso_to_trace(graph: explorer.StateGraph,
 # ---------------------------------------------------------------------------
 
 
-def _check_deadlock_freedom(config: KernelConfig, bodies: dict[str, TaskBody],
-                            *, bound: int, idle_mode: str,
-                            workers: int) -> PropertyResult:
-    """Strict-error search: service errors freeze and count as dead ends."""
-    search = explorer.search_final(config, bodies, bound=bound, strict=True,
-                                   idle_mode=idle_mode, workers=workers)
+def _check_deadlock_freedom(graph: explorer.StateGraph) -> PropertyResult:
+    """On the strict graph a service error is a dead end."""
+    search = explorer.search_graph(graph)
     if search.deadlocks:
         shortest = search.deadlocks[0]
         return PropertyResult(
@@ -106,39 +103,72 @@ def _check_deadlock_freedom(config: KernelConfig, bodies: dict[str, TaskBody],
                           f"{len(search.finals)} all-idle final(s)")
 
 
-def _check_mutual_exclusion(graph: explorer.StateGraph) -> PropertyResult:
-    for node, state in graph.nodes.items():
-        running_cells = [c.id for c in state.tasks if c.state == RUNNING]
-        consistent = (state.running is None and not running_cells) or (
-            len(running_cells) == 1 and running_cells[0] == state.running)
-        if len(running_cells) > 1 or not consistent:
-            return PropertyResult("ME", "fail", graph.trace_to(node),
-                                  f"running cells: {running_cells}")
-    verdict = "bounded_pass" if graph.truncated else "pass"
-    return PropertyResult("ME", verdict, None,
-                          f"{len(graph.nodes)} states scanned")
+def _running_conflict(config: KernelConfig, state: KernelState) -> str | None:
+    """Mutual exclusion: one running cell, and it is the running task."""
+    running_cells = [c.id for c in state.tasks if c.state == RUNNING]
+    consistent = (state.running is None and not running_cells) or (
+        len(running_cells) == 1 and running_cells[0] == state.running)
+    if len(running_cells) > 1 or not consistent:
+        return f"running cells: {running_cells}"
+    return None
 
 
-def _check_priority_inversion(graph: explorer.StateGraph) -> PropertyResult:
+def _priority_inversion(config: KernelConfig,
+                        state: KernelState) -> str | None:
     """At quiescent states (no pending signals) a full-preemptive running
     task must hold the highest current priority."""
-    config = graph.state(graph.initial).config
-    for node, state in graph.nodes.items():
-        if state.status != NORMAL or state.signals or state.running is None:
-            continue
-        if config.tasks[state.running].schedule != FULL:
-            continue
-        running_priority = state.task_cell(state.running).current_priority
-        for cell in state.tasks:
-            if cell.state == READY and cell.current_priority > running_priority:
-                return PropertyResult(
-                    "PIF", "fail", graph.trace_to(node),
-                    f"ready task {cell.id} (priority "
+    if state.status != NORMAL or state.signals or state.running is None:
+        return None
+    if config.tasks[state.running].schedule != FULL:
+        return None
+    running_priority = state.task_cell(state.running).current_priority
+    for cell in state.tasks:
+        if cell.state == READY and cell.current_priority > running_priority:
+            return (f"ready task {cell.id} (priority "
                     f"{cell.current_priority}) outranks running "
                     f"{state.running} (priority {running_priority})")
+    return None
+
+
+def _activation_overflow(config: KernelConfig,
+                         state: KernelState) -> str | None:
+    """Activation overflow on single-activation tasks must never happen."""
+    label = state.last_label
+    if (label.kind == "service" and label.status == E_OS_LIMIT
+            and label.service in ("ActivateTask", "ChainTask")):
+        target = label.args[0]
+        if config.tasks[target].max_activations == 1:
+            return f"{label.service} overflowed task {target}"
+    for firing in label.firings:
+        if (firing.action == "activatetask"
+                and firing.status == E_OS_LIMIT
+                and config.tasks[firing.target].max_activations == 1):
+            return f"alarm {firing.alarm} overflowed task {firing.target}"
+    return None
+
+
+# Properties of single states: each maps a state to a failure reason or None.
+_STATE_PREDICATES = {"ME": _running_conflict, "PIF": _priority_inversion,
+                     "MAF": _activation_overflow}
+
+
+def _check_states(graph: explorer.StateGraph,
+                  pids: list[str]) -> dict[str, PropertyResult]:
+    """One pass over the graph's nodes for every selected state property;
+    each failing property's witness leads to its first failing node."""
+    config = graph.state(graph.initial).config
     verdict = "bounded_pass" if graph.truncated else "pass"
-    return PropertyResult("PIF", verdict, None,
-                          f"{len(graph.nodes)} states scanned")
+    results = {pid: PropertyResult(pid, verdict, None,
+                                   f"{len(graph.nodes)} states scanned")
+               for pid in pids}
+    for node, state in graph.nodes.items():
+        for pid in pids:
+            if results[pid].witness is None:
+                reason = _STATE_PREDICATES[pid](config, state)
+                if reason is not None:
+                    results[pid] = PropertyResult(
+                        pid, "fail", graph.trace_to(node), reason)
+    return results
 
 
 def _starvation_pairs(config: KernelConfig) -> list[tuple[str, str]]:
@@ -245,34 +275,6 @@ def _path_trace(graph: explorer.StateGraph,
                           idle_mode=graph.idle_mode)
 
 
-def _check_multiple_activation(graph: explorer.StateGraph) -> PropertyResult:
-    """Activation overflow on single-activation tasks must never happen."""
-    config = graph.state(graph.initial).config
-
-    def overflow(label: TransitionLabel) -> str | None:
-        if (label.kind == "service" and label.status == E_OS_LIMIT
-                and label.service in ("ActivateTask", "ChainTask")):
-            target = label.args[0]
-            if config.tasks[target].max_activations == 1:
-                return f"{label.service} overflowed task {target}"
-        for firing in label.firings:
-            if (firing.action == "activatetask"
-                    and firing.status == E_OS_LIMIT
-                    and config.tasks[firing.target].max_activations == 1):
-                return (f"alarm {firing.alarm} overflowed task "
-                        f"{firing.target}")
-        return None
-
-    for node, state in graph.nodes.items():
-        reason = overflow(state.last_label)
-        if reason is not None:
-            return PropertyResult("MAF", "fail", graph.trace_to(node),
-                                  reason)
-    verdict = "bounded_pass" if graph.truncated else "pass"
-    return PropertyResult("MAF", verdict, None,
-                          f"{len(graph.nodes)} states scanned")
-
-
 # ---------------------------------------------------------------------------
 # verification driver
 # ---------------------------------------------------------------------------
@@ -280,40 +282,33 @@ def _check_multiple_activation(graph: explorer.StateGraph) -> PropertyResult:
 
 def verify_all(config: KernelConfig, bodies: dict[str, TaskBody], *,
                bound: int = 10_000, idle_mode: str = timing.JUMP,
-               workers: int = 1,
                properties: tuple[str, ...] | None = None
                ) -> dict[str, PropertyResult]:
-    """Run the selected property checks, sharing one exploration per mode.
+    """Run the selected property checks on one exploration.
 
-    Deadlock freedom explores with strict error handling (a service error is
-    a dead end); the other properties observe error labels on the default
-    continue-on-error semantics.
+    Deadlock freedom reads the strict graph (a service error is a dead end);
+    the other properties observe error labels on the default
+    continue-on-error graph.
     """
     selected = tuple(properties) if properties is not None else PROPERTY_ORDER
     unknown = [p for p in selected if p not in PROPERTY_ORDER]
     if unknown:
         raise AdjudicationError(f"unknown properties: {', '.join(unknown)}")
+    graphs = explorer.build_graphs(config, bodies,
+                                   {pid == "DF" for pid in selected},
+                                   bound=bound, idle_mode=idle_mode)
+    scanned = [pid for pid in selected if pid in _STATE_PREDICATES]
+    state_results = _check_states(graphs[False], scanned) if scanned else {}
     results: dict[str, PropertyResult] = {}
-    graph: explorer.StateGraph | None = None
-    if any(p != "DF" for p in selected):
-        graph = explorer.build_graph(config, bodies, bound=bound,
-                                     strict=False, idle_mode=idle_mode,
-                                     workers=workers)
     for pid in selected:
         if pid == "DF":
-            results[pid] = _check_deadlock_freedom(
-                config, bodies, bound=bound, idle_mode=idle_mode,
-                workers=workers)
-        elif pid == "ME":
-            results[pid] = _check_mutual_exclusion(graph)
-        elif pid == "PIF":
-            results[pid] = _check_priority_inversion(graph)
+            results[pid] = _check_deadlock_freedom(graphs[True])
         elif pid == "SF":
-            results[pid] = _check_starvation_freedom(graph)
+            results[pid] = _check_starvation_freedom(graphs[False])
         elif pid == "PE":
-            results[pid] = _check_periodic_execution(graph)
-        elif pid == "MAF":
-            results[pid] = _check_multiple_activation(graph)
+            results[pid] = _check_periodic_execution(graphs[False])
+        else:
+            results[pid] = state_results[pid]
     return results
 
 

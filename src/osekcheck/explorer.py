@@ -6,25 +6,30 @@ source of nondeterminism), then release of one recorded activation, then the
 scheduling signal, then the running task's next statement, then dispatch,
 then idle time.  States whose status is no longer normal are fixpoints: they
 stutter, so that every explored dead end carries an infinite run for the
-temporal logic layer.
+temporal logic layer.  Strict error handling lives here alone: the state
+that a failed service call or alarm action produced becomes such a fixpoint.
 """
 
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
+from collections.abc import Iterable
 from dataclasses import dataclass, replace
 
 from . import kernel_core, timing
-from .model import (ALLIDLE, DEADLOCK, NORMAL, SCHEDULE_SIGNAL, SUSPENDED,
-                    KernelState, canonical_label, canonical_snapshot,
-                    label_text, state_hash, stutterize)
+from .model import (ALLIDLE, DEADLOCK, E_OK, NORMAL, SCHEDULE_SIGNAL,
+                    SUSPENDED, KernelState, canonical_label,
+                    canonical_snapshot, error_status, label_text, state_hash,
+                    stutterize)
 from .oil_config import KernelConfig
 from .task_lang import TaskBody
 
 
+MAX_STATES = 500_000
+
+
 class ResourceLimit(Exception):
-    """Raised when exploration exceeds the configured node budget."""
+    """Raised when exploration exceeds the state budget."""
 
 
 class ReplayMismatch(Exception):
@@ -63,14 +68,22 @@ class Stuck:
 # ---------------------------------------------------------------------------
 
 
-def step(state: KernelState, choice: Choice | None = None, *,
-         strict: bool = False, idle_mode: str = timing.JUMP
-         ) -> KernelState | Stuck:
-    """Apply one transition rule; ``choice`` fixes the expiry order.
+def _freeze(state: KernelState) -> KernelState:
+    """Strict error handling: a failed service or alarm action freezes the run.
 
-    Returns the successor state, or :class:`Stuck` when nothing is enabled.
-    Non-normal states return their own stutter twin.
+    The failing transition still happened (its tick, its label, the rest of
+    an expiry batch); only the status changes, to the first error code.
     """
+    label = state.last_label
+    for code in (label.status, *(f.status for f in label.firings)):
+        if code not in (None, E_OK):
+            return replace(state, status=error_status(code))
+    return state
+
+
+def _apply_rule(state: KernelState, choice: Choice | None,
+                idle_mode: str) -> KernelState | Stuck:
+    """The one transition rule that applies, on continue-on-error semantics."""
     if state.status != NORMAL:
         return stutterize(state)
     pending = kernel_core.pending_expiries(state)
@@ -83,13 +96,13 @@ def step(state: KernelState, choice: Choice | None = None, *,
                     f"choice {choice} does not cover pending expiries "
                     f"{pending}")
             order = choice.order
-        return kernel_core.handle_expiries(state, order, strict=strict)
+        return kernel_core.handle_expiries(state, order)
     if kernel_core.multiactivation_candidate(state) is not None:
         return kernel_core.handle_multiactivation(state)
     if SCHEDULE_SIGNAL in state.signals:
         return kernel_core.handle_schedule_signal(state)
     if state.running is not None:
-        return kernel_core.exec_running_statement(state, strict=strict)
+        return kernel_core.exec_running_statement(state)
     if state.ready:
         state = replace(state, signals=state.signals | {SCHEDULE_SIGNAL})
         return kernel_core.handle_schedule_signal(state)
@@ -100,6 +113,20 @@ def step(state: KernelState, choice: Choice | None = None, *,
     return Stuck(DEADLOCK)
 
 
+def step(state: KernelState, choice: Choice | None = None, *,
+         strict: bool = False, idle_mode: str = timing.JUMP
+         ) -> KernelState | Stuck:
+    """Apply one transition rule; ``choice`` fixes the expiry order.
+
+    Returns the successor state, or :class:`Stuck` when nothing is enabled.
+    Non-normal states return their own stutter twin.
+    """
+    result = _apply_rule(state, choice, idle_mode)
+    if strict and isinstance(result, KernelState):
+        return _freeze(result)
+    return result
+
+
 def successors(state: KernelState, *, strict: bool = False,
                idle_mode: str = timing.JUMP
                ) -> list[tuple[Choice | None, KernelState]]:
@@ -108,13 +135,13 @@ def successors(state: KernelState, *, strict: bool = False,
         return [(None, stutterize(state))]
     pending = kernel_core.pending_expiries(state)
     if len(pending) > 1:
-        return [(Choice(order),
-                 kernel_core.handle_expiries(state, order, strict=strict))
-                for order in itertools.permutations(pending)]
-    result = step(state, strict=strict, idle_mode=idle_mode)
-    if isinstance(result, Stuck):
-        return [(None, stutterize(state, result.kind))]
-    return [(None, result)]
+        out = [(Choice(order), kernel_core.handle_expiries(state, order))
+               for order in itertools.permutations(pending)]
+    else:
+        result = step(state, idle_mode=idle_mode)
+        out = [(None, stutterize(state, result.kind)
+                if isinstance(result, Stuck) else result)]
+    return [(c, _freeze(target)) for c, target in out] if strict else out
 
 
 # ---------------------------------------------------------------------------
@@ -267,30 +294,10 @@ class StateGraph:
         return out
 
 
-def _expand_frontier(states: list[KernelState], *, strict: bool,
-                     idle_mode: str, workers: int
-                     ) -> list[list[tuple[Choice | None, KernelState]]]:
-    """Successor lists for a whole frontier, in frontier order."""
-    def expand(state: KernelState):
-        return successors(state, strict=strict, idle_mode=idle_mode)
-
-    if workers <= 1 or len(states) < 2:
-        return [expand(s) for s in states]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(expand, states))
-
-
-def build_graph(config: KernelConfig, bodies: dict[str, TaskBody], *,
-                bound: int = 10_000, strict: bool = False,
-                idle_mode: str = timing.JUMP, workers: int = 1,
-                max_nodes: int = 500_000) -> StateGraph:
-    """Layer-synchronous breadth-first exploration up to ``bound`` steps.
-
-    Nodes are deduplicated by canonical snapshot hash, so the graph is
-    insensitive to the path that first reached a state.  Non-normal states
-    receive their stutter self-loop and are not expanded further.
-    """
-    init = kernel_core.boot(config, bodies)
+def _explore(init: KernelState, expand, *, bound: int, strict: bool,
+             idle_mode: str) -> StateGraph:
+    """Layer-synchronous breadth-first exploration up to ``bound`` steps;
+    ``expand(node, state)`` lists (choice, target hash, target state)."""
     init_hash = state_hash(init)
     nodes: dict[str, KernelState] = {init_hash: init}
     edges: dict[str, tuple[tuple[Choice | None, str], ...]] = {}
@@ -303,22 +310,18 @@ def build_graph(config: KernelConfig, bodies: dict[str, TaskBody], *,
         if depth >= bound:
             truncated = True
             break
-        expansions = _expand_frontier([nodes[h] for h in frontier],
-                                      strict=strict, idle_mode=idle_mode,
-                                      workers=workers)
         next_frontier: list[str] = []
-        for source, succ in zip(frontier, expansions):
+        for source in frontier:
             out: list[tuple[Choice | None, str]] = []
-            for choice, target_state in succ:
-                target = state_hash(target_state)
+            for choice, target, target_state in expand(source, nodes[source]):
                 out.append((choice, target))
                 if target not in nodes:
                     nodes[target] = target_state
                     parents[target] = (source, choice)
                     depths[target] = depth + 1
-                    if len(nodes) > max_nodes:
+                    if len(nodes) > MAX_STATES:
                         raise ResourceLimit(
-                            f"exploration exceeded {max_nodes} states")
+                            f"exploration exceeded {MAX_STATES} states")
                     next_frontier.append(target)
             edges[source] = tuple(out)
         frontier = next_frontier
@@ -329,19 +332,72 @@ def build_graph(config: KernelConfig, bodies: dict[str, TaskBody], *,
                       strict, idle_mode)
 
 
+def build_graph(config: KernelConfig, bodies: dict[str, TaskBody], *,
+                bound: int = 10_000, strict: bool = False,
+                idle_mode: str = timing.JUMP) -> StateGraph:
+    """Breadth-first exploration up to ``bound`` steps.
+
+    Nodes are deduplicated by canonical snapshot hash, so the graph is
+    insensitive to the path that first reached a state.  Non-normal states
+    receive their stutter self-loop and are not expanded further.
+    """
+    def expand(node: str, state: KernelState):
+        return [(choice, state_hash(target), target) for choice, target
+                in successors(state, strict=strict, idle_mode=idle_mode)]
+
+    return _explore(kernel_core.boot(config, bodies), expand, bound=bound,
+                    strict=strict, idle_mode=idle_mode)
+
+
+def build_graphs(config: KernelConfig, bodies: dict[str, TaskBody],
+                 semantics: Iterable[bool], *, bound: int = 10_000,
+                 idle_mode: str = timing.JUMP) -> dict[bool, StateGraph]:
+    """One graph per requested error semantics (``True`` is strict).
+
+    The state space is explored once.  A normal strict state is reached only
+    through transitions that did not fail, so it is a continue-on-error node
+    at no greater depth, and its strict successors are that node's edge
+    targets, frozen where the transition failed.
+    """
+    wanted = set(semantics)
+    if wanted != {False, True}:
+        return {strict: build_graph(config, bodies, bound=bound,
+                                    strict=strict, idle_mode=idle_mode)
+                for strict in wanted}
+    relaxed = build_graph(config, bodies, bound=bound, idle_mode=idle_mode)
+
+    def expand(node: str, state: KernelState):
+        if state.status != NORMAL:
+            twin = stutterize(state)
+            return [(None, state_hash(twin), twin)]
+        out = []
+        for choice, target in relaxed.edges[node]:
+            frozen = _freeze(relaxed.nodes[target])
+            if frozen is not relaxed.nodes[target]:
+                target = state_hash(frozen)
+            out.append((choice, target, frozen))
+        return out
+
+    strict = _explore(relaxed.nodes[relaxed.initial], expand, bound=bound,
+                      strict=True, idle_mode=idle_mode)
+    return {False: relaxed, True: strict}
+
+
 def search_final(config: KernelConfig, bodies: dict[str, TaskBody], *,
-                 bound: int = 10_000, strict: bool = True,
-                 idle_mode: str = timing.JUMP, workers: int = 1,
-                 max_nodes: int = 500_000) -> SearchResult:
-    """Find every reachable final: intended completions and dead ends.
+                 bound: int = 10_000,
+                 idle_mode: str = timing.JUMP) -> SearchResult:
+    """Every reachable final of the strict graph."""
+    return search_graph(build_graph(config, bodies, bound=bound, strict=True,
+                                    idle_mode=idle_mode))
+
+
+def search_graph(graph: StateGraph) -> SearchResult:
+    """The finals of an explored graph, shallowest first.
 
     States that go all-idle (every task suspended, no armed alarm) are
     intended finals; scheduler dead ends and, in strict mode, frozen service
     errors are deadlocks.  Witness traces are shortest by construction.
     """
-    graph = build_graph(config, bodies, bound=bound, strict=strict,
-                        idle_mode=idle_mode, workers=workers,
-                        max_nodes=max_nodes)
     finals: list[TerminalRecord] = []
     deadlocks: list[TerminalRecord] = []
     terminal = sorted(graph.terminal_nodes(), key=lambda h: graph.depths[h])

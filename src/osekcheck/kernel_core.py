@@ -3,9 +3,10 @@
 Service functions take a state and return the successor state; nothing is
 mutated.  Every service charges one counter tick through
 :func:`timing.finish_service`, including failing calls, whose error code is
-recorded in the transition label (and, under strict error handling, freezes
-the state).  Scheduler signal handling (expiry actions, pending-activation
-release, rescheduling) consumes no time.
+recorded in the transition label; the run goes on after a failure (strict
+error handling, which freezes such a state, is applied by the explorer).
+Scheduler signal handling (expiry actions, pending-activation release,
+rescheduling) consumes no time.
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ from .model import (BOOT_LABEL, E_OK, E_OS_ACCESS, E_OS_LIMIT, E_OS_NOFUNC,
                     E_OS_RESOURCE, E_OS_STATE, NORMAL, READY, RUNNING,
                     SCHEDULE_SIGNAL, SUSPENDED, WAITING, AlarmCell,
                     AlarmFiring, KernelState, TaskCell, TransitionLabel,
-                    alarmed_signal, enqueue, error_status, normalize_program,
-                    peek_highest, pop_highest)
+                    alarmed_signal, enqueue, normalize_program, peek_highest,
+                    pop_highest)
 from .oil_config import FULL, KernelConfig
 from .task_lang import (CallService, TaskBody, TimeInterval, WhileTrue)
 
@@ -156,15 +157,14 @@ def _apply_set_event(state: KernelState, target: str, event: str
 # ---------------------------------------------------------------------------
 
 
-def svc_activate_task(state: KernelState, caller: str, target: str, *,
-                      strict: bool = False) -> KernelState:
+def svc_activate_task(state: KernelState, caller: str,
+                      target: str) -> KernelState:
     state, status = _apply_activation(state, target)
     return timing.finish_service(state, caller, "ActivateTask", (target,),
-                                 status, strict=strict)
+                                 status)
 
 
 def svc_terminate_task(state: KernelState, caller: str, *,
-                       strict: bool = False,
                        implicit: bool = False) -> KernelState:
     """End the running task's current activation.
 
@@ -176,17 +176,17 @@ def svc_terminate_task(state: KernelState, caller: str, *,
     if cell.held_resources:
         return timing.finish_service(state, caller, "TerminateTask", (),
                                      E_OS_RESOURCE, consume=not implicit,
-                                     detail=detail, strict=strict)
+                                     detail=detail)
     state = state.with_task(replace(_fresh_cell(state, cell),
                                     state=SUSPENDED))
     state = replace(state, running=None,
                     signals=state.signals | {SCHEDULE_SIGNAL})
     return timing.finish_service(state, caller, "TerminateTask", (), E_OK,
-                                 consume=False, detail=detail, strict=strict)
+                                 consume=False, detail=detail)
 
 
-def svc_chain_task(state: KernelState, caller: str, target: str, *,
-                   strict: bool = False) -> KernelState:
+def svc_chain_task(state: KernelState, caller: str,
+                   target: str) -> KernelState:
     """Terminate the caller and activate ``target`` in one atomic service.
 
     Chaining the caller itself records a pending activation without raising a
@@ -196,36 +196,33 @@ def svc_chain_task(state: KernelState, caller: str, target: str, *,
     cell = state.task_cell(caller)
     if cell.held_resources:
         return timing.finish_service(state, caller, "ChainTask", (target,),
-                                     E_OS_RESOURCE, strict=strict)
+                                     E_OS_RESOURCE)
     if target == caller:
         if cell.pending_activations + 1 > cell.max_activations:
             return timing.finish_service(state, caller, "ChainTask",
-                                         (target,), E_OS_LIMIT,
-                                         strict=strict)
+                                         (target,), E_OS_LIMIT)
         fresh = replace(_fresh_cell(state, cell), state=SUSPENDED,
                         pending_activations=cell.pending_activations + 1)
         state = replace(state.with_task(fresh), running=None)
         return timing.finish_service(state, caller, "ChainTask", (target,),
-                                     E_OK, consume=False, strict=strict)
+                                     E_OK, consume=False)
     if activation_status(state.task_cell(target)) != E_OK:
         return timing.finish_service(state, caller, "ChainTask", (target,),
-                                     E_OS_LIMIT, strict=strict)
+                                     E_OS_LIMIT)
     state, _ = _apply_activation(state, target)
     cell = state.task_cell(caller)
     state = state.with_task(replace(_fresh_cell(state, cell),
                                     state=SUSPENDED))
     state = replace(state, running=None,
                     signals=state.signals | {SCHEDULE_SIGNAL})
-    return timing.finish_service(state, caller, "ChainTask", (target,),
-                                 E_OK, consume=False, strict=strict)
+    return timing.finish_service(state, caller, "ChainTask", (target,), E_OK,
+                                 consume=False)
 
 
-def svc_schedule(state: KernelState, caller: str, *,
-                 strict: bool = False) -> KernelState:
+def svc_schedule(state: KernelState, caller: str) -> KernelState:
     """Voluntary scheduling point; lets higher-priority ready tasks in."""
     state = replace(state, signals=state.signals | {SCHEDULE_SIGNAL})
-    return timing.finish_service(state, caller, "Schedule", (), E_OK,
-                                 strict=strict)
+    return timing.finish_service(state, caller, "Schedule", (), E_OK)
 
 
 # ---------------------------------------------------------------------------
@@ -233,28 +230,27 @@ def svc_schedule(state: KernelState, caller: str, *,
 # ---------------------------------------------------------------------------
 
 
-def svc_set_event(state: KernelState, caller: str, target: str, event: str,
-                  *, strict: bool = False) -> KernelState:
+def svc_set_event(state: KernelState, caller: str, target: str,
+                  event: str) -> KernelState:
     state, status = _apply_set_event(state, target, event)
     return timing.finish_service(state, caller, "SetEvent", (target, event),
-                                 status, strict=strict)
+                                 status)
 
 
-def svc_clear_event(state: KernelState, caller: str, event: str, *,
-                    strict: bool = False) -> KernelState:
+def svc_clear_event(state: KernelState, caller: str,
+                    event: str) -> KernelState:
     task_def = state.config.tasks[caller]
     if not task_def.is_extended or event not in task_def.events:
         return timing.finish_service(state, caller, "ClearEvent", (event,),
-                                     E_OS_ACCESS, strict=strict)
+                                     E_OS_ACCESS)
     cell = state.task_cell(caller)
     state = state.with_task(replace(cell,
                                     set_events=cell.set_events - {event}))
-    return timing.finish_service(state, caller, "ClearEvent", (event,),
-                                 E_OK, strict=strict)
+    return timing.finish_service(state, caller, "ClearEvent", (event,), E_OK)
 
 
-def svc_wait_event(state: KernelState, caller: str, event: str, *,
-                   strict: bool = False) -> KernelState:
+def svc_wait_event(state: KernelState, caller: str,
+                   event: str) -> KernelState:
     """Wait until ``event`` is set for the caller.
 
     If the event is pending the call returns at once.  Otherwise the caller
@@ -264,20 +260,19 @@ def svc_wait_event(state: KernelState, caller: str, event: str, *,
     task_def = state.config.tasks[caller]
     if not task_def.is_extended or event not in task_def.events:
         return timing.finish_service(state, caller, "WaitEvent", (event,),
-                                     E_OS_ACCESS, strict=strict)
+                                     E_OS_ACCESS)
     cell = state.task_cell(caller)
     if cell.held_resources:
         return timing.finish_service(state, caller, "WaitEvent", (event,),
-                                     E_OS_RESOURCE, strict=strict)
+                                     E_OS_RESOURCE)
     if event in cell.set_events:
         return timing.finish_service(state, caller, "WaitEvent", (event,),
-                                     E_OK, strict=strict)
+                                     E_OK)
     state = state.with_task(replace(cell, state=WAITING, waiting_for=event))
     state = replace(state, running=None,
                     signals=state.signals | {SCHEDULE_SIGNAL})
     return timing.finish_service(state, caller, "WaitEvent", (event,), E_OK,
-                                 consume=False, detail="blocked",
-                                 strict=strict)
+                                 consume=False, detail="blocked")
 
 
 # ---------------------------------------------------------------------------
@@ -285,30 +280,29 @@ def svc_wait_event(state: KernelState, caller: str, event: str, *,
 # ---------------------------------------------------------------------------
 
 
-def svc_get_resource(state: KernelState, caller: str, resource: str, *,
-                     strict: bool = False) -> KernelState:
+def svc_get_resource(state: KernelState, caller: str,
+                     resource: str) -> KernelState:
     """Occupy a resource and raise the caller to its ceiling priority."""
     task_def = state.config.tasks[caller]
     held_anywhere = any(resource in c.held_resources for c in state.tasks)
     if resource not in task_def.resources or held_anywhere:
         return timing.finish_service(state, caller, "GetResource",
-                                     (resource,), E_OS_ACCESS, strict=strict)
+                                     (resource,), E_OS_ACCESS)
     cell = state.task_cell(caller)
     ceiling = state.config.ceiling(resource)
     cell = replace(cell, held_resources=cell.held_resources + (resource,),
                    current_priority=max(cell.current_priority, ceiling))
     return timing.finish_service(state.with_task(cell), caller,
-                                 "GetResource", (resource,), E_OK,
-                                 strict=strict)
+                                 "GetResource", (resource,), E_OK)
 
 
-def svc_release_resource(state: KernelState, caller: str, resource: str, *,
-                         strict: bool = False) -> KernelState:
+def svc_release_resource(state: KernelState, caller: str,
+                         resource: str) -> KernelState:
     """Release the most recently taken resource and drop back in priority."""
     cell = state.task_cell(caller)
     if not cell.held_resources or cell.held_resources[-1] != resource:
         return timing.finish_service(state, caller, "ReleaseResource",
-                                     (resource,), E_OS_NOFUNC, strict=strict)
+                                     (resource,), E_OS_NOFUNC)
     held = cell.held_resources[:-1]
     priority = max([cell.static_priority]
                    + [state.config.ceiling(r) for r in held])
@@ -318,7 +312,7 @@ def svc_release_resource(state: KernelState, caller: str, resource: str, *,
     if top is not None and top[0] > priority:
         state = replace(state, signals=state.signals | {SCHEDULE_SIGNAL})
     return timing.finish_service(state, caller, "ReleaseResource",
-                                 (resource,), E_OK, strict=strict)
+                                 (resource,), E_OK)
 
 
 # ---------------------------------------------------------------------------
@@ -332,13 +326,12 @@ def pending_expiries(state: KernelState) -> tuple[str, ...]:
                  if alarmed_signal(a) in state.signals)
 
 
-def handle_expiries(state: KernelState, order: tuple[str, ...], *,
-                    strict: bool = False) -> KernelState:
+def handle_expiries(state: KernelState,
+                    order: tuple[str, ...]) -> KernelState:
     """Apply all pending expiry actions in the given order, then rearm.
 
     Cyclic alarms advance their alarm time by the cycle even when the action
-    fails; one-shot alarms disarm.  Under strict error handling a failing
-    action freezes the state after the whole batch is applied.
+    fails; one-shot alarms disarm.
     """
     modulus = state.max_allowed_value + 1
     firings: list[AlarmFiring] = []
@@ -366,12 +359,7 @@ def handle_expiries(state: KernelState, order: tuple[str, ...], *,
             state = replace(state, working_alarms=tuple(
                 a for a in state.working_alarms if a != alarm_id))
     label = TransitionLabel(kind="alarm", firings=tuple(firings))
-    state = replace(state, last_label=label)
-    if strict:
-        bad = [f.status for f in firings if f.status != E_OK]
-        if bad:
-            state = replace(state, status=error_status(bad[0]))
-    return state
+    return replace(state, last_label=label)
 
 
 def multiactivation_candidate(state: KernelState) -> str | None:
@@ -444,8 +432,7 @@ def handle_schedule_signal(state: KernelState) -> KernelState:
 # ---------------------------------------------------------------------------
 
 
-def exec_running_statement(state: KernelState, *,
-                           strict: bool = False) -> KernelState:
+def exec_running_statement(state: KernelState) -> KernelState:
     """Execute the front statement of the running task."""
     caller = state.running
     if caller is None:
@@ -454,8 +441,7 @@ def exec_running_statement(state: KernelState, *,
     state = state.with_task(replace(state.task_cell(caller),
                                     program=program))
     if not program:
-        return svc_terminate_task(state, caller, strict=strict,
-                                  implicit=True)
+        return svc_terminate_task(state, caller, implicit=True)
     stmt = program[0]
     if isinstance(stmt, TimeInterval):
         return timing.exec_time_interval(state, caller, stmt.ticks)
@@ -464,29 +450,27 @@ def exec_running_statement(state: KernelState, *,
     assert isinstance(stmt, CallService)
     name, args = stmt.name, stmt.args
     if name == "ActivateTask":
-        return svc_activate_task(state, caller, args[0], strict=strict)
+        return svc_activate_task(state, caller, args[0])
     if name == "TerminateTask":
-        return svc_terminate_task(state, caller, strict=strict)
+        return svc_terminate_task(state, caller)
     if name == "ChainTask":
-        return svc_chain_task(state, caller, args[0], strict=strict)
+        return svc_chain_task(state, caller, args[0])
     if name == "Schedule":
-        return svc_schedule(state, caller, strict=strict)
+        return svc_schedule(state, caller)
     if name == "SetEvent":
-        return svc_set_event(state, caller, args[0], args[1], strict=strict)
+        return svc_set_event(state, caller, args[0], args[1])
     if name == "ClearEvent":
-        return svc_clear_event(state, caller, args[0], strict=strict)
+        return svc_clear_event(state, caller, args[0])
     if name == "WaitEvent":
-        return svc_wait_event(state, caller, args[0], strict=strict)
+        return svc_wait_event(state, caller, args[0])
     if name == "GetResource":
-        return svc_get_resource(state, caller, args[0], strict=strict)
+        return svc_get_resource(state, caller, args[0])
     if name == "ReleaseResource":
-        return svc_release_resource(state, caller, args[0], strict=strict)
+        return svc_release_resource(state, caller, args[0])
     if name == "SetRelAlarm":
-        return timing.svc_set_rel_alarm(state, caller, args[0], args[1],
-                                        args[2], strict=strict)
+        return timing.svc_set_rel_alarm(state, caller, *args)
     if name == "SetAbsAlarm":
-        return timing.svc_set_abs_alarm(state, caller, args[0], args[1],
-                                        args[2], strict=strict)
+        return timing.svc_set_abs_alarm(state, caller, *args)
     if name == "CancelAlarm":
-        return timing.svc_cancel_alarm(state, caller, args[0], strict=strict)
+        return timing.svc_cancel_alarm(state, caller, args[0])
     raise ValueError(f"unknown service {name}")

@@ -337,7 +337,3 @@ def canonical_snapshot(state: KernelState) -> str:
 
 def state_hash(state: KernelState) -> str:
     return hashlib.sha256(canonical_snapshot(state).encode()).hexdigest()
-
-
-def short_hash(state: KernelState) -> str:
-    return state_hash(state)[:12]

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import replace
 
 from .model import (E_OK, E_OS_NOFUNC, E_OS_STATE, E_OS_VALUE, KernelState,
-                    LoopBack, TransitionLabel, alarmed_signal, error_status,
+                    LoopBack, TransitionLabel, alarmed_signal,
                     normalize_program)
 from .task_lang import TimeInterval as TimeIntervalStmt
 
@@ -77,13 +77,10 @@ def _advance(state: KernelState, amount: int) -> KernelState:
 
 def finish_service(state: KernelState, caller: str, service: str,
                    args: tuple, status: str, *, consume: bool = True,
-                   detail: str | None = None, strict: bool = False
-                   ) -> KernelState:
+                   detail: str | None = None) -> KernelState:
     """Label, consume the caller's front statement and charge one tick.
 
-    In strict mode a non-``E_OK`` status freezes the state: the tick still
-    happens (the failing call consumed time) but the status records the error
-    and the state becomes a dead end.
+    A failing call (non-``E_OK`` status) is charged its tick too.
     """
     if consume:
         cell = state.task_cell(caller)
@@ -91,10 +88,7 @@ def finish_service(state: KernelState, caller: str, service: str,
         state = state.with_task(replace(cell, program=program))
     label = TransitionLabel(kind="service", task=caller, service=service,
                             args=tuple(args), status=status, detail=detail)
-    state = tick(replace(state, last_label=label))
-    if strict and status != E_OK:
-        state = replace(state, status=error_status(status))
-    return state
+    return tick(replace(state, last_label=label))
 
 
 # ---------------------------------------------------------------------------
@@ -166,8 +160,7 @@ def _cycle_ok(state: KernelState, cycle: int) -> bool:
 
 
 def svc_set_rel_alarm(state: KernelState, caller: str, alarm_id: str,
-                      increment: int, cycle: int, *,
-                      strict: bool = False) -> KernelState:
+                      increment: int, cycle: int) -> KernelState:
     """Arm an alarm ``increment`` ticks from now, optionally cyclic.
 
     An increment of zero raises the expiry signal immediately.  The alarm
@@ -175,11 +168,9 @@ def svc_set_rel_alarm(state: KernelState, caller: str, alarm_id: str,
     """
     args = (alarm_id, increment, cycle)
     if alarm_id in state.working_alarms:
-        return finish_service(state, caller, "SetRelAlarm", args,
-                              E_OS_STATE, strict=strict)
+        return finish_service(state, caller, "SetRelAlarm", args, E_OS_STATE)
     if increment > state.max_allowed_value or not _cycle_ok(state, cycle):
-        return finish_service(state, caller, "SetRelAlarm", args,
-                              E_OS_VALUE, strict=strict)
+        return finish_service(state, caller, "SetRelAlarm", args, E_OS_VALUE)
     modulus = state.max_allowed_value + 1
     alarm_time = (state.counter_value + increment) % modulus
     cell = replace(state.alarm_cell(alarm_id), alarm_time=alarm_time,
@@ -189,13 +180,11 @@ def svc_set_rel_alarm(state: KernelState, caller: str, alarm_id: str,
     if increment == 0:
         state = replace(state, signals=state.signals
                         | {alarmed_signal(alarm_id)})
-    return finish_service(state, caller, "SetRelAlarm", args, E_OK,
-                          strict=strict)
+    return finish_service(state, caller, "SetRelAlarm", args, E_OK)
 
 
 def svc_set_abs_alarm(state: KernelState, caller: str, alarm_id: str,
-                      start: int, cycle: int, *,
-                      strict: bool = False) -> KernelState:
+                      start: int, cycle: int) -> KernelState:
     """Arm an alarm to expire when the counter reaches ``start``.
 
     If the counter already equals ``start`` the alarm expires only after a
@@ -203,27 +192,23 @@ def svc_set_abs_alarm(state: KernelState, caller: str, alarm_id: str,
     """
     args = (alarm_id, start, cycle)
     if alarm_id in state.working_alarms:
-        return finish_service(state, caller, "SetAbsAlarm", args,
-                              E_OS_STATE, strict=strict)
+        return finish_service(state, caller, "SetAbsAlarm", args, E_OS_STATE)
     if start > state.max_allowed_value or not _cycle_ok(state, cycle):
-        return finish_service(state, caller, "SetAbsAlarm", args,
-                              E_OS_VALUE, strict=strict)
+        return finish_service(state, caller, "SetAbsAlarm", args, E_OS_VALUE)
     cell = replace(state.alarm_cell(alarm_id), alarm_time=start,
                    cycle_time=cycle)
     state = state.with_alarm(cell)
     state = replace(state, working_alarms=state.working_alarms + (alarm_id,))
-    return finish_service(state, caller, "SetAbsAlarm", args, E_OK,
-                          strict=strict)
+    return finish_service(state, caller, "SetAbsAlarm", args, E_OK)
 
 
-def svc_cancel_alarm(state: KernelState, caller: str, alarm_id: str, *,
-                     strict: bool = False) -> KernelState:
+def svc_cancel_alarm(state: KernelState, caller: str,
+                     alarm_id: str) -> KernelState:
     """Disarm an alarm; its stored time and cycle stay readable and the alarm
     can be armed again later."""
     if alarm_id not in state.working_alarms:
         return finish_service(state, caller, "CancelAlarm", (alarm_id,),
-                              E_OS_NOFUNC, strict=strict)
+                              E_OS_NOFUNC)
     working = tuple(a for a in state.working_alarms if a != alarm_id)
     state = replace(state, working_alarms=working)
-    return finish_service(state, caller, "CancelAlarm", (alarm_id,), E_OK,
-                          strict=strict)
+    return finish_service(state, caller, "CancelAlarm", (alarm_id,), E_OK)

@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from conftest import (EMS_LTL, EMS_OIL, EMS_PROPS, EMS_REPAIRED_OIL,
                       EMS_REPORT, EMS_TSK)
+from osekcheck import explorer
 from osekcheck.cli import main
 
 
@@ -164,6 +167,47 @@ class TestConform:
         assert "no properties" in err
 
 
+# ==== boot and budget failures =============================================
+
+
+def app_argv(command, oil, tsk, formula) -> list:
+    if command == "ltlmc":
+        return [command, oil, tsk, "--formula", formula]
+    if command == "conform":
+        return [command, oil, tsk, "--test-report", EMS_REPORT]
+    return [command, oil, tsk]
+
+
+class TestFailures:
+    @pytest.mark.parametrize("command",
+                             ["run", "search-final", "ltlmc", "conform"])
+    def test_boot_error_is_bad_input(self, capsys, tmp_path, command):
+        oil = tmp_path / "a.oil"
+        tsk = tmp_path / "a.tsk"
+        formula = tmp_path / "a.ltl"
+        oil.write_text("CPU a { COUNTER C { MAXALLOWEDVALUE = 3;"
+                       " SYSTEM = TRUE; }; TASK A { PRIORITY = 1; }; };")
+        tsk.write_text("TASK A { TerminateTask(); }")
+        formula.write_text("no_deadlock: [] !deadlocked\n")
+        code, out, err = run_cli(capsys,
+                                 *app_argv(command, oil, tsk, formula))
+        assert code == 1
+        assert out == ""
+        assert err.splitlines() == [
+            "error: no autostart task; nothing would ever run"]
+
+    @pytest.mark.parametrize("command", ["search-final", "ltlmc", "conform"])
+    def test_state_budget_exhausted(self, capsys, monkeypatch, command):
+        monkeypatch.setattr(explorer, "MAX_STATES", 5)
+        code, out, err = run_cli(capsys,
+                                 *app_argv(command, EMS_OIL, EMS_TSK,
+                                           EMS_LTL))
+        assert code == 4
+        assert out == ""
+        assert err.splitlines()[-1] == \
+            "error: state budget exhausted: exploration exceeded 5 states"
+
+
 # ==== shared input handling ================================================
 
 
@@ -186,12 +230,6 @@ class TestInputs:
         assert code == 1
         assert "--bound must be positive" in err
 
-    def test_nonpositive_workers(self, capsys):
-        code, _, err = run_cli(capsys, "search-final", EMS_OIL, EMS_TSK,
-                               "--workers", 0)
-        assert code == 1
-        assert "--workers must be positive" in err
-
     def test_missing_required_flag_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["ltlmc", str(EMS_OIL), str(EMS_TSK)])
@@ -199,9 +237,13 @@ class TestInputs:
         capsys.readouterr()
 
     def test_console_script_entry_point(self):
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        path = os.environ.get("PYTHONPATH")
+        env = dict(os.environ,
+                   PYTHONPATH=src + (os.pathsep + path if path else ""))
         proc = subprocess.run(
             [sys.executable, "-m", "osekcheck.cli", "run", str(EMS_OIL),
              str(EMS_TSK)],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=env)
         assert proc.returncode == 2
         assert "error:E_OS_LIMIT" in proc.stdout

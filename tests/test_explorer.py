@@ -190,10 +190,11 @@ class TestGraph:
         graph = explorer.build_graph(config, bodies, bound=3)
         assert graph.truncated
 
-    def test_state_budget_raises(self):
+    def test_state_budget_raises(self, monkeypatch):
         config, bodies = mini_app()
+        monkeypatch.setattr(explorer, "MAX_STATES", 5)
         with pytest.raises(explorer.ResourceLimit):
-            explorer.build_graph(config, bodies, bound=200, max_nodes=5)
+            explorer.build_graph(config, bodies, bound=200)
 
     def test_trace_to_is_shortest(self):
         config, bodies = mini_app()
@@ -205,14 +206,6 @@ class TestGraph:
                 explorer.replay(trace)
                 break
 
-    def test_workers_do_not_change_the_graph(self):
-        config, bodies = mini_app()
-        one = explorer.build_graph(config, bodies, bound=200, workers=1)
-        four = explorer.build_graph(config, bodies, bound=200, workers=4)
-        assert set(one.nodes) == set(four.nodes)
-        assert one.edges == four.edges
-        assert list(one.nodes) == list(four.nodes)  # same discovery order
-
     def test_edges_recompute_from_states(self):
         config, bodies = mini_app()
         graph = explorer.build_graph(config, bodies, bound=200)
@@ -221,6 +214,49 @@ class TestGraph:
             fresh = explorer.successors(graph.state(node))
             assert [(c, state_hash(s)) for c, s in fresh] == \
                 list(graph.successors_of(node))
+
+
+# ==== strict graph read off the continue-on-error graph ====================
+
+
+def assert_same_graph(derived, direct):
+    assert derived.initial == direct.initial
+    assert list(derived.nodes) == list(direct.nodes)  # discovery order
+    assert derived.edges == direct.edges
+    assert derived.parents == direct.parents
+    assert derived.depths == direct.depths
+    assert derived.truncated == direct.truncated
+    assert (derived.strict, derived.idle_mode) == \
+        (direct.strict, direct.idle_mode)
+
+
+def assert_derivation_exact(config, bodies, **options):
+    graphs = explorer.build_graphs(config, bodies, {False, True}, **options)
+    assert_same_graph(graphs[False],
+                      explorer.build_graph(config, bodies, **options))
+    assert_same_graph(graphs[True], explorer.build_graph(
+        config, bodies, strict=True, **options))
+
+
+class TestDerivedStrictGraph:
+    @pytest.mark.parametrize("idle_mode", timing.IDLE_MODES)
+    @pytest.mark.parametrize("app", ["ems_app", "ems_repaired_app"])
+    def test_corpus(self, request, app, idle_mode):
+        config, bodies = request.getfixturevalue(app)
+        assert_derivation_exact(config, bodies, idle_mode=idle_mode)
+
+    @pytest.mark.parametrize("first", range(0, 1000, 100))
+    def test_random_apps(self, first):
+        for seed in range(first, first + 100):
+            config, bodies = make_app(*random_app(random.Random(seed)))
+            assert_derivation_exact(config, bodies)
+            assert_derivation_exact(config, bodies, bound=3)
+
+    def test_one_semantics_is_explored_directly(self, ems_app):
+        config, bodies = ems_app
+        graphs = explorer.build_graphs(config, bodies, {True})
+        assert list(graphs) == [True]
+        assert len(graphs[True].nodes) == 28
 
 
 # ==== final-state search ===================================================

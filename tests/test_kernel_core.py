@@ -173,8 +173,12 @@ class TestTerminateTask:
 
     def test_strict_error_freeze(self, state):
         state = kernel_core.svc_get_resource(state, "Main", "R")
-        after = kernel_core.svc_terminate_task(state, "Main", strict=True)
+        # the front statement is now TerminateTask(), with R still held
+        relaxed = explorer.step(state)
+        after = explorer.step(state, strict=True)
+        assert relaxed.last_label.status == E_OS_RESOURCE
         assert after.status == error_status(E_OS_RESOURCE)
+        assert replace(after, status=relaxed.status) == relaxed
 
 
 class TestChainTask:
@@ -422,8 +426,8 @@ class TestExpiries:
     def test_strict_freezes_after_whole_batch(self, state):
         state = kernel_core.svc_activate_task(state, "Main", "Hi")
         state = self.arm_fire(state, "AA", "AC")
-        after = kernel_core.handle_expiries(state, ("AA", "AC"),
-                                            strict=True)
+        after = explorer.step(state, explorer.Choice(("AA", "AC")),
+                              strict=True)
         assert after.status == error_status(E_OS_LIMIT)
         assert len(after.last_label.firings) == 2
 

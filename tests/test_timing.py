@@ -9,9 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import make_app
-from osekcheck import kernel_core, timing
+from osekcheck import explorer, kernel_core, timing
 from osekcheck.model import (E_OK, E_OS_NOFUNC, E_OS_STATE, E_OS_VALUE,
                              NORMAL, alarmed_signal, error_status)
+from osekcheck.task_lang import CallService
 from osekcheck.task_lang import TimeInterval as TimeIntervalStmt
 from osekcheck.task_lang import WhileTrue
 
@@ -139,9 +140,13 @@ class TestSetRelAlarm:
 
     def test_strict_mode_freezes_failures(self, state):
         armed = arm(state, "AL", 9)
-        strict = timing.svc_set_rel_alarm(armed, "Init", "AL", 5, 0,
-                                          strict=True)
-        relaxed = timing.svc_set_rel_alarm(armed, "Init", "AL", 5, 0)
+        init = armed.task_cell("Init")
+        armed = armed.with_task(replace(
+            init, program=(CallService("SetRelAlarm", ("AL", 5, 0)),)
+            + init.program))
+        strict = explorer.step(armed, strict=True)
+        relaxed = explorer.step(armed)
+        assert relaxed == timing.svc_set_rel_alarm(armed, "Init", "AL", 5, 0)
         assert strict.status == error_status(E_OS_STATE)
         assert relaxed.status == NORMAL
         assert replace(strict, status=NORMAL) == relaxed

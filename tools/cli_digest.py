@@ -1,0 +1,110 @@
+"""Digest the stdout and exit code of every CLI subcommand on a fixed app set.
+
+Two checkouts whose digests are equal print the same bytes on stdout and
+exit with the same codes.  The apps are both corpus configurations, the
+harmonic-alarm app of ``perfbench/harmonic.py`` (seed 1) and
+``tests/helpers.random_app`` seeds 0-999; each goes through ``run``,
+``search-final``, ``ltlmc`` and ``conform`` in ``--trace-format text`` and
+``machine``.  The corpus and harmonic apps also go through ``conform`` on
+property subsets that need one error semantics or both.  The script runs
+with ``PYTHONHASHSEED=0`` (re-executing itself if needed), because the
+harmonic generator's identifier order follows set iteration order.
+
+Usage, from the root of the checkout whose package is imported::
+
+    PYTHONPATH=src python tools/cli_digest.py [--seeds 0-999] > digests.txt
+    diff digests-before.txt digests-after.txt
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import io
+import os
+import random
+import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "tests"))
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+import harmonic  # noqa: E402
+from helpers import random_app  # noqa: E402
+from osekcheck import cli  # noqa: E402
+from workloads import ALL_PASS_REPORT, RANDOM_FORMULAS  # noqa: E402
+
+CORPUS = ROOT / "corpus"
+PROP_SUBSETS = ("DF", "ME\nPIF\nMAF", "DF\nSF", "DF\nPE\nMAF")
+
+
+def digest(argv: list[str]) -> str:
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            code = cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    except Exception as exc:  # noqa: BLE001 - a crash is part of the answer
+        code = f"crash:{type(exc).__name__}"
+    text = out.getvalue().encode()
+    return f"{code} {hashlib.sha256(text).hexdigest()[:16]} {len(text)}"
+
+
+def invocations(name, oil, tsk, ltl, report, subsets):
+    for fmt in ("text", "machine"):
+        common = ["--trace-format", fmt]
+        yield f"{name} run {fmt}", ["run", oil, tsk, *common]
+        yield (f"{name} search-final {fmt}",
+               ["search-final", oil, tsk, *common])
+        yield (f"{name} ltlmc {fmt}",
+               ["ltlmc", oil, tsk, "--formula", ltl, *common])
+        yield (f"{name} conform {fmt}",
+               ["conform", oil, tsk, "--test-report", report, *common])
+        for label, props in subsets:
+            yield (f"{name} conform[{label}] {fmt}",
+                   ["conform", oil, tsk, "--test-report", report,
+                    "--props", props, *common])
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--seeds", default="0-999",
+                        help="random_app seed range, inclusive (0-999)")
+    args = parser.parse_args()
+    if os.environ.get("PYTHONHASHSEED") != "0":
+        os.execve(sys.executable, [sys.executable, *sys.argv],
+                  dict(os.environ, PYTHONHASHSEED="0"))
+    low, high = (int(x) for x in args.seeds.split("-"))
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+
+        def write(name: str, text: str) -> str:
+            (work / name).write_text(text)
+            return str(work / name)
+
+        report = write("all_pass.report", ALL_PASS_REPORT)
+        subsets = [(s.replace("\n", "+"), write(f"props{i}", s + "\n"))
+                   for i, s in enumerate(PROP_SUBSETS)]
+        apps = [(name, str(CORPUS / f"{name}.oil"), str(CORPUS / "ems.tsk"),
+                 str(CORPUS / "ems.ltl"), report, subsets)
+                for name in ("ems", "ems_repaired")]
+        oil, tsk, formulas = harmonic.generate(1)
+        apps.append(("harmonic", write("h.oil", oil), write("h.tsk", tsk),
+                     write("h.ltl", formulas), report, subsets))
+        random_ltl = write("random.ltl", RANDOM_FORMULAS)
+        for seed in range(low, high + 1):
+            oil, tsk = random_app(random.Random(seed))
+            apps.append((f"random_app:{seed}", write(f"{seed}.oil", oil),
+                         write(f"{seed}.tsk", tsk), random_ltl, report, []))
+        for app in apps:
+            for label, argv in invocations(*app):
+                print(f"{label} {digest(argv)}", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
