@@ -170,33 +170,20 @@ class Trace:
 
 def replay(trace: Trace) -> None:
     """Re-execute a trace step by step; raises ReplayMismatch on divergence."""
-    expected_count = len(trace.states) - 1
+    targets = list(range(1, len(trace.states)))
     if trace.lasso_start is not None:
-        expected_count += 1
-    if len(trace.choices) != expected_count:
-        raise ReplayMismatch(0, f"{expected_count} choices",
+        targets.append(trace.lasso_start)
+    if len(trace.choices) != len(targets):
+        raise ReplayMismatch(0, f"{len(targets)} choices",
                              f"{len(trace.choices)} choices")
-    for index in range(len(trace.states) - 1):
+    for index, target in enumerate(targets):
         result = step(trace.states[index], trace.choices[index],
                       strict=trace.strict, idle_mode=trace.idle_mode)
         actual = (stutterize(trace.states[index], result.kind)
                   if isinstance(result, Stuck) else result)
-        if canonical_snapshot(actual) != canonical_snapshot(
-                trace.states[index + 1]):
-            raise ReplayMismatch(index,
-                                 canonical_snapshot(trace.states[index + 1]),
-                                 canonical_snapshot(actual))
-    if trace.lasso_start is not None:
-        result = step(trace.states[-1], trace.choices[-1],
-                      strict=trace.strict, idle_mode=trace.idle_mode)
-        actual = (stutterize(trace.states[-1], result.kind)
-                  if isinstance(result, Stuck) else result)
-        if canonical_snapshot(actual) != canonical_snapshot(
-                trace.states[trace.lasso_start]):
-            raise ReplayMismatch(len(trace.states) - 1,
-                                 canonical_snapshot(
-                                     trace.states[trace.lasso_start]),
-                                 canonical_snapshot(actual))
+        expected = canonical_snapshot(trace.states[target])
+        if canonical_snapshot(actual) != expected:
+            raise ReplayMismatch(index, expected, canonical_snapshot(actual))
 
 
 def render_trace(trace: Trace, fmt: str = "text") -> str:

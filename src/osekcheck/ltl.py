@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from .model import (E_OK, ERROR_CODES, KernelState, alarmed_signal,
                     error_status, is_deadlocked)
-from .oil_config import KernelConfig
+from .oil_config import Cursor, KernelConfig, ParseError, int_value, tokenize
 
 # ---------------------------------------------------------------------------
 # formula AST
@@ -151,147 +151,92 @@ class LtlError(Exception):
 # parser
 # ---------------------------------------------------------------------------
 
-_SYMBOLS = ("->", "[]", "<>", "||", "&&", "(", ")", ",", "!", "&", "|")
+_LTL_SYMBOL_TABLE = {"->": "->", "[]": "[]", "<>": "<>", "||": "|",
+                     "&&": "&", "(": "(", ")": ")", ",": ",", "!": "!",
+                     "&": "&", "|": "|"}
 
+_UNARY = {"!": Not, "X": Next, "F": Future, "<>": Future, "G": Globally,
+          "[]": Globally}
 
-def _lex(text: str) -> list[str]:
-    tokens: list[str] = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        for sym in _SYMBOLS:
-            if text.startswith(sym, i):
-                tokens.append({"||": "|", "&&": "&"}.get(sym, sym))
-                i += len(sym)
-                break
-        else:
-            if ch.isalpha() or ch == "_":
-                j = i + 1
-                while j < n and (text[j].isalnum() or text[j] == "_"):
-                    j += 1
-                tokens.append(text[i:j])
-                i = j
-            elif ch.isdigit():
-                j = i + 1
-                while j < n and text[j].isdigit():
-                    j += 1
-                tokens.append(text[i:j])
-                i = j
-            else:
-                raise LtlError(f"unexpected character {ch!r} in formula")
-    tokens.append("<eof>")
-    return tokens
-
-
-class _FCursor:
-    def __init__(self, tokens: list[str]):
-        self.tokens = tokens
-        self.pos = 0
-
-    def peek(self) -> str:
-        return self.tokens[self.pos]
-
-    def next(self) -> str:
-        tok = self.tokens[self.pos]
-        if tok != "<eof>":
-            self.pos += 1
-        return tok
-
-    def expect(self, tok: str) -> None:
-        got = self.next()
-        if got != tok:
-            raise LtlError(f"expected {tok!r}, found {got!r}")
+# Binary operators: token -> (precedence, node, right associative).
+_BINARY = {"->": (1, Implies, True), "|": (2, Or, False),
+           "&": (3, And, False), "U": (4, Until, True)}
 
 
 def parse_ltl(text: str) -> Formula:
     """Parse a formula.  Operators, loosest first: ``->``, ``|``, ``&``,
     ``U`` (right associative), then ``!``/``X``/``F``/``G``/``[]``/``<>``."""
-    cur = _FCursor(_lex(text))
-    formula = _parse_implies(cur)
-    if cur.peek() != "<eof>":
-        raise LtlError(f"unexpected trailing {cur.peek()!r}")
+    try:
+        tokens = tokenize(text, _LTL_SYMBOL_TABLE, eof="<eof>")
+    except ParseError as exc:
+        raise LtlError(f"{exc.message} in formula") from None
+    cur = Cursor(tokens)
+    try:
+        formula = _parse_binary(cur, 1)
+    except ParseError as exc:
+        raise LtlError(exc.message) from None
+    if cur.peek().kind != "EOF":
+        raise LtlError(f"unexpected trailing {cur.peek().value!r}")
     return formula
 
 
-def _parse_implies(cur: _FCursor) -> Formula:
-    left = _parse_or(cur)
-    if cur.peek() == "->":
+def _parse_binary(cur: Cursor, loosest: int) -> Formula:
+    """Parse operators of precedence ``loosest`` and tighter."""
+    tree = _parse_unary(cur)
+    while True:
+        op = _BINARY.get(cur.peek().value)
+        if op is None or op[0] < loosest:
+            return tree
+        precedence, node, right_associative = op
         cur.next()
-        return Implies(left, _parse_implies(cur))
-    return left
+        cur.sink()
+        cur.enter()
+        right = _parse_binary(
+            cur, precedence if right_associative else precedence + 1)
+        cur.leave()
+        tree = node(tree, right)
 
 
-def _parse_or(cur: _FCursor) -> Formula:
-    left = _parse_and(cur)
-    while cur.peek() == "|":
-        cur.next()
-        left = Or(left, _parse_and(cur))
-    return left
+def _parse_unary(cur: Cursor) -> Formula:
+    node = _UNARY.get(cur.peek().value)
+    if node is None:
+        return _parse_atom(cur)
+    cur.next()
+    cur.enter()
+    sub = _parse_unary(cur)
+    cur.leave()
+    return node(sub)
 
 
-def _parse_and(cur: _FCursor) -> Formula:
-    left = _parse_until(cur)
-    while cur.peek() == "&":
-        cur.next()
-        left = And(left, _parse_until(cur))
-    return left
-
-
-def _parse_until(cur: _FCursor) -> Formula:
-    left = _parse_unary(cur)
-    if cur.peek() == "U":
-        cur.next()
-        return Until(left, _parse_until(cur))
-    return left
-
-
-def _parse_unary(cur: _FCursor) -> Formula:
-    tok = cur.peek()
-    if tok == "!":
-        cur.next()
-        return Not(_parse_unary(cur))
-    if tok in ("X",):
-        cur.next()
-        return Next(_parse_unary(cur))
-    if tok in ("F", "<>"):
-        cur.next()
-        return Future(_parse_unary(cur))
-    if tok in ("G", "[]"):
-        cur.next()
-        return Globally(_parse_unary(cur))
-    return _parse_atom(cur)
-
-
-def _parse_atom(cur: _FCursor) -> Formula:
+def _parse_atom(cur: Cursor) -> Formula:
     tok = cur.next()
-    if tok == "(":
-        inner = _parse_implies(cur)
-        cur.expect(")")
+    if tok.value == "(":
+        cur.enter()
+        inner = _parse_binary(cur, 1)
+        cur.expect("PUNCT", ")")
+        cur.leave()
         return inner
-    if tok == "true":
+    if tok.value == "true":
         return TrueF()
-    if tok == "false":
+    if tok.value == "false":
         return FalseF()
-    if tok == "<eof>" or not (tok[0].isalpha() or tok[0] == "_"):
-        raise LtlError(f"expected a proposition, found {tok!r}")
-    name = tok
+    if tok.kind != "IDENT":
+        raise LtlError(f"expected a proposition, found {tok.value!r}")
     args: list = []
-    if cur.peek() == "(":
+    if cur.peek().value == "(":
         cur.next()
-        if cur.peek() != ")":
+        if cur.peek().value != ")":
             while True:
                 arg = cur.next()
-                if arg == "<eof>":
+                if arg.kind == "EOF":
                     raise LtlError("unterminated argument list")
-                args.append(int(arg) if arg.isdigit() else arg)
-                if cur.peek() != ",":
+                args.append(int_value(arg.value) if arg.kind == "INT"
+                            else arg.value)
+                if cur.peek().value != ",":
                     break
                 cur.next()
-        cur.expect(")")
-    return Prop(name, tuple(args))
+        cur.expect("PUNCT", ")")
+    return Prop(tok.value, tuple(args))
 
 
 # ---------------------------------------------------------------------------
@@ -450,7 +395,13 @@ class _Node:
 
 
 def _expand_tableau(formula: Formula) -> list[_Node]:
+    """GPVW tableau expansion with an explicit stack.
+
+    Of two split nodes the left one is expanded first, and node ids are
+    handed out in creation order.
+    """
     nodes: list[_Node] = []
+    finished: dict[tuple[frozenset, frozenset], _Node] = {}
     counter = [0]
 
     def fresh(incoming: set[int], new: set, old: set, next_: set) -> _Node:
@@ -458,61 +409,59 @@ def _expand_tableau(formula: Formula) -> list[_Node]:
         return _Node(counter[0], set(incoming), set(new), frozenset(old),
                      frozenset(next_))
 
-    def expand(node: _Node) -> None:
-        if not node.new:
-            for existing in nodes:
-                if (existing.old == node.old and existing.next == node.next):
-                    existing.incoming |= node.incoming
-                    return
-            nodes.append(node)
-            expand(fresh({node.id}, set(node.next), set(), set()))
-            return
-        f = node.new.pop()
-        if isinstance(f, FalseF):
-            return
-        if isinstance(f, TrueF):
-            expand(node)
-            return
-        if isinstance(f, (Prop, Not)):
-            if _negate_literal(f) in node.old:
-                return
-            node.old.add(f)
-            expand(node)
-            return
-        if isinstance(f, And):
-            node.old.add(f)
-            for part in (f.left, f.right):
-                if part not in node.old:
-                    node.new.add(part)
-            expand(node)
-            return
-        if isinstance(f, Next):
-            node.old.add(f)
-            node.next.add(f.sub)
-            expand(node)
-            return
-        if isinstance(f, (Or, Until, Release)):
-            if isinstance(f, Or):
-                first_new, first_next = {f.left}, set()
-                second_new, second_next = {f.right}, set()
-            elif isinstance(f, Until):
-                first_new, first_next = {f.right}, set()
-                second_new, second_next = {f.left}, {f}
-            else:  # Release
-                first_new, first_next = {f.left, f.right}, set()
-                second_new, second_next = {f.right}, {f}
-            left_node = fresh(node.incoming,
-                              node.new | (first_new - node.old),
-                              node.old | {f}, node.next | first_next)
-            right_node = fresh(node.incoming,
-                               node.new | (second_new - node.old),
-                               node.old | {f}, node.next | second_next)
-            expand(left_node)
-            expand(right_node)
-            return
-        raise LtlError(f"cannot expand {f!r}")
-
-    expand(fresh({_INIT}, {formula}, set(), set()))
+    stack = [fresh({_INIT}, {formula}, set(), set())]
+    while stack:
+        node = stack.pop()
+        while node is not None and node.new:
+            f = node.new.pop()
+            if isinstance(f, FalseF):
+                node = None
+            elif isinstance(f, TrueF):
+                pass
+            elif isinstance(f, (Prop, Not)):
+                if _negate_literal(f) in node.old:
+                    node = None
+                else:
+                    node.old.add(f)
+            elif isinstance(f, And):
+                node.old.add(f)
+                for part in (f.left, f.right):
+                    if part not in node.old:
+                        node.new.add(part)
+            elif isinstance(f, Next):
+                node.old.add(f)
+                node.next.add(f.sub)
+            elif isinstance(f, (Or, Until, Release)):
+                if isinstance(f, Or):
+                    first_new, first_next = {f.left}, set()
+                    second_new, second_next = {f.right}, set()
+                elif isinstance(f, Until):
+                    first_new, first_next = {f.right}, set()
+                    second_new, second_next = {f.left}, {f}
+                else:  # Release
+                    first_new, first_next = {f.left, f.right}, set()
+                    second_new, second_next = {f.right}, {f}
+                left_node = fresh(node.incoming,
+                                  node.new | (first_new - node.old),
+                                  node.old | {f}, node.next | first_next)
+                right_node = fresh(node.incoming,
+                                   node.new | (second_new - node.old),
+                                   node.old | {f}, node.next | second_next)
+                stack.append(right_node)
+                stack.append(left_node)
+                node = None
+            else:
+                raise LtlError(f"cannot expand {f!r}")
+        if node is None:
+            continue
+        key = (frozenset(node.old), frozenset(node.next))
+        existing = finished.get(key)
+        if existing is not None:
+            existing.incoming |= node.incoming
+            continue
+        finished[key] = node
+        nodes.append(node)
+        stack.append(fresh({node.id}, set(node.next), set(), set()))
     return nodes
 
 
@@ -620,19 +569,16 @@ def to_buchi(formula: Formula) -> BuchiAutomaton:
     else:
         accepting = frozenset(states)
 
-    renamed = {s: i for i, s in enumerate(sorted(states))}
-    automaton = BuchiAutomaton(
-        states=tuple(sorted(renamed.values())),
-        init_edges=tuple(BuchiEdge(e.guard, renamed[e.dst])
-                         for e in init_edges),
-        edges={renamed[s]: tuple(BuchiEdge(e.guard, renamed[e.dst])
-                                 for e in edges[s]) for s in states},
-        accepting=frozenset(renamed[s] for s in accepting))
-    return _simplify(automaton)
+    return _simplify(BuchiAutomaton(tuple(states), tuple(init_edges), edges,
+                                    accepting))
 
 
 def _simplify(aut: BuchiAutomaton) -> BuchiAutomaton:
-    """Prune unreachable and dead states, then merge equivalent ones."""
+    """Prune unreachable and dead states, then merge equivalent ones.
+
+    States may be any sortable values; the result numbers them from 0 in
+    sorted order.
+    """
     states = set(aut.states)
     init_edges = list(aut.init_edges)
     edges = {s: list(aut.edges.get(s, ())) for s in states}

@@ -38,6 +38,7 @@ class ParseError(OilError):
 
     def __init__(self, message: str, line: int = 0):
         super().__init__(f"line {line}: {message}" if line else message)
+        self.message = message
         self.line = line
 
 
@@ -143,21 +144,39 @@ class KernelConfig:
 
 
 # ---------------------------------------------------------------------------
-# tokenizer
+# tokenizer and cursor, shared by the configuration, task and formula parsers
 # ---------------------------------------------------------------------------
 
-_PUNCT = set("{}=;,()")
+MAX_NESTING = 100
+"""Deepest nesting any parser accepts.  Every ``{ }`` block of a
+configuration or task file and every parenthesis or operator of a formula
+opens one level, so each parsed tree stays this shallow."""
+
+OIL_SYMBOL_TABLE = {ch: ch for ch in "{}=;,()"}
+
+_DIGITS = frozenset("0123456789")
+_HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # IDENT | INT | PUNCT | EOF
-    value: str
-    line: int
+class Token:
+    __slots__ = ("kind", "value", "line")
+
+    def __init__(self, kind: str, value: str, line: int):
+        self.kind = kind  # IDENT | INT | PUNCT | EOF
+        self.value = value
+        self.line = line
 
 
-def _tokenize(source: str) -> list[_Token]:
-    tokens: list[_Token] = []
+def tokenize(source: str, symbols: dict[str, str],
+             eof: str = "") -> list[Token]:
+    """Split text into tokens, skipping whitespace and comments.
+
+    Numbers are ASCII decimal or ``0x`` hex; identifiers start with a letter
+    or ``_``.  ``symbols`` maps each punctuation spelling to its token value,
+    and the longest spelling wins.  The closing EOF token has value ``eof``.
+    """
+    widths = sorted({len(s) for s in symbols}, reverse=True)
+    tokens: list[Token] = []
     i, line, n = 0, 1, len(source)
     while i < n:
         ch = source[i]
@@ -166,6 +185,24 @@ def _tokenize(source: str) -> list[_Token]:
             i += 1
         elif ch.isspace():
             i += 1
+        elif ch in _DIGITS:
+            j = i + 1
+            if (ch == "0" and source[j:j + 1] in ("x", "X")
+                    and source[j + 1:j + 2] in _HEX_DIGITS):
+                j += 2
+                while j < n and source[j] in _HEX_DIGITS:
+                    j += 1
+            else:
+                while j < n and source[j] in _DIGITS:
+                    j += 1
+            tokens.append(Token("INT", source[i:j], line))
+            i = j
+        elif ch.isalpha() or ch == "_":
+            j = i + 1
+            while j < n and (source[j].isalnum() or source[j] == "_"):
+                j += 1
+            tokens.append(Token("IDENT", source[i:j], line))
+            i = j
         elif source.startswith("//", i):
             while i < n and source[i] != "\n":
                 i += 1
@@ -175,52 +212,76 @@ def _tokenize(source: str) -> list[_Token]:
                 raise ParseError("unterminated comment", line)
             line += source.count("\n", i, end)
             i = end + 2
-        elif ch.isdigit():
-            j = i + 1
-            if ch == "0" and j < n and source[j] in "xX":
-                j += 1
-                while j < n and source[j] in "0123456789abcdefABCDEF":
-                    j += 1
-            else:
-                while j < n and source[j].isdigit():
-                    j += 1
-            tokens.append(_Token("INT", source[i:j], line))
-            i = j
-        elif ch.isalpha() or ch == "_":
-            j = i + 1
-            while j < n and (source[j].isalnum() or source[j] == "_"):
-                j += 1
-            tokens.append(_Token("IDENT", source[i:j], line))
-            i = j
-        elif ch in _PUNCT:
-            tokens.append(_Token("PUNCT", ch, line))
-            i += 1
         else:
-            raise ParseError(f"unexpected character {ch!r}", line)
-    tokens.append(_Token("EOF", "", line))
+            for width in widths:
+                spelling = source[i:i + width]
+                value = symbols.get(spelling)
+                if value is not None:
+                    break
+            else:
+                raise ParseError(f"unexpected character {ch!r}", line)
+            tokens.append(Token("PUNCT", value, line))
+            i += len(spelling)
+    tokens.append(Token("EOF", eof, line))
     return tokens
 
 
-class _Cursor:
-    def __init__(self, tokens: list[_Token]):
+def int_value(text: str) -> int:
+    """Value of an INT token."""
+    return int(text, 16) if text[1:2] in ("x", "X") else int(text)
+
+
+class Cursor:
+    """Reads a token list and bounds the depth of the tree being built.
+
+    ``enter``/``leave`` bracket every nested construct.  ``peak`` is the
+    deepest level reached since the innermost open ``enter``; ``sink``
+    records that everything parsed since then got a new parent above it
+    (the left operand of a binary operator).  Both ``enter`` and ``sink``
+    raise ParseError past ``MAX_NESTING`` levels.
+    """
+
+    def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.pos = 0
+        self.peak = 0
+        self._outer_peaks: list[int] = []  # one per open level
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
+    def peek(self, ahead: int = 0) -> Token:
+        try:
+            return self.tokens[self.pos + ahead]
+        except IndexError:
+            return self.tokens[-1]
 
-    def next(self) -> _Token:
+    def next(self) -> Token:
         tok = self.tokens[self.pos]
         if tok.kind != "EOF":
             self.pos += 1
         return tok
 
-    def expect(self, kind: str, value: str | None = None) -> _Token:
+    def expect(self, kind: str, value: str | None = None) -> Token:
         tok = self.next()
         if tok.kind != kind or (value is not None and tok.value != value):
             want = value if value is not None else kind
             raise ParseError(f"expected {want!r}, found {tok.value!r}", tok.line)
         return tok
+
+    def enter(self) -> None:
+        self._outer_peaks.append(self.peak)
+        self.peak = len(self._outer_peaks)
+        self._check()
+
+    def leave(self) -> None:
+        self.peak = max(self.peak, self._outer_peaks.pop())
+
+    def sink(self) -> None:
+        self.peak += 1
+        self._check()
+
+    def _check(self) -> None:
+        if self.peak > MAX_NESTING:
+            raise ParseError(f"nesting deeper than {MAX_NESTING} levels",
+                             self.peek().line)
 
 
 # ---------------------------------------------------------------------------
@@ -244,9 +305,10 @@ class _ObjectDecl:
     line: int
 
 
-def _parse_attr_block(cur: _Cursor) -> tuple[_Attr, ...]:
+def _parse_attr_block(cur: Cursor) -> tuple[_Attr, ...]:
     attrs: list[_Attr] = []
     cur.expect("PUNCT", "{")
+    cur.enter()
     while cur.peek().value != "}":
         name_tok = cur.expect("IDENT")
         cur.expect("PUNCT", "=")
@@ -260,13 +322,14 @@ def _parse_attr_block(cur: _Cursor) -> tuple[_Attr, ...]:
         cur.expect("PUNCT", ";")
         attrs.append(_Attr(name_tok.value, val_tok.value, nested, name_tok.line))
     cur.expect("PUNCT", "}")
+    cur.leave()
     return tuple(attrs)
 
 
 _OBJECT_KINDS = {"TASK", "COUNTER", "ALARM", "RESOURCE", "EVENT"}
 
 
-def _parse_objects(cur: _Cursor, warnings: list[Diagnostic],
+def _parse_objects(cur: Cursor, warnings: list[Diagnostic],
                    decls: list[_ObjectDecl], cpu_name: list[str]) -> None:
     while cur.peek().kind != "EOF" and cur.peek().value != "}":
         kind_tok = cur.expect("IDENT")
@@ -275,8 +338,10 @@ def _parse_objects(cur: _Cursor, warnings: list[Diagnostic],
         if kind == "CPU":
             cpu_name.append(name_tok.value)
             cur.expect("PUNCT", "{")
+            cur.enter()
             _parse_objects(cur, warnings, decls, cpu_name)
             cur.expect("PUNCT", "}")
+            cur.leave()
             cur.expect("PUNCT", ";")
         elif kind in _OBJECT_KINDS:
             attrs = _parse_attr_block(cur)
@@ -308,7 +373,7 @@ def _parse_objects(cur: _Cursor, warnings: list[Diagnostic],
 
 def _as_int(attr: _Attr) -> int:
     try:
-        return int(attr.value, 0)
+        return int_value(attr.value)
     except ValueError:
         raise ParseError(
             f"attribute {attr.name} expects an integer, found {attr.value!r}",
@@ -568,7 +633,7 @@ def validate(config: KernelConfig) -> list[Diagnostic]:
 
 def parse_oil(source: str) -> KernelConfig:
     """Parse configuration text; raises ParseError or SemanticError."""
-    cur = _Cursor(_tokenize(source))
+    cur = Cursor(tokenize(source, OIL_SYMBOL_TABLE))
     warnings: list[Diagnostic] = []
     decls: list[_ObjectDecl] = []
     cpu_name: list[str] = []

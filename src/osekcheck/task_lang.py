@@ -11,7 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .oil_config import Diagnostic, KernelConfig, ParseError, SemanticError
+from .oil_config import (OIL_SYMBOL_TABLE, Cursor, Diagnostic,
+                         KernelConfig, ParseError, SemanticError, int_value,
+                         tokenize)
 
 # ---------------------------------------------------------------------------
 # statement AST
@@ -78,87 +80,11 @@ def estimate_time_interval(statement_count: int, statements_per_tick: int) -> in
 
 
 # ---------------------------------------------------------------------------
-# tokenizer (shares the shape of the configuration tokenizer, plus C noise)
-# ---------------------------------------------------------------------------
-
-_PUNCT = set("{}();,=")
-
-
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # IDENT | INT | PUNCT | EOF
-    value: str
-    line: int
-
-
-def _tokenize(source: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    i, line, n = 0, 1, len(source)
-    while i < n:
-        ch = source[i]
-        if ch == "\n":
-            line += 1
-            i += 1
-        elif ch.isspace():
-            i += 1
-        elif source.startswith("//", i):
-            while i < n and source[i] != "\n":
-                i += 1
-        elif source.startswith("/*", i):
-            end = source.find("*/", i + 2)
-            if end < 0:
-                raise ParseError("unterminated comment", line)
-            line += source.count("\n", i, end)
-            i = end + 2
-        elif ch.isdigit():
-            j = i + 1
-            while j < n and source[j].isdigit():
-                j += 1
-            tokens.append(_Token("INT", source[i:j], line))
-            i = j
-        elif ch.isalpha() or ch == "_":
-            j = i + 1
-            while j < n and (source[j].isalnum() or source[j] == "_"):
-                j += 1
-            tokens.append(_Token("IDENT", source[i:j], line))
-            i = j
-        elif ch in _PUNCT:
-            tokens.append(_Token("PUNCT", ch, line))
-            i += 1
-        else:
-            raise ParseError(f"unexpected character {ch!r}", line)
-    tokens.append(_Token("EOF", "", line))
-    return tokens
-
-
-class _Cursor:
-    def __init__(self, tokens: list[_Token]):
-        self.tokens = tokens
-        self.pos = 0
-
-    def peek(self, ahead: int = 0) -> _Token:
-        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
-
-    def next(self) -> _Token:
-        tok = self.tokens[self.pos]
-        if tok.kind != "EOF":
-            self.pos += 1
-        return tok
-
-    def expect(self, kind: str, value: str | None = None) -> _Token:
-        tok = self.next()
-        if tok.kind != kind or (value is not None and tok.value != value):
-            want = value if value is not None else kind
-            raise ParseError(f"expected {want!r}, found {tok.value!r}", tok.line)
-        return tok
-
-
-# ---------------------------------------------------------------------------
 # parsing
 # ---------------------------------------------------------------------------
 
 
-def _skip_c_statement(cur: _Cursor, warnings: list[Diagnostic],
+def _skip_c_statement(cur: Cursor, warnings: list[Diagnostic],
                       what: str) -> None:
     start = cur.peek().line
     while cur.peek().kind != "EOF" and cur.peek().value != ";":
@@ -168,9 +94,10 @@ def _skip_c_statement(cur: _Cursor, warnings: list[Diagnostic],
         "warning", "IgnoredCode", f"line {start}: ignoring {what}"))
 
 
-def _parse_statement_list(cur: _Cursor, warnings: list[Diagnostic],
+def _parse_statement_list(cur: Cursor, warnings: list[Diagnostic],
                           task_id: str) -> tuple[Statement, ...]:
     statements: list[Statement] = []
+    cur.enter()
     while cur.peek().value not in ("}",) and cur.peek().kind != "EOF":
         tok = cur.peek()
         if tok.kind != "IDENT":
@@ -187,7 +114,7 @@ def _parse_statement_list(cur: _Cursor, warnings: list[Diagnostic],
             cur.expect("PUNCT", "=")
             val = cur.expect("INT")
             cur.expect("PUNCT", ";")
-            ticks = int(val.value)
+            ticks = int_value(val.value)
             if ticks < 1:
                 raise SemanticError([Diagnostic(
                     "error", "BadInterval",
@@ -202,10 +129,11 @@ def _parse_statement_list(cur: _Cursor, warnings: list[Diagnostic],
             _skip_c_statement(cur, warnings, f"assignment to {name}")
             continue
         raise ParseError(f"expected a statement, found {name!r}", tok.line)
+    cur.leave()
     return tuple(statements)
 
 
-def _parse_while(cur: _Cursor, warnings: list[Diagnostic],
+def _parse_while(cur: Cursor, warnings: list[Diagnostic],
                  task_id: str) -> WhileTrue:
     kw = cur.expect("IDENT", "while")
     cur.expect("PUNCT", "(")
@@ -226,7 +154,7 @@ def _parse_while(cur: _Cursor, warnings: list[Diagnostic],
     return WhileTrue(body)
 
 
-def _parse_call(cur: _Cursor, task_id: str) -> CallService:
+def _parse_call(cur: Cursor, task_id: str) -> CallService:
     name_tok = cur.expect("IDENT")
     cur.expect("PUNCT", "(")
     args: list[object] = []
@@ -236,7 +164,7 @@ def _parse_call(cur: _Cursor, task_id: str) -> CallService:
             if tok.kind == "IDENT":
                 args.append(tok.value)
             elif tok.kind == "INT":
-                args.append(int(tok.value))
+                args.append(int_value(tok.value))
             else:
                 raise ParseError(
                     f"expected an argument, found {tok.value!r}", tok.line)
@@ -330,7 +258,7 @@ def parse_task_file(source: str, config: KernelConfig,
     optional ``warnings`` list.
     """
     sink: list[Diagnostic] = [] if warnings is None else warnings
-    cur = _Cursor(_tokenize(source))
+    cur = Cursor(tokenize(source, OIL_SYMBOL_TABLE))
     bodies: dict[str, TaskBody] = {}
     errors: list[Diagnostic] = []
 

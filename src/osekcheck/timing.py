@@ -26,17 +26,6 @@ IDLE_MODES = (JUMP, UNIT)
 # ---------------------------------------------------------------------------
 
 
-def tick(state: KernelState) -> KernelState:
-    """Advance the counter one tick and raise expiry signals that land on it."""
-    modulus = state.max_allowed_value + 1
-    value = (state.counter_value + 1) % modulus
-    signals = set(state.signals)
-    for alarm_id in state.working_alarms:
-        if state.alarm_cell(alarm_id).alarm_time == value:
-            signals.add(alarmed_signal(alarm_id))
-    return replace(state, counter_value=value, signals=frozenset(signals))
-
-
 def expiry_distance(state: KernelState, alarm_id: str) -> int:
     """Ticks until the alarm expires, in [1, MAXALLOWEDVALUE + 1]."""
     modulus = state.max_allowed_value + 1
@@ -88,7 +77,7 @@ def finish_service(state: KernelState, caller: str, service: str,
         state = state.with_task(replace(cell, program=program))
     label = TransitionLabel(kind="service", task=caller, service=service,
                             args=tuple(args), status=status, detail=detail)
-    return tick(replace(state, last_label=label))
+    return _advance(replace(state, last_label=label), 1)
 
 
 # ---------------------------------------------------------------------------

@@ -247,3 +247,98 @@ class TestInputs:
             capture_output=True, text=True, env=env)
         assert proc.returncode == 2
         assert "error:E_OS_LIMIT" in proc.stdout
+
+
+# ==== parser limits ========================================================
+
+TINY_OIL = ("COUNTER C { MAXALLOWEDVALUE = 255; SYSTEM = TRUE; };"
+            " TASK A { PRIORITY = 1; AUTOSTART = TRUE; };")
+TINY_TSK = "TASK A { TerminateTask(); }"
+
+
+def nested_attributes(depth: int) -> str:
+    inner = "X = Y;"
+    for _ in range(depth):
+        inner = f"X = Y {{ {inner} }};"
+    return TINY_OIL.replace("AUTOSTART = TRUE;", "AUTOSTART = TRUE; " + inner)
+
+
+def balanced_disjunction(low: int, high: int) -> str:
+    if high - low == 1:
+        return f"counter_eq({low})"
+    mid = (low + high) // 2
+    return (f"({balanced_disjunction(low, mid)} | "
+            f"{balanced_disjunction(mid, high)})")
+
+
+class TestParserLimits:
+    """Inputs that once ended in a traceback end in exit 1 and one line."""
+
+    def run_app(self, capsys, tmp_path, oil=TINY_OIL, tsk=TINY_TSK,
+                formula="ok: [] !deadlocked"):
+        paths = []
+        for name, text in (("a.oil", oil), ("a.tsk", tsk), ("a.ltl", formula)):
+            (tmp_path / name).write_text(text + "\n")
+            paths.append(tmp_path / name)
+        return run_cli(capsys, "ltlmc", paths[0], paths[1],
+                       "--formula", paths[2])
+
+    @pytest.mark.parametrize("formula, message", [
+        ("(" * 170 + "deadlocked" + ")" * 170, "nesting deeper than 100"),
+        ("!" * 5000 + "deadlocked", "nesting deeper than 100"),
+        (" & ".join(["deadlocked"] * 300), "nesting deeper than 100"),
+        ("<> counter_eq(³)", "unexpected character '³' in formula"),
+    ], ids=["parens-170", "not-5000", "and-chain-300", "superscript-digit"])
+    def test_formula(self, capsys, tmp_path, formula, message):
+        code, out, err = self.run_app(capsys, tmp_path,
+                                      formula=f"f: {formula}")
+        assert (code, out) == (1, "")
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: ") and message in err
+
+    @pytest.mark.parametrize("tsk, message", [
+        ("TASK A { " + "while(true){ " * 1200 + "Schedule();"
+         + " }" * 1200 + " }", "line 1: nesting deeper than 100"),
+        ("TASK A {\n TimeInterval = ³; TerminateTask(); }",
+         "line 2: unexpected character '³'"),
+    ], ids=["while-1200", "superscript-digit"])
+    def test_task_file(self, capsys, tmp_path, tsk, message):
+        code, out, err = self.run_app(capsys, tmp_path, tsk=tsk)
+        assert (code, out) == (1, "")
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: ") and message in err
+
+    @pytest.mark.parametrize("oil", [
+        nested_attributes(1000),
+        "CPU c { " * 1000 + TINY_OIL + " };" * 1000,
+    ], ids=["attributes-1000", "cpu-1000"])
+    def test_config(self, capsys, tmp_path, oil):
+        code, out, err = self.run_app(capsys, tmp_path, oil=oil)
+        assert (code, out) == (1, "")
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: ")
+        assert "line 1: nesting deeper than 100 levels" in err
+
+    def test_nesting_at_the_limit_is_accepted(self, capsys, tmp_path):
+        code, out, err = self.run_app(
+            capsys, tmp_path, oil=nested_attributes(99),
+            formula="f: " + "!" * 100 + "deadlocked")
+        assert code == 2
+        assert out.startswith("f: violated")
+        assert "error" not in err
+        code, _, err = self.run_app(
+            capsys, tmp_path, oil=nested_attributes(100))
+        assert code == 1
+        assert "nesting deeper than 100 levels" in err
+        code, _, err = self.run_app(
+            capsys, tmp_path, formula="f: " + "!" * 101 + "deadlocked")
+        assert code == 1
+        assert "nesting deeper than 100 levels" in err
+
+    def test_wide_disjunction_gets_a_verdict(self, capsys, tmp_path):
+        code, out, err = self.run_app(
+            capsys, tmp_path,
+            formula=f"any: <> {balanced_disjunction(0, 256)}")
+        assert code == 0
+        assert out.startswith("any: holds")
+        assert err == ""

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -52,6 +53,40 @@ class TestParser:
         for text in ("", "[] ", "(p", "p **", "U p"):
             with pytest.raises(LtlError):
                 parse_ltl(text)
+
+    def test_comments_and_hex_numbers(self):
+        # formulas share the configuration tokenizer: comments are skipped
+        # and 0x numbers are hex (both were errors before)
+        assert parse_ltl("<> p // note") == parse_ltl("<> /* note */ p")
+        assert parse_ltl("counter_eq(0x10)") == Prop("counter_eq", (16,))
+        assert parse_ltl("counter_eq(010)") == Prop("counter_eq", (10,))
+        with pytest.raises(LtlError, match="unterminated comment in formula"):
+            parse_ltl("p /* note")
+
+    def test_error_messages(self):
+        cases = {"p ?": "unexpected character '?' in formula",
+                 "(p": "expected ')', found '<eof>'",
+                 "p &&": "expected a proposition, found '<eof>'",
+                 "p & ||": "expected a proposition, found '|'",
+                 "p q": "unexpected trailing 'q'",
+                 "running(A": "expected ')', found '<eof>'",
+                 "running(": "unterminated argument list",
+                 "counter_eq(³)": "unexpected character '³' in formula",
+                 "counter_eq(٣)": "unexpected character '٣' in formula",
+                 "!" * 101 + "p": "nesting deeper than 100 levels",
+                 " & ".join("p" * 102): "nesting deeper than 100 levels"}
+        for text, message in cases.items():
+            with pytest.raises(LtlError) as err:
+                parse_ltl(text)
+            assert str(err.value) == message, text
+
+    def test_nesting_limit_counts_binary_operators(self):
+        # a chain of 100 conjunctions is 100 levels deep; so are 50
+        # conjunctions each in its own parentheses, which count one level
+        parse_ltl(" & ".join("p" * 101))
+        parse_ltl("(" * 50 + "p" + " & p)" * 50)
+        with pytest.raises(LtlError, match="nesting deeper"):
+            parse_ltl("(" * 50 + "p" + " & p)" * 50 + " & p")
 
     def test_unparse_round_trip(self):
         for text in ("[] (p -> <> q)", "!p U (q && r)", "X X p",
@@ -148,6 +183,100 @@ class TestBuchi:
         accepted = automaton_accepts_lasso(aut, prefix, cycle, value)
         satisfied = eval_on_lasso(formula, prefix, cycle, value)
         assert accepted == (not satisfied)
+
+
+def _recursive_tableau(formula):
+    """The recursive tableau expansion the iterative one replaced."""
+    nodes = []
+    counter = [0]
+
+    def fresh(incoming, new, old, next_):
+        counter[0] += 1
+        return ltl._Node(counter[0], set(incoming), set(new), frozenset(old),
+                         frozenset(next_))
+
+    def expand(node):
+        if not node.new:
+            for existing in nodes:
+                if existing.old == node.old and existing.next == node.next:
+                    existing.incoming |= node.incoming
+                    return
+            nodes.append(node)
+            expand(fresh({node.id}, set(node.next), set(), set()))
+            return
+        f = node.new.pop()
+        if isinstance(f, ltl.FalseF):
+            return
+        if isinstance(f, ltl.TrueF):
+            expand(node)
+            return
+        if isinstance(f, (Prop, Not)):
+            if ltl._negate_literal(f) in node.old:
+                return
+            node.old.add(f)
+            expand(node)
+            return
+        if isinstance(f, And):
+            node.old.add(f)
+            for part in (f.left, f.right):
+                if part not in node.old:
+                    node.new.add(part)
+            expand(node)
+            return
+        if isinstance(f, Next):
+            node.old.add(f)
+            node.next.add(f.sub)
+            expand(node)
+            return
+        if isinstance(f, Or):
+            first, first_next, second, second_next = {f.left}, set(), \
+                {f.right}, set()
+        elif isinstance(f, Until):
+            first, first_next, second, second_next = {f.right}, set(), \
+                {f.left}, {f}
+        else:
+            first, first_next, second, second_next = {f.left, f.right}, \
+                set(), {f.right}, {f}
+        left = fresh(node.incoming, node.new | (first - node.old),
+                     node.old | {f}, node.next | first_next)
+        right = fresh(node.incoming, node.new | (second - node.old),
+                      node.old | {f}, node.next | second_next)
+        expand(left)
+        expand(right)
+
+    expand(fresh({ltl._INIT}, {formula}, set(), set()))
+    return nodes
+
+
+def random_formula(rng: random.Random, depth: int):
+    if depth == 0 or rng.random() < 0.2:
+        return rng.choice([Prop("p"), Prop("q"), Prop("r"), ltl.TrueF(),
+                           ltl.FalseF()])
+    unary = (Not, Next, Future, Globally)
+    binary = (And, Or, Implies, Until)
+    if rng.random() < 0.4:
+        return rng.choice(unary)(random_formula(rng, depth - 1))
+    return rng.choice(binary)(random_formula(rng, depth - 1),
+                              random_formula(rng, depth - 1))
+
+
+class TestTableau:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 10**9))
+    def test_iterative_matches_recursive(self, seed):
+        nnf = ltl._nnf(random_formula(random.Random(seed), 5), True)
+        expected = _recursive_tableau(nnf)
+        actual = ltl._expand_tableau(nnf)
+        assert [(n.id, n.incoming, n.old, n.next) for n in actual] == \
+            [(n.id, n.incoming, n.old, n.next) for n in expected]
+
+    def test_wide_disjunction_does_not_recurse(self):
+        # the tableau of a balanced 256-way disjunction, 8 levels deep, once
+        # overflowed the stack
+        level = [Prop("counter_eq", (value,)) for value in range(256)]
+        while len(level) > 1:
+            level = [Or(a, b) for a, b in zip(level[::2], level[1::2])]
+        assert to_buchi(Future(level[0])).state_count == 1
 
 
 # ==== model checking on synthetic graphs ===================================
@@ -299,3 +428,18 @@ class TestKernelView:
         from osekcheck.conformance import lasso_to_trace
         trace = lasso_to_trace(graph, result)
         explorer.replay(trace)
+
+    def test_replay_checks_the_closing_edge(self):
+        view, graph = self.make_view(
+            "COUNTER C { MAXALLOWEDVALUE = 3; SYSTEM = TRUE; };"
+            "TASK A { PRIORITY = 1; AUTOSTART = TRUE; };",
+            "TASK A { while (true) { Schedule(); } }")
+        result = model_check(view, parse_ltl("<> deadlocked"))
+        from osekcheck.conformance import lasso_to_trace
+        trace = lasso_to_trace(graph, result)
+        explorer.replay(trace)
+        wrong = next(i for i, s in enumerate(trace.states)
+                     if s != trace.states[trace.lasso_start])
+        with pytest.raises(explorer.ReplayMismatch) as err:
+            explorer.replay(replace(trace, lasso_start=wrong))
+        assert err.value.index == len(trace.states) - 1

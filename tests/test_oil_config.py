@@ -51,6 +51,35 @@ class TestParsing:
         """)
         assert config.system_counter.max_allowed_value == 255
 
+    def test_numbers_are_ascii_decimal_or_hex(self):
+        # one number rule for all three input languages: a leading zero is
+        # still decimal, "0x" needs a hex digit, and non-ASCII digits such
+        # as "٣" (once read as 3) are not numbers
+        assert parse_oil(BASE.replace("PRIORITY = 1;", "PRIORITY = 010;")
+                         ).tasks["B"].priority == 10
+        cases = {"0x": "line 4: expected ';', found 'x'",
+                 "٣": "line 4: unexpected character '٣'",
+                 "1³": "line 4: unexpected character '³'",
+                 "1" + "0" * 5 + "x": "line 4: expected ';', found 'x'"}
+        for value, message in cases.items():
+            with pytest.raises(ParseError) as err:
+                parse_oil(BASE.replace("PRIORITY = 1;",
+                                       f"PRIORITY = {value};"))
+            assert str(err.value) == message, value
+
+    def test_nesting_limit(self):
+        def nested(depth: int) -> str:
+            return BASE.replace(
+                "PRIORITY = 1;",
+                "PRIORITY = 1; " + "X = Y { " * depth + " };" * depth)
+        # the task block is one level, each attribute block one more
+        assert set(parse_oil(nested(99)).tasks) == {"A", "B"}
+        with pytest.raises(ParseError,
+                           match="line 4: nesting deeper than 100 levels"):
+            parse_oil(nested(100))
+        with pytest.raises(ParseError, match="nesting deeper than 100"):
+            parse_oil("CPU c { " * 101 + BASE + " };" * 101)
+
     def test_cpu_wrapper(self):
         config = parse_oil("CPU box {\n" + BASE + "\n};")
         assert set(config.tasks) == {"A", "B"}

@@ -55,6 +55,14 @@ class TestParsing:
         assert isinstance(loop, WhileTrue)
         assert loop.body[-1] == TimeInterval(2)
 
+    def test_hex_numbers(self):
+        # "0x10" was once the number 0 followed by the word x10
+        _, bodies = make_app(OIL, GOOD.replace(
+            "TimeInterval = 2;",
+            "TimeInterval = 0x2; SetRelAlarm(AL, 0x10, 010);"))
+        assert bodies["X"].statements[0].body[-2:] == (
+            TimeInterval(2), CallService("SetRelAlarm", ("AL", 16, 10)))
+
     def test_while_condition_one(self):
         _, bodies = make_app(OIL, GOOD.replace("while (true)", "while (1)"))
         assert isinstance(bodies["X"].statements[0], WhileTrue)
@@ -133,6 +141,24 @@ class TestErrors:
     def test_zero_time_interval(self):
         err = erring(GOOD.replace("TimeInterval = 2;", "TimeInterval = 0;"))
         assert "BadInterval" in body_codes(err)
+
+    def test_non_ascii_digits_are_not_numbers(self):
+        # "³" once crashed int(); "٣" was once read as 3
+        for digit in ("³", "٣"):
+            err = erring(GOOD.replace("TimeInterval = 2;",
+                                      f"TimeInterval = {digit};"))
+            assert str(err.value) == \
+                f"line 3: unexpected character {digit!r}"
+
+    def test_nesting_limit(self):
+        def loops(depth: int) -> str:
+            return ("TASK A { TerminateTask(); }\nTASK X { "
+                    + "while (true) { " * depth + "Schedule();"
+                    + " }" * depth + " }")
+        # the task block is one level, each loop one more
+        make_app(OIL, loops(99))
+        err = erring(loops(100))
+        assert str(err.value) == "line 2: nesting deeper than 100 levels"
 
     def test_empty_loop(self):
         err = erring("""

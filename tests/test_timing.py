@@ -47,14 +47,14 @@ def arm(state, alarm_id, at, cycle=0):
 
 class TestCounter:
     def test_tick_wraps(self, state):
-        wrapped = timing.tick(replace(state, counter_value=15))
+        wrapped = timing._advance(replace(state, counter_value=15), 1)
         assert wrapped.counter_value == 0
 
     def test_tick_raises_expiry_signal_on_landing(self, state):
         state = arm(state, "AL", 2)
-        one = timing.tick(state)
+        one = timing._advance(state, 1)
         assert not one.signals
-        two = timing.tick(one)
+        two = timing._advance(one, 1)
         assert alarmed_signal("AL") in two.signals
 
     def test_distance_counts_to_expiry(self, state):
@@ -93,7 +93,7 @@ class TestCounter:
         distance = timing.expiry_distance(probe, "AL")
         walker, steps = probe, 0
         while True:
-            walker = timing.tick(walker)
+            walker = timing._advance(walker, 1)
             steps += 1
             if alarmed_signal("AL") in walker.signals:
                 break

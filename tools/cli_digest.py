@@ -1,14 +1,18 @@
-"""Digest the stdout and exit code of every CLI subcommand on a fixed app set.
+"""Digest stdout, stderr and exit code of each CLI subcommand on fixed apps.
 
 Two checkouts whose digests are equal print the same bytes on stdout and
-exit with the same codes.  The apps are both corpus configurations, the
-harmonic-alarm app of ``perfbench/harmonic.py`` (seed 1) and
-``tests/helpers.random_app`` seeds 0-999; each goes through ``run``,
-``search-final``, ``ltlmc`` and ``conform`` in ``--trace-format text`` and
-``machine``.  The corpus and harmonic apps also go through ``conform`` on
-property subsets that need one error semantics or both.  The script runs
-with ``PYTHONHASHSEED=0`` (re-executing itself if needed), because the
-harmonic generator's identifier order follows set iteration order.
+stderr (warnings and ``error:`` lines, with their line numbers) and exit
+with the same codes.  File paths in the output are replaced by ``<root>``
+(the checkout) and ``<work>`` (the scratch directory of generated apps), so
+checkouts in different directories compare equal.  The apps are both
+corpus configurations, the harmonic-alarm app of ``perfbench/harmonic.py``
+(seed 1) and ``tests/helpers.random_app`` seeds 0-999; each goes through
+``run``, ``search-final``, ``ltlmc`` and ``conform`` in ``--trace-format``
+``text`` and ``machine``.  The corpus and harmonic apps also go through
+``conform`` on property subsets that need one error semantics or both.
+The script runs with ``PYTHONHASHSEED=0`` (re-executing itself if needed),
+because the harmonic generator's identifier order follows set iteration
+order.
 
 Usage, from the root of the checkout whose package is imported::
 
@@ -41,7 +45,13 @@ CORPUS = ROOT / "corpus"
 PROP_SUBSETS = ("DF", "ME\nPIF\nMAF", "DF\nSF", "DF\nPE\nMAF")
 
 
-def digest(argv: list[str]) -> str:
+def _hash(text: str, work: Path) -> str:
+    data = (text.replace(str(work), "<work>")
+            .replace(str(ROOT), "<root>").encode())
+    return f"{hashlib.sha256(data).hexdigest()[:16]} {len(data)}"
+
+
+def digest(argv: list[str], work: Path) -> str:
     out, err = io.StringIO(), io.StringIO()
     try:
         with redirect_stdout(out), redirect_stderr(err):
@@ -50,8 +60,8 @@ def digest(argv: list[str]) -> str:
         code = exc.code
     except Exception as exc:  # noqa: BLE001 - a crash is part of the answer
         code = f"crash:{type(exc).__name__}"
-    text = out.getvalue().encode()
-    return f"{code} {hashlib.sha256(text).hexdigest()[:16]} {len(text)}"
+    return (f"{code} {_hash(out.getvalue(), work)} "
+            f"{_hash(err.getvalue(), work)}")
 
 
 def invocations(name, oil, tsk, ltl, report, subsets):
@@ -102,7 +112,7 @@ def main() -> int:
                          write(f"{seed}.tsk", tsk), random_ltl, report, []))
         for app in apps:
             for label, argv in invocations(*app):
-                print(f"{label} {digest(argv)}", flush=True)
+                print(f"{label} {digest(argv, work)}", flush=True)
     return 0
 
 
