@@ -19,7 +19,7 @@ import sys
 from pathlib import Path
 
 from . import conformance, explorer, kernel_core, ltl, timing
-from .model import ALLIDLE, NORMAL
+from .model import ALLIDLE, DEADLOCK, NORMAL
 from .oil_config import KernelConfig, OilError, parse_oil
 from .task_lang import TaskBody, parse_task_file
 
@@ -66,8 +66,18 @@ def _out_dir(args: argparse.Namespace) -> Path | None:
     if args.out is None:
         return None
     path = Path(args.out)
-    path.mkdir(parents=True, exist_ok=True)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise CliInputError(f"cannot create {path}: {exc}") from exc
     return path
+
+
+def _write(target: Path, text: str) -> None:
+    try:
+        target.write_text(text)
+    except OSError as exc:
+        raise CliInputError(f"cannot write {target}: {exc}") from exc
 
 
 def _emit_trace(trace: explorer.Trace, fmt: str, out: Path | None,
@@ -77,7 +87,7 @@ def _emit_trace(trace: explorer.Trace, fmt: str, out: Path | None,
         print(text)
     else:
         target = out / f"{name}.trace"
-        target.write_text(text)
+        _write(target, text)
         print(f"trace written to {target}")
 
 
@@ -90,7 +100,6 @@ def cmd_run(args: argparse.Namespace) -> int:
     config, bodies = _load_app(args.config, args.tasks)
     state = kernel_core.boot(config, bodies)
     states = [state]
-    choices: list[explorer.Choice | None] = []
     outcome = None
     for _ in range(args.bound):
         if state.status != NORMAL:
@@ -98,14 +107,13 @@ def cmd_run(args: argparse.Namespace) -> int:
             break
         result = explorer.step(state, None, strict=True,
                                idle_mode=args.idle_tick_mode)
-        if isinstance(result, explorer.Stuck):
-            outcome = result.kind
+        if result.status in (ALLIDLE, DEADLOCK):
+            outcome = result.status
             break
         state = result
         states.append(state)
-        choices.append(None)
-    trace = explorer.Trace(tuple(states), tuple(choices), strict=True,
-                           idle_mode=args.idle_tick_mode)
+    trace = explorer.Trace(tuple(states), (None,) * (len(states) - 1),
+                           strict=True, idle_mode=args.idle_tick_mode)
     _emit_trace(trace, args.trace_format, _out_dir(args), "run")
     steps = len(states) - 1
     if outcome is None:
@@ -216,13 +224,13 @@ def cmd_conform(args: argparse.Namespace) -> int:
         for pid, result in results.items():
             if result.witness is not None:
                 target = out / f"witness-{pid}.trace"
-                target.write_text(
-                    explorer.render_trace(result.witness, args.trace_format))
+                _write(target, explorer.render_trace(result.witness,
+                                                     args.trace_format))
                 witness_paths[pid] = str(target)
     report = conformance.emit_report(rows, results, witness_paths)
     print(report, end="")
     if out is not None:
-        (out / "report.txt").write_text(report)
+        _write(out / "report.txt", report)
     conforms = all(r.kernel_conform and r.app_conform for r in rows)
     return EXIT_OK if conforms else EXIT_VIOLATION
 

@@ -11,6 +11,7 @@ fail, the application itself is at fault.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
 from . import explorer, ltl, timing
@@ -220,11 +221,10 @@ def _check_periodic_execution(graph: explorer.StateGraph) -> PropertyResult:
     for alarm in monitored:
         task = alarm.action.task
         start = (graph.initial, "pre")
-        seen = {start}
         parents: dict = {start: None}
-        queue = [start]
+        queue = deque([start])
         while queue:
-            current = queue.pop(0)
+            current = queue.popleft()
             node, count = current
             for choice, target in graph.successors_of(node):
                 label = graph.state(target).last_label
@@ -242,37 +242,24 @@ def _check_periodic_execution(graph: explorer.StateGraph) -> PropertyResult:
                                "within one activation window")
                 succ = (target, nxt)
                 if bad is not None:
-                    path_nodes = [target]
-                    walk = current
-                    while walk is not None:
-                        path_nodes.append(walk[0])
-                        walk = parents[walk]
-                    path_nodes.reverse()
-                    witness = _path_trace(graph, path_nodes)
+                    # walk the (parent, choice) links back, as trace_to does
+                    path, choices = [target], [choice]
+                    while current != start:
+                        path.append(current[0])
+                        current, choice = parents[current]
+                        choices.append(choice)
+                    path.append(graph.initial)
+                    witness = explorer.Trace(
+                        tuple(graph.state(n) for n in reversed(path)),
+                        tuple(reversed(choices)), strict=graph.strict,
+                        idle_mode=graph.idle_mode)
                     return PropertyResult("PE", "fail", witness, bad)
-                if succ not in seen:
-                    seen.add(succ)
-                    parents[succ] = current
+                if succ not in parents:
+                    parents[succ] = (current, choice)
                     queue.append(succ)
     verdict = "bounded_pass" if graph.truncated else "pass"
     return PropertyResult("PE", verdict, None,
                           f"{len(monitored)} alarm(s) monitored")
-
-
-def _path_trace(graph: explorer.StateGraph,
-                nodes: list[str]) -> explorer.Trace:
-    """Trace along an explicit node path, looking up the edge choices."""
-    choices = []
-    for source, target in zip(nodes, nodes[1:]):
-        for choice, dst in graph.successors_of(source):
-            if dst == target:
-                choices.append(choice)
-                break
-        else:
-            raise ValueError("path does not follow graph edges")
-    states = tuple(graph.state(h) for h in nodes)
-    return explorer.Trace(states, tuple(choices), strict=graph.strict,
-                          idle_mode=graph.idle_mode)
 
 
 # ---------------------------------------------------------------------------

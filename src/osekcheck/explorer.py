@@ -4,10 +4,11 @@ A step applies exactly one transition rule, chosen by a fixed precedence:
 pending expiry signals first (all of them in one step, order being the only
 source of nondeterminism), then release of one recorded activation, then the
 scheduling signal, then the running task's next statement, then dispatch,
-then idle time.  States whose status is no longer normal are fixpoints: they
-stutter, so that every explored dead end carries an infinite run for the
-temporal logic layer.  Strict error handling lives here alone: the state
-that a failed service call or alarm action produced becomes such a fixpoint.
+then idle time; when none applies, the state goes all-idle or deadlocks.
+States whose status is no longer normal are fixpoints: they stutter, so that
+every explored dead end carries an infinite run for the temporal logic
+layer.  Strict error handling lives here alone: the state that a failed
+service call or alarm action produced becomes such a fixpoint.
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ from dataclasses import dataclass, replace
 from . import kernel_core, timing
 from .model import (ALLIDLE, DEADLOCK, E_OK, NORMAL, SCHEDULE_SIGNAL,
                     SUSPENDED, KernelState, canonical_label,
-                    canonical_snapshot, error_status, label_text, state_hash,
-                    stutterize)
+                    canonical_snapshot, error_status, label_text,
+                    snapshot_hash, stutterize)
 from .oil_config import KernelConfig
 from .task_lang import TaskBody
 
@@ -56,13 +57,6 @@ def choice_text(choice: Choice | None) -> str:
     return str(choice) if choice is not None else "-"
 
 
-@dataclass(frozen=True)
-class Stuck:
-    """No rule applies: the scheduler is stuck or the system went idle."""
-
-    kind: str  # ALLIDLE | DEADLOCK
-
-
 # ---------------------------------------------------------------------------
 # the step function
 # ---------------------------------------------------------------------------
@@ -82,7 +76,7 @@ def _freeze(state: KernelState) -> KernelState:
 
 
 def _apply_rule(state: KernelState, choice: Choice | None,
-                idle_mode: str) -> KernelState | Stuck:
+                idle_mode: str) -> KernelState:
     """The one transition rule that applies, on continue-on-error semantics."""
     if state.status != NORMAL:
         return stutterize(state)
@@ -109,22 +103,19 @@ def _apply_rule(state: KernelState, choice: Choice | None,
     if state.working_alarms:
         return timing.idle_advance(state, idle_mode)
     if all(c.state == SUSPENDED for c in state.tasks):
-        return Stuck(ALLIDLE)
-    return Stuck(DEADLOCK)
+        return stutterize(state, ALLIDLE)
+    return stutterize(state, DEADLOCK)
 
 
 def step(state: KernelState, choice: Choice | None = None, *,
-         strict: bool = False, idle_mode: str = timing.JUMP
-         ) -> KernelState | Stuck:
+         strict: bool = False, idle_mode: str = timing.JUMP) -> KernelState:
     """Apply one transition rule; ``choice`` fixes the expiry order.
 
-    Returns the successor state, or :class:`Stuck` when nothing is enabled.
-    Non-normal states return their own stutter twin.
+    When nothing is enabled the successor is the stutter twin with status
+    all-idle or deadlock.  Non-normal states return their own stutter twin.
     """
     result = _apply_rule(state, choice, idle_mode)
-    if strict and isinstance(result, KernelState):
-        return _freeze(result)
-    return result
+    return _freeze(result) if strict else result
 
 
 def successors(state: KernelState, *, strict: bool = False,
@@ -138,9 +129,7 @@ def successors(state: KernelState, *, strict: bool = False,
         out = [(Choice(order), kernel_core.handle_expiries(state, order))
                for order in itertools.permutations(pending)]
     else:
-        result = step(state, idle_mode=idle_mode)
-        out = [(None, stutterize(state, result.kind)
-                if isinstance(result, Stuck) else result)]
+        out = [(None, step(state, idle_mode=idle_mode))]
     return [(c, _freeze(target)) for c, target in out] if strict else out
 
 
@@ -177,17 +166,18 @@ def replay(trace: Trace) -> None:
         raise ReplayMismatch(0, f"{len(targets)} choices",
                              f"{len(trace.choices)} choices")
     for index, target in enumerate(targets):
-        result = step(trace.states[index], trace.choices[index],
+        actual = step(trace.states[index], trace.choices[index],
                       strict=trace.strict, idle_mode=trace.idle_mode)
-        actual = (stutterize(trace.states[index], result.kind)
-                  if isinstance(result, Stuck) else result)
-        expected = canonical_snapshot(trace.states[target])
-        if canonical_snapshot(actual) != expected:
-            raise ReplayMismatch(index, expected, canonical_snapshot(actual))
+        if actual != trace.states[target]:
+            raise ReplayMismatch(index,
+                                 canonical_snapshot(trace.states[target]),
+                                 canonical_snapshot(actual))
 
 
 def render_trace(trace: Trace, fmt: str = "text") -> str:
     """Render a trace: per-step lines plus a snapshot section."""
+    snapshots = [canonical_snapshot(state) for state in trace.states]
+    hashes = [snapshot_hash(text)[:12] for text in snapshots]
     lines = [f"# trace steps={len(trace.states) - 1} "
              f"strict={'yes' if trace.strict else 'no'} "
              f"idle={trace.idle_mode}"]
@@ -196,20 +186,20 @@ def render_trace(trace: Trace, fmt: str = "text") -> str:
         if fmt == "machine":
             lines.append(f"{index} {choice_text(choice)} "
                          f"{canonical_label(state.last_label)} "
-                         f"{state_hash(state)[:12]}")
+                         f"{hashes[index]}")
         else:
             mark = " <- loop target" if index == trace.lasso_start else ""
             lines.append(f"step {index:4d}  [{choice_text(choice)}]  "
                          f"{label_text(state.last_label)}  "
                          f"(counter={state.counter_value}, "
-                         f"hash={state_hash(state)[:12]}){mark}")
+                         f"hash={hashes[index]}){mark}")
     if trace.lasso_start is not None:
         lines.append(f"# lasso: closes back to step {trace.lasso_start} "
                      f"via [{choice_text(trace.choices[-1])}]")
     lines.append("# snapshots")
-    for index, state in enumerate(trace.states):
-        lines.append(f"--- state {index} {state_hash(state)[:12]}")
-        lines.append(canonical_snapshot(state))
+    for index, text in enumerate(snapshots):
+        lines.append(f"--- state {index} {hashes[index]}")
+        lines.append(text)
     return "\n".join(lines) + "\n"
 
 
@@ -235,26 +225,28 @@ class SearchResult:
 
 @dataclass
 class StateGraph:
-    """Deduplicated reachability graph keyed by state hash."""
+    """Deduplicated reachability graph over nodes ``0..n-1``, numbered in
+    breadth-first discovery order; ``ids`` maps each state to its node."""
 
-    initial: str
-    nodes: dict[str, KernelState]
-    edges: dict[str, tuple[tuple[Choice | None, str], ...]]
-    parents: dict[str, tuple[str, Choice | None]]
-    depths: dict[str, int]
+    initial: int
+    ids: dict[KernelState, int]
+    nodes: dict[int, KernelState]
+    edges: dict[int, tuple[tuple[Choice | None, int], ...]]
+    parents: dict[int, tuple[int, Choice | None]]
+    depths: dict[int, int]
     truncated: bool
     strict: bool
     idle_mode: str
 
-    def state(self, node: str) -> KernelState:
+    def state(self, node: int) -> KernelState:
         return self.nodes[node]
 
-    def successors_of(self, node: str) -> tuple[tuple[Choice | None, str], ...]:
+    def successors_of(self, node: int) -> tuple[tuple[Choice | None, int], ...]:
         return self.edges[node]
 
-    def trace_to(self, node: str) -> Trace:
+    def trace_to(self, node: int) -> Trace:
         """Shortest breadth-first trace from the initial state."""
-        path: list[str] = [node]
+        path: list[int] = [node]
         choices: list[Choice | None] = []
         while path[-1] != self.initial:
             parent, choice = self.parents[path[-1]]
@@ -265,7 +257,7 @@ class StateGraph:
         return Trace(tuple(self.nodes[h] for h in path), tuple(choices),
                      strict=self.strict, idle_mode=self.idle_mode)
 
-    def terminal_nodes(self) -> list[str]:
+    def terminal_nodes(self) -> list[int]:
         """Dead-end entry nodes: non-normal states first reached from a
         normal state (their stutter twins are implementation detail)."""
         out = []
@@ -284,25 +276,25 @@ class StateGraph:
 def _explore(init: KernelState, expand, *, bound: int, strict: bool,
              idle_mode: str) -> StateGraph:
     """Layer-synchronous breadth-first exploration up to ``bound`` steps;
-    ``expand(node, state)`` lists (choice, target hash, target state)."""
-    init_hash = state_hash(init)
-    nodes: dict[str, KernelState] = {init_hash: init}
-    edges: dict[str, tuple[tuple[Choice | None, str], ...]] = {}
-    parents: dict[str, tuple[str, Choice | None]] = {}
-    depths: dict[str, int] = {init_hash: 0}
-    frontier: list[str] = [init_hash]
+    ``expand(state)`` lists (choice, target state) pairs."""
+    ids: dict[KernelState, int] = {init: 0}
+    nodes: dict[int, KernelState] = {0: init}
+    edges: dict[int, tuple[tuple[Choice | None, int], ...]] = {}
+    parents: dict[int, tuple[int, Choice | None]] = {}
+    depths: dict[int, int] = {0: 0}
+    frontier: list[int] = [0]
     truncated = False
     depth = 0
     while frontier:
         if depth >= bound:
             truncated = True
             break
-        next_frontier: list[str] = []
+        next_frontier: list[int] = []
         for source in frontier:
-            out: list[tuple[Choice | None, str]] = []
-            for choice, target, target_state in expand(source, nodes[source]):
-                out.append((choice, target))
-                if target not in nodes:
+            out: list[tuple[Choice | None, int]] = []
+            for choice, target_state in expand(nodes[source]):
+                target = ids.setdefault(target_state, len(nodes))
+                if target == len(nodes):
                     nodes[target] = target_state
                     parents[target] = (source, choice)
                     depths[target] = depth + 1
@@ -310,12 +302,13 @@ def _explore(init: KernelState, expand, *, bound: int, strict: bool,
                         raise ResourceLimit(
                             f"exploration exceeded {MAX_STATES} states")
                     next_frontier.append(target)
+                out.append((choice, target))
             edges[source] = tuple(out)
         frontier = next_frontier
         depth += 1
-    for h in frontier:
-        edges.setdefault(h, ())
-    return StateGraph(init_hash, nodes, edges, parents, depths, truncated,
+    for node in frontier:
+        edges.setdefault(node, ())
+    return StateGraph(0, ids, nodes, edges, parents, depths, truncated,
                       strict, idle_mode)
 
 
@@ -324,13 +317,12 @@ def build_graph(config: KernelConfig, bodies: dict[str, TaskBody], *,
                 idle_mode: str = timing.JUMP) -> StateGraph:
     """Breadth-first exploration up to ``bound`` steps.
 
-    Nodes are deduplicated by canonical snapshot hash, so the graph is
-    insensitive to the path that first reached a state.  Non-normal states
-    receive their stutter self-loop and are not expanded further.
+    Nodes are deduplicated by state value, so the graph is insensitive to
+    the path that first reached a state.  Non-normal states receive their
+    stutter self-loop and are not expanded further.
     """
-    def expand(node: str, state: KernelState):
-        return [(choice, state_hash(target), target) for choice, target
-                in successors(state, strict=strict, idle_mode=idle_mode)]
+    def expand(state: KernelState):
+        return successors(state, strict=strict, idle_mode=idle_mode)
 
     return _explore(kernel_core.boot(config, bodies), expand, bound=bound,
                     strict=strict, idle_mode=idle_mode)
@@ -353,17 +345,11 @@ def build_graphs(config: KernelConfig, bodies: dict[str, TaskBody],
                 for strict in wanted}
     relaxed = build_graph(config, bodies, bound=bound, idle_mode=idle_mode)
 
-    def expand(node: str, state: KernelState):
+    def expand(state: KernelState):
         if state.status != NORMAL:
-            twin = stutterize(state)
-            return [(None, state_hash(twin), twin)]
-        out = []
-        for choice, target in relaxed.edges[node]:
-            frozen = _freeze(relaxed.nodes[target])
-            if frozen is not relaxed.nodes[target]:
-                target = state_hash(frozen)
-            out.append((choice, target, frozen))
-        return out
+            return [(None, stutterize(state))]
+        return [(choice, _freeze(relaxed.nodes[target])) for choice, target
+                in relaxed.edges[relaxed.ids[state]]]
 
     strict = _explore(relaxed.nodes[relaxed.initial], expand, bound=bound,
                       strict=True, idle_mode=idle_mode)
@@ -383,12 +369,12 @@ def search_graph(graph: StateGraph) -> SearchResult:
 
     States that go all-idle (every task suspended, no armed alarm) are
     intended finals; scheduler dead ends and, in strict mode, frozen service
-    errors are deadlocks.  Witness traces are shortest by construction.
+    errors are deadlocks.  Witness traces are shortest by construction, and
+    nodes are numbered in breadth-first order, so shallower ones come first.
     """
     finals: list[TerminalRecord] = []
     deadlocks: list[TerminalRecord] = []
-    terminal = sorted(graph.terminal_nodes(), key=lambda h: graph.depths[h])
-    for node in terminal:
+    for node in graph.terminal_nodes():
         state = graph.nodes[node]
         record = TerminalRecord(state, graph.trace_to(node),
                                 ALLIDLE if state.status == ALLIDLE

@@ -365,11 +365,10 @@ def handle_expiries(state: KernelState,
 def multiactivation_candidate(state: KernelState) -> str | None:
     """Suspended task with recorded activations, highest priority first."""
     best: TaskCell | None = None
-    best_index = -1
-    for index, cell in enumerate(state.tasks):
+    for cell in state.tasks:
         if cell.state == SUSPENDED and cell.pending_activations > 0:
             if best is None or cell.static_priority > best.static_priority:
-                best, best_index = cell, index
+                best = cell
     return best.id if best is not None else None
 
 

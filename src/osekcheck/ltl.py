@@ -14,6 +14,7 @@ the product needs no extra bookkeeping.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from .model import (E_OK, ERROR_CODES, KernelState, alarmed_signal,
@@ -678,7 +679,7 @@ class KernelGraphView:
 
     def __init__(self, graph):
         self.graph = graph
-        self._cache: dict[tuple[str, Prop], bool] = {}
+        self._cache: dict[tuple[int, Prop], bool] = {}
 
     @property
     def initial(self):
@@ -961,8 +962,15 @@ def automaton_accepts_lasso(aut: BuchiAutomaton, prefix: tuple, cycle: tuple,
 # ---------------------------------------------------------------------------
 
 
+_FORMULA_NAME = re.compile(r"[A-Za-z0-9_-]+")
+
+
 def parse_formula_file(text: str) -> list[tuple[str, Formula]]:
-    """Parse ``name: formula`` lines; ``#`` starts a comment."""
+    """Parse ``name: formula`` lines; ``#`` starts a comment.
+
+    Names are distinct and made of ASCII letters, digits, ``_`` and ``-``,
+    since they also name the trace files of violated formulas.
+    """
     out: list[tuple[str, Formula]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -974,6 +982,11 @@ def parse_formula_file(text: str) -> list[tuple[str, Formula]]:
         name = name.strip()
         if not name:
             raise LtlError(f"line {lineno}: empty formula name")
+        if not _FORMULA_NAME.fullmatch(name):
+            raise LtlError(f"line {lineno}: formula name {name!r} may use "
+                           "only ASCII letters, digits, '_' and '-'")
+        if any(name == seen for seen, _ in out):
+            raise LtlError(f"line {lineno}: duplicate formula name {name!r}")
         try:
             out.append((name, parse_ltl(body.strip())))
         except LtlError as exc:

@@ -4,8 +4,9 @@ The state mirrors a configuration-style cell layout: one cell per task, a
 priority-ordered ready structure, the running task, a pending-signal set, the
 system counter, the list of armed alarms and the label of the transition that
 produced the state.  States are frozen dataclasses; every transition builds a
-new state.  ``canonical_snapshot`` renders all semantic cells into a stable
-text form used for deduplication, hashing and replay comparison.
+new state, and two states are the same state exactly when they are equal
+(the configuration, task bodies and time-advance amounts are not compared).
+``canonical_snapshot`` renders the cells as stable text for printed traces.
 """
 
 from __future__ import annotations
@@ -140,7 +141,7 @@ class TransitionLabel:
     args: tuple = ()
     status: str | None = None
     firings: tuple[AlarmFiring, ...] = ()
-    amount: int = 0
+    amount: int = field(default=0, compare=False)
     reason: str | None = None  # time: "interval" | "idle" | "loop" | "stutter"
     detail: str | None = None
 
@@ -150,8 +151,8 @@ STUTTER_LABEL = TransitionLabel(kind="time", reason="stutter")
 
 
 def canonical_label(label: TransitionLabel) -> str:
-    """Stable one-line form; time-advance amounts are left out so that the
-    jump and unit idle modes agree on snapshots."""
+    """Stable one-line form; time-advance amounts are left out, as they are
+    from label equality, so that the jump and unit idle modes agree."""
     if label.kind == "boot":
         return "boot"
     if label.kind == "service":
@@ -335,5 +336,10 @@ def canonical_snapshot(state: KernelState) -> str:
     return "\n".join(lines)
 
 
+def snapshot_hash(snapshot: str) -> str:
+    """Hex sha256 of a snapshot text, the state's name in printed traces."""
+    return hashlib.sha256(snapshot.encode()).hexdigest()
+
+
 def state_hash(state: KernelState) -> str:
-    return hashlib.sha256(canonical_snapshot(state).encode()).hexdigest()
+    return snapshot_hash(canonical_snapshot(state))

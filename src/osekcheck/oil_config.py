@@ -90,13 +90,6 @@ class AlarmAction:
     event: str | None = None
     callback: str | None = None
 
-    def describe(self) -> str:
-        if self.kind == "activatetask":
-            return f"ActivateTask({self.task})"
-        if self.kind == "setevent":
-            return f"SetEvent({self.task}, {self.event})"
-        return f"AlarmCallback({self.callback})"
-
 
 @dataclass(frozen=True)
 class AlarmDef:

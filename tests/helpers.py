@@ -8,8 +8,9 @@ import random
 from dataclasses import dataclass
 
 from osekcheck import explorer, ltl
-from osekcheck.model import (LoopBack, NORMAL, READY, RUNNING, SUSPENDED,
-                             WAITING, KernelState, normalize_program)
+from osekcheck.model import (ALLIDLE, DEADLOCK, NORMAL, READY, RUNNING,
+                             SUSPENDED, WAITING, KernelState, LoopBack,
+                             normalize_program)
 from osekcheck.oil_config import KernelConfig, parse_oil
 from osekcheck.task_lang import (CallService, TaskBody, TimeInterval,
                                  WhileTrue, parse_task_file)
@@ -158,8 +159,8 @@ def run_deterministic(config, bodies, *, bound: int = 500, strict: bool = True,
             return states, state.status
         result = explorer.step(state, None, strict=strict,
                                idle_mode=idle_mode)
-        if isinstance(result, explorer.Stuck):
-            return states, result.kind
+        if result.status in (ALLIDLE, DEADLOCK):
+            return states, result.status
         state = result
         states.append(state)
     return states, None

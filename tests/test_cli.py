@@ -342,3 +342,87 @@ class TestParserLimits:
         assert code == 0
         assert out.startswith("any: holds")
         assert err == ""
+
+
+# ==== output files =========================================================
+
+
+class TestOutputFiles:
+    """Formula names are file names under ``--out``; a name that is not a
+    plain file name, or a path that cannot be written, is bad input."""
+
+    def run_ltlmc(self, capsys, tmp_path, formulas: str, *extra):
+        paths = []
+        for name, text in (("a.oil", TINY_OIL), ("a.tsk", TINY_TSK),
+                           ("a.ltl", formulas)):
+            (tmp_path / name).write_text(text + "\n")
+            paths.append(tmp_path / name)
+        return run_cli(capsys, "ltlmc", paths[0], paths[1],
+                       "--formula", paths[2], *extra)
+
+    @pytest.mark.parametrize("name", ["../esc", "a/b", "a.b", "a b", "é"])
+    def test_formula_name_is_a_plain_file_name(self, capsys, tmp_path,
+                                               name):
+        out = tmp_path / "out"
+        code, stdout, err = self.run_ltlmc(
+            capsys, tmp_path, f"ok: [] running(A)\n{name}: [] running(A)",
+            "--out", out)
+        assert (code, stdout) == (1, "")
+        assert err.splitlines() == [
+            f"error: {tmp_path / 'a.ltl'}: line 2: formula name {name!r} "
+            "may use only ASCII letters, digits, '_' and '-'"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == \
+            ["a.ltl", "a.oil", "a.tsk"]
+
+    def test_allowed_characters(self, capsys, tmp_path):
+        out = tmp_path / "out"
+        code, stdout, _ = self.run_ltlmc(
+            capsys, tmp_path, "Az09_-: [] running(A)", "--out", out)
+        assert code == 2
+        assert stdout.startswith("Az09_-: violated")
+        assert [p.name for p in out.iterdir()] == ["Az09_-.trace"]
+
+    def test_duplicate_formula_name(self, capsys, tmp_path):
+        code, stdout, err = self.run_ltlmc(
+            capsys, tmp_path, "f: [] running(A)\n# again\nf: <> running(A)",
+            "--out", tmp_path / "out")
+        assert (code, stdout) == (1, "")
+        assert err.splitlines() == [
+            f"error: {tmp_path / 'a.ltl'}: line 3: duplicate formula "
+            "name 'f'"]
+
+    @pytest.mark.parametrize("command",
+                             ["run", "search-final", "ltlmc", "conform"])
+    def test_out_is_an_existing_file(self, capsys, tmp_path, command):
+        blocker = tmp_path / "out"
+        blocker.write_text("")
+        code, stdout, err = run_cli(
+            capsys, *app_argv(command, EMS_OIL, EMS_TSK, EMS_LTL),
+            "--out", blocker)
+        assert (code, stdout) == (1, "")
+        errors = [line for line in err.splitlines()
+                  if not line.startswith("warning: ")]
+        assert len(errors) == 1
+        assert errors[0].startswith(f"error: cannot create {blocker}: ")
+
+    def test_unwritable_trace_file(self, capsys, tmp_path):
+        out = tmp_path / "out"
+        (out / "f.trace").mkdir(parents=True)
+        code, stdout, err = self.run_ltlmc(
+            capsys, tmp_path, "f: [] running(A)", "--out", out)
+        assert code == 1
+        assert stdout.startswith("f: violated")
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"error: cannot write {out / 'f.trace'}: ")
+
+    def test_unwritable_report(self, capsys, tmp_path):
+        (tmp_path / "a.oil").write_text(TINY_OIL)
+        (tmp_path / "a.tsk").write_text(TINY_TSK)
+        out = tmp_path / "out"
+        (out / "report.txt").mkdir(parents=True)
+        code, _, err = run_cli(capsys, "conform", tmp_path / "a.oil",
+                               tmp_path / "a.tsk", "--test-report",
+                               EMS_REPORT, "--out", out)
+        assert code == 1
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"error: cannot write {out / 'report.txt'}: ")

@@ -54,9 +54,8 @@ class TestStep:
         config, bodies = mini_app()
         state = kernel_core.boot(config, bodies)
         while not kernel_core.pending_expiries(state):
-            result = explorer.step(state)
-            assert not isinstance(result, explorer.Stuck)
-            state = result
+            state = explorer.step(state)
+            assert state.status == NORMAL
         succ = explorer.successors(state)
         assert len(succ) == 2
         orders = {s[0].order for s in succ}
@@ -149,6 +148,17 @@ class TestTraces:
         with pytest.raises(explorer.ReplayMismatch):
             explorer.replay(explorer.Trace(bad_states, trace.choices))
 
+    def test_mismatch_shows_both_snapshots(self):
+        trace = self.build_trace()
+        tampered = replace(trace.states[-1], counter_value=31)
+        with pytest.raises(explorer.ReplayMismatch) as excinfo:
+            explorer.replay(explorer.Trace(trace.states[:-1] + (tampered,),
+                                           trace.choices))
+        assert excinfo.value.index == len(trace.states) - 2
+        assert excinfo.value.expected == canonical_snapshot(tampered)
+        assert excinfo.value.actual == canonical_snapshot(trace.states[-1])
+        assert "counter=31" in excinfo.value.expected
+
     def test_render_text_format(self):
         trace = self.build_trace()
         text = explorer.render_trace(trace, "text")
@@ -212,8 +222,88 @@ class TestGraph:
         sample = list(graph.nodes)[:40]
         for node in sample:
             fresh = explorer.successors(graph.state(node))
-            assert [(c, state_hash(s)) for c, s in fresh] == \
-                list(graph.successors_of(node))
+            assert [(c, canonical_snapshot(s)) for c, s in fresh] == \
+                [(c, canonical_snapshot(graph.nodes[target]))
+                 for c, target in graph.successors_of(node)]
+
+
+# ==== nodes are state values ==============================================
+
+
+def snapshot_keyed_graph(config, bodies, *, bound, strict, idle_mode):
+    """Reference exploration that tells states apart by their snapshot
+    text: (snapshots in discovery order, edges, parents, depths,
+    truncated), nodes numbered by discovery."""
+    init = kernel_core.boot(config, bodies)
+    keys = {canonical_snapshot(init): 0}
+    states = [init]
+    edges, parents, depths = {}, {}, {0: 0}
+    frontier, depth, truncated = [0], 0, False
+    while frontier:
+        if depth >= bound:
+            truncated = True
+            break
+        next_frontier = []
+        for source in frontier:
+            out = []
+            for choice, state in explorer.successors(
+                    states[source], strict=strict, idle_mode=idle_mode):
+                key = canonical_snapshot(state)
+                if key not in keys:
+                    keys[key] = len(states)
+                    states.append(state)
+                    parents[keys[key]] = (source, choice)
+                    depths[keys[key]] = depth + 1
+                    next_frontier.append(keys[key])
+                out.append((choice, keys[key]))
+            edges[source] = tuple(out)
+        frontier = next_frontier
+        depth += 1
+    for node in frontier:
+        edges.setdefault(node, ())
+    return list(keys), edges, parents, depths, truncated
+
+
+def assert_value_keys_match_snapshots(config, bodies, idle_mode,
+                                      strict=False, bound=10_000):
+    graph = explorer.build_graph(config, bodies, bound=bound, strict=strict,
+                                 idle_mode=idle_mode)
+    snapshots = [canonical_snapshot(s) for s in graph.nodes.values()]
+    assert len(set(snapshots)) == len(snapshots)
+    assert list(graph.nodes) == list(range(len(graph.nodes)))
+    assert (snapshots, graph.edges, graph.parents, graph.depths,
+            graph.truncated) == snapshot_keyed_graph(
+                config, bodies, bound=bound, strict=strict,
+                idle_mode=idle_mode)
+
+
+class TestStateIdentity:
+    """Deduplicating on state values finds the same graph as deduplicating
+    on snapshot text."""
+
+    @pytest.mark.parametrize("strict", [False, True])
+    @pytest.mark.parametrize("idle_mode", timing.IDLE_MODES)
+    @pytest.mark.parametrize("app", ["ems_app", "ems_repaired_app"])
+    def test_corpus(self, request, app, idle_mode, strict):
+        config, bodies = request.getfixturevalue(app)
+        assert_value_keys_match_snapshots(config, bodies, idle_mode, strict)
+
+    @pytest.mark.parametrize("idle_mode", timing.IDLE_MODES)
+    @pytest.mark.parametrize("first", range(0, 1000, 250))
+    def test_random_apps(self, first, idle_mode):
+        for seed in range(first, first + 250):
+            config, bodies = make_app(*random_app(random.Random(seed)))
+            assert_value_keys_match_snapshots(config, bodies, idle_mode)
+
+    def test_time_amount_is_not_part_of_the_state(self):
+        config, bodies = mini_app()
+        state = kernel_core.boot(config, bodies)
+        while state.last_label.kind != "time":
+            state = explorer.step(state)
+        longer = replace(state, last_label=replace(
+            state.last_label, amount=state.last_label.amount + 1))
+        assert longer == state and hash(longer) == hash(state)
+        assert canonical_snapshot(longer) == canonical_snapshot(state)
 
 
 # ==== strict graph read off the continue-on-error graph ====================
@@ -221,7 +311,8 @@ class TestGraph:
 
 def assert_same_graph(derived, direct):
     assert derived.initial == direct.initial
-    assert list(derived.nodes) == list(direct.nodes)  # discovery order
+    # the same states in the same discovery order
+    assert list(derived.nodes.values()) == list(direct.nodes.values())
     assert derived.edges == direct.edges
     assert derived.parents == direct.parents
     assert derived.depths == direct.depths

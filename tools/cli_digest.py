@@ -10,6 +10,9 @@ corpus configurations, the harmonic-alarm app of ``perfbench/harmonic.py``
 ``run``, ``search-final``, ``ltlmc`` and ``conform`` in ``--trace-format``
 ``text`` and ``machine``.  The corpus and harmonic apps also go through
 ``conform`` on property subsets that need one error semantics or both.
+``search-final``, ``ltlmc`` and ``conform`` run once more with ``--out``
+into the scratch directory, and every file written there (trace files and
+``report.txt``) is digested by name and content next to the output.
 The script runs with ``PYTHONHASHSEED=0`` (re-executing itself if needed),
 because the harmonic generator's identifier order follows set iteration
 order.
@@ -27,6 +30,7 @@ import hashlib
 import io
 import os
 import random
+import shutil
 import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
@@ -52,6 +56,8 @@ def _hash(text: str, work: Path) -> str:
 
 
 def digest(argv: list[str], work: Path) -> str:
+    """Exit code, stdout and stderr digests, then one ``name=digest`` per
+    file the command wrote under ``work/out`` (which is removed after)."""
     out, err = io.StringIO(), io.StringIO()
     try:
         with redirect_stdout(out), redirect_stderr(err):
@@ -60,11 +66,18 @@ def digest(argv: list[str], work: Path) -> str:
         code = exc.code
     except Exception as exc:  # noqa: BLE001 - a crash is part of the answer
         code = f"crash:{type(exc).__name__}"
-    return (f"{code} {_hash(out.getvalue(), work)} "
+    line = (f"{code} {_hash(out.getvalue(), work)} "
             f"{_hash(err.getvalue(), work)}")
+    files = work / "out"
+    if files.exists():
+        for path in sorted(p for p in files.rglob("*") if p.is_file()):
+            line += (f" {path.relative_to(files)}="
+                     f"{_hash(path.read_text(), work)}")
+        shutil.rmtree(files)
+    return line
 
 
-def invocations(name, oil, tsk, ltl, report, subsets):
+def invocations(name, oil, tsk, ltl, report, subsets, out):
     for fmt in ("text", "machine"):
         common = ["--trace-format", fmt]
         yield f"{name} run {fmt}", ["run", oil, tsk, *common]
@@ -78,6 +91,13 @@ def invocations(name, oil, tsk, ltl, report, subsets):
             yield (f"{name} conform[{label}] {fmt}",
                    ["conform", oil, tsk, "--test-report", report,
                     "--props", props, *common])
+        common += ["--out", out]
+        yield (f"{name} search-final {fmt} --out",
+               ["search-final", oil, tsk, *common])
+        yield (f"{name} ltlmc {fmt} --out",
+               ["ltlmc", oil, tsk, "--formula", ltl, *common])
+        yield (f"{name} conform {fmt} --out",
+               ["conform", oil, tsk, "--test-report", report, *common])
 
 
 def main() -> int:
@@ -111,7 +131,7 @@ def main() -> int:
             apps.append((f"random_app:{seed}", write(f"{seed}.oil", oil),
                          write(f"{seed}.tsk", tsk), random_ltl, report, []))
         for app in apps:
-            for label, argv in invocations(*app):
+            for label, argv in invocations(*app, str(work / "out")):
                 print(f"{label} {digest(argv, work)}", flush=True)
     return 0
 
