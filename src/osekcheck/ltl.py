@@ -1,12 +1,16 @@
 """Linear temporal logic over kernel state graphs.
 
-Formulas are checked with the automata-theoretic recipe: the negation is
-translated into a Buchi automaton (tableau expansion, generalized acceptance
-per until-subformula, counting degeneralization, then a small merge pass),
-the automaton is composed with the reachability graph, and a nested
-depth-first search looks for a reachable accepting cycle.  A found cycle is
-returned as a lasso and refutes the formula; absence of cycles proves it on
-the explored graph.
+Formulas are checked with the automata-theoretic recipe.  The negation is
+translated into a Buchi automaton: its subformulas in negation normal form
+are numbered once, a GPVW tableau expands them, each until-subformula gives
+an acceptance set, and counting degeneralization makes one.  One Tarjan pass
+then drops the states with no path to an accepting cycle, and states with
+equal outgoing edges and acceptance are merged.  Numbering and guards follow
+the formula's structure, never hashing, so the automaton is the same under
+every ``PYTHONHASHSEED``.  The automaton is composed with the reachability
+graph, and a nested depth-first search looks for a reachable accepting
+cycle.  A found cycle is returned as a lasso and refutes the formula;
+absence of cycles proves it on the explored graph.
 
 Atomic propositions are evaluated on a single state and its entry label, so
 the product needs no extra bookkeeping.
@@ -63,7 +67,7 @@ class And:
     right: "Formula"
 
     def __str__(self) -> str:
-        return f"{_wrap(self.left)} & {_wrap(self.right)}"
+        return f"{_wrap(self.left, And)} & {_wrap(self.right)}"
 
 
 @dataclass(frozen=True)
@@ -72,7 +76,7 @@ class Or:
     right: "Formula"
 
     def __str__(self) -> str:
-        return f"{_wrap(self.left)} | {_wrap(self.right)}"
+        return f"{_wrap(self.left, Or)} | {_wrap(self.right)}"
 
 
 @dataclass(frozen=True)
@@ -81,7 +85,7 @@ class Implies:
     right: "Formula"
 
     def __str__(self) -> str:
-        return f"{_wrap(self.left)} -> {_wrap(self.right)}"
+        return f"{_wrap(self.left)} -> {_wrap(self.right, Implies)}"
 
 
 @dataclass(frozen=True)
@@ -114,7 +118,7 @@ class Until:
     right: "Formula"
 
     def __str__(self) -> str:
-        return f"{_wrap(self.left)} U {_wrap(self.right)}"
+        return f"{_wrap(self.left)} U {_wrap(self.right, Until)}"
 
 
 @dataclass(frozen=True)
@@ -134,8 +138,11 @@ Formula = (TrueF | FalseF | Prop | Not | And | Or | Implies | Next | Future
 _ATOMIC = (TrueF, FalseF, Prop)
 
 
-def _wrap(f: Formula) -> str:
-    if isinstance(f, _ATOMIC) or isinstance(f, (Not, Next, Future, Globally)):
+def _wrap(f: Formula, chain: type | None = None) -> str:
+    """``f`` as an operand: in parentheses unless it is atomic, unary, or
+    the next link of a ``chain`` of one operator on its associative side."""
+    if (isinstance(f, (*_ATOMIC, Not, Next, Future, Globally))
+            or type(f) is chain):
         return str(f)
     return f"({f})"
 
@@ -336,44 +343,58 @@ def eval_prop(prop: Prop, state: KernelState) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# negation normal form
+# negation normal form, with each subformula numbered once
 # ---------------------------------------------------------------------------
 
-
-def _nnf(f: Formula, negated: bool) -> Formula:
-    if isinstance(f, TrueF):
-        return FalseF() if negated else f
-    if isinstance(f, FalseF):
-        return TrueF() if negated else f
-    if isinstance(f, Prop):
-        return Not(f) if negated else f
-    if isinstance(f, Not):
-        return _nnf(f.sub, not negated)
-    if isinstance(f, Implies):
-        return _nnf(Or(Not(f.left), f.right), negated)
-    if isinstance(f, And):
-        cls = Or if negated else And
-        return cls(_nnf(f.left, negated), _nnf(f.right, negated))
-    if isinstance(f, Or):
-        cls = And if negated else Or
-        return cls(_nnf(f.left, negated), _nnf(f.right, negated))
-    if isinstance(f, Next):
-        return Next(_nnf(f.sub, negated))
-    if isinstance(f, Future):
-        return _nnf(Until(TrueF(), f.sub), negated)
-    if isinstance(f, Globally):
-        return _nnf(Release(FalseF(), f.sub), negated)
-    if isinstance(f, Until):
-        cls = Release if negated else Until
-        return cls(_nnf(f.left, negated), _nnf(f.right, negated))
-    if isinstance(f, Release):
-        cls = Until if negated else Release
-        return cls(_nnf(f.left, negated), _nnf(f.right, negated))
-    raise LtlError(f"cannot normalize {f!r}")
+_DUAL = {And: Or, Or: And, Until: Release, Release: Until}
 
 
-def _negate_literal(f: Formula) -> Formula:
-    return f.sub if isinstance(f, Not) else Not(f)
+def _intern(formula: Formula) -> tuple[list[tuple], int]:
+    """Number each distinct subformula of the negation normal form of
+    ``!formula``, in post-order with the left operand first, so numbers do
+    not depend on hashing.  Returns the table and the root's number.
+
+    An entry is ``(op, left, right)`` with operand numbers, or ``None``
+    where absent, and ``op`` one of ``TrueF``, ``FalseF``, ``And``, ``Or``,
+    ``Next``, ``Until`` and ``Release``.  A literal is ``(Prop, prop, j)``
+    or ``(Not, prop, j)``, numbered with its opposite literal ``j``.
+    """
+    table: list[tuple] = []
+    ids: dict[tuple, int] = {}
+
+    def intern(op, left=None, right=None) -> int:
+        key = (op, left, right)
+        if key not in ids:
+            ids[key] = len(table)
+            table.append(key)
+        return ids[key]
+
+    def nnf(f: Formula, negated: bool) -> int:
+        if isinstance(f, (TrueF, FalseF)):
+            return intern(TrueF if isinstance(f, TrueF) != negated else FalseF)
+        if isinstance(f, Prop):
+            if (Prop, f) not in ids:
+                here = len(table)
+                ids[(Prop, f)], ids[(Not, f)] = here, here + 1
+                table.extend([(Prop, f, here + 1), (Not, f, here)])
+            return ids[(Not if negated else Prop, f)]
+        if isinstance(f, Not):
+            return nnf(f.sub, not negated)
+        if isinstance(f, Implies):
+            return nnf(Or(Not(f.left), f.right), negated)
+        if isinstance(f, Future):
+            return nnf(Until(TrueF(), f.sub), negated)
+        if isinstance(f, Globally):
+            return nnf(Release(FalseF(), f.sub), negated)
+        if isinstance(f, Next):
+            return intern(Next, nnf(f.sub, negated))
+        if type(f) not in _DUAL:
+            raise LtlError(f"cannot normalize {f!r}")
+        left = nnf(f.left, negated)
+        right = nnf(f.right, negated)
+        return intern(_DUAL[type(f)] if negated else type(f), left, right)
+
+    return table, nnf(formula, True)
 
 
 # ---------------------------------------------------------------------------
@@ -386,8 +407,8 @@ _INIT = -1
 class _Node:
     __slots__ = ("id", "incoming", "new", "old", "next")
 
-    def __init__(self, id: int, incoming: set[int], new: set, old: frozenset,
-                 next_: frozenset):
+    def __init__(self, id: int, incoming: set[int], new: set[int],
+                 old: frozenset[int], next_: frozenset[int]):
         self.id = id
         self.incoming = incoming
         self.new = new
@@ -395,8 +416,9 @@ class _Node:
         self.next = set(next_)
 
 
-def _expand_tableau(formula: Formula) -> list[_Node]:
-    """GPVW tableau expansion with an explicit stack.
+def _expand_tableau(table: list[tuple], root: int) -> list[_Node]:
+    """GPVW tableau expansion of subformula ``root`` of ``table`` (see
+    ``_intern``), with an explicit stack.
 
     Of two split nodes the left one is expanded first, and node ids are
     handed out in creation order.
@@ -405,43 +427,45 @@ def _expand_tableau(formula: Formula) -> list[_Node]:
     finished: dict[tuple[frozenset, frozenset], _Node] = {}
     counter = [0]
 
-    def fresh(incoming: set[int], new: set, old: set, next_: set) -> _Node:
+    def fresh(incoming: set[int], new: set[int], old: set[int],
+              next_: set[int]) -> _Node:
         counter[0] += 1
         return _Node(counter[0], set(incoming), set(new), frozenset(old),
                      frozenset(next_))
 
-    stack = [fresh({_INIT}, {formula}, set(), set())]
+    stack = [fresh({_INIT}, {root}, set(), set())]
     while stack:
         node = stack.pop()
         while node is not None and node.new:
             f = node.new.pop()
-            if isinstance(f, FalseF):
+            op, left, right = table[f]
+            if op is FalseF:
                 node = None
-            elif isinstance(f, TrueF):
+            elif op is TrueF:
                 pass
-            elif isinstance(f, (Prop, Not)):
-                if _negate_literal(f) in node.old:
+            elif op is Prop or op is Not:
+                if right in node.old:
                     node = None
                 else:
                     node.old.add(f)
-            elif isinstance(f, And):
+            elif op is And:
                 node.old.add(f)
-                for part in (f.left, f.right):
+                for part in (left, right):
                     if part not in node.old:
                         node.new.add(part)
-            elif isinstance(f, Next):
+            elif op is Next:
                 node.old.add(f)
-                node.next.add(f.sub)
-            elif isinstance(f, (Or, Until, Release)):
-                if isinstance(f, Or):
-                    first_new, first_next = {f.left}, set()
-                    second_new, second_next = {f.right}, set()
-                elif isinstance(f, Until):
-                    first_new, first_next = {f.right}, set()
-                    second_new, second_next = {f.left}, {f}
+                node.next.add(left)
+            else:
+                if op is Or:
+                    first_new, first_next = {left}, set()
+                    second_new, second_next = {right}, set()
+                elif op is Until:
+                    first_new, first_next = {right}, set()
+                    second_new, second_next = {left}, {f}
                 else:  # Release
-                    first_new, first_next = {f.left, f.right}, set()
-                    second_new, second_next = {f.right}, {f}
+                    first_new, first_next = {left, right}, set()
+                    second_new, second_next = {right}, {f}
                 left_node = fresh(node.incoming,
                                   node.new | (first_new - node.old),
                                   node.old | {f}, node.next | first_next)
@@ -451,8 +475,6 @@ def _expand_tableau(formula: Formula) -> list[_Node]:
                 stack.append(right_node)
                 stack.append(left_node)
                 node = None
-            else:
-                raise LtlError(f"cannot expand {f!r}")
         if node is None:
             continue
         key = (frozenset(node.old), frozenset(node.next))
@@ -470,7 +492,7 @@ def _expand_tableau(formula: Formula) -> list[_Node]:
 # Buchi automata with guards on edges
 # ---------------------------------------------------------------------------
 
-Guard = frozenset  # of (Prop, bool) pairs; empty guard means "true"
+Guard = tuple  # of (Prop, bool) pairs in literal order; empty means "true"
 
 
 @dataclass(frozen=True)
@@ -491,38 +513,20 @@ class BuchiAutomaton:
         return len(self.states)
 
 
-def _node_guard(node: _Node) -> Guard:
-    literals = []
-    for f in node.old:
-        if isinstance(f, Prop):
-            literals.append((f, True))
-        elif isinstance(f, Not):
-            literals.append((f.sub, False))
-    return frozenset(literals)
-
-
 def guard_satisfied(guard: Guard, value_of) -> bool:
     return all(value_of(prop) == positive for prop, positive in guard)
 
 
-def _collect_untils(f: Formula, out: list) -> None:
-    if isinstance(f, Until) and f not in out:
-        out.append(f)
-    if isinstance(f, (Not, Next, Future, Globally)):
-        _collect_untils(f.sub, out)
-    elif isinstance(f, (And, Or, Implies, Until, Release)):
-        _collect_untils(f.left, out)
-        _collect_untils(f.right, out)
-
-
 def to_buchi(formula: Formula) -> BuchiAutomaton:
     """Automaton accepting exactly the infinite words violating ``formula``."""
-    nnf = _nnf(formula, True)
-    nodes = _expand_tableau(nnf)
-    untils: list[Until] = []
-    _collect_untils(nnf, untils)
+    table, root = _intern(formula)
+    nodes = _expand_tableau(table, root)
 
-    guards = {n.id: _node_guard(n) for n in nodes}
+    literals = [(f, (prop, op is Prop))
+                for f, (op, prop, _) in enumerate(table)
+                if op is Prop or op is Not]
+    guards = {n.id: tuple(literal for f, literal in literals if f in n.old)
+              for n in nodes}
     successors: dict[int, list[int]] = {n.id: [] for n in nodes}
     init_targets: list[int] = []
     for node in nodes:
@@ -532,20 +536,17 @@ def to_buchi(formula: Formula) -> BuchiAutomaton:
             else:
                 successors[src].append(node.id)
 
-    acceptance_sets = []
-    for until in untils:
-        acceptance_sets.append(frozenset(
-            n.id for n in nodes
-            if until.right in n.old or until not in n.old))
+    # One acceptance set per until; one of all nodes when there is none.
+    # An until whose right side is true is met at once and needs no set:
+    # the tableau keeps no true in old, so its set would miss those nodes.
+    acceptance_sets = [
+        frozenset(n.id for n in nodes if right in n.old or f not in n.old)
+        for f, (op, _, right) in enumerate(table)
+        if op is Until and table[right][0] is not TrueF
+    ] or [frozenset(n.id for n in nodes)]
 
     # Degeneralize: layer counter cycles through acceptance sets.
-    layers = max(1, len(acceptance_sets))
-
-    def advance(state: int, layer: int) -> int:
-        if not acceptance_sets:
-            return layer
-        return (layer + 1) % layers if state in acceptance_sets[layer] else layer
-
+    layers = len(acceptance_sets)
     edges: dict[tuple[int, int], list[BuchiEdge]] = {}
     init_edges: list[BuchiEdge] = []
     states: set[tuple[int, int]] = set()
@@ -556,7 +557,8 @@ def to_buchi(formula: Formula) -> BuchiAutomaton:
     while queue:
         q, layer = queue.pop()
         out = []
-        next_layer = advance(q, layer)
+        next_layer = ((layer + 1) % layers if q in acceptance_sets[layer]
+                      else layer)
         for dst in successors[q]:
             key = (dst, next_layer)
             out.append(BuchiEdge(guards[dst], key))
@@ -564,78 +566,78 @@ def to_buchi(formula: Formula) -> BuchiAutomaton:
                 states.add(key)
                 queue.append(key)
         edges[(q, layer)] = out
-    if acceptance_sets:
-        accepting = frozenset(s for s in states
-                              if s[1] == 0 and s[0] in acceptance_sets[0])
-    else:
-        accepting = frozenset(states)
+    accepting = frozenset(s for s in states
+                          if s[1] == 0 and s[0] in acceptance_sets[0])
 
     return _simplify(BuchiAutomaton(tuple(states), tuple(init_edges), edges,
                                     accepting))
 
 
-def _simplify(aut: BuchiAutomaton) -> BuchiAutomaton:
-    """Prune unreachable and dead states, then merge equivalent ones.
-
-    States may be any sortable values; the result numbers them from 0 in
-    sorted order.
-    """
-    states = set(aut.states)
-    init_edges = list(aut.init_edges)
-    edges = {s: list(aut.edges.get(s, ())) for s in states}
-    accepting = set(aut.accepting)
-
-    changed = True
-    while changed:
-        changed = False
-        # reachable from an initial edge
-        reach = set()
-        queue = [e.dst for e in init_edges if e.dst in states]
-        while queue:
-            s = queue.pop()
-            if s in reach:
-                continue
-            reach.add(s)
-            queue.extend(e.dst for e in edges.get(s, ())
-                         if e.dst in states and e.dst not in reach)
-        # able to reach an accepting cycle
-        live_accepting = set()
-        for a in accepting & reach:
-            seen: set = set()
-            queue = [e.dst for e in edges.get(a, ()) if e.dst in states]
-            while queue:
-                s = queue.pop()
-                if s in seen:
-                    continue
-                seen.add(s)
-                queue.extend(e.dst for e in edges.get(s, ()) if e.dst in states)
-            if a in seen:
-                live_accepting.add(a)
-        useful = set()
-        queue = list(live_accepting)
-        back: dict[int, set[int]] = {s: set() for s in states}
-        for s in states:
-            for e in edges.get(s, ()):
-                if e.dst in states:
-                    back[e.dst].add(s)
-        while queue:
-            s = queue.pop()
-            if s in useful:
-                continue
-            useful.add(s)
-            queue.extend(back[s])
-        keep = reach & useful
-        if keep != states:
-            states = keep
-            init_edges = [e for e in init_edges if e.dst in states]
-            edges = {s: [e for e in edges[s] if e.dst in states]
-                     for s in states}
-            accepting &= states
-            changed = True
+def _live_states(states, edges, accepting) -> set:
+    """States with a path to an accepting cycle, in one iterative Tarjan
+    pass.  A component is completed after every component it reaches, so it
+    is live when it holds an accepting state and a cycle (two or more states
+    or a self-loop), or has an edge into a live component."""
+    index: dict = {}
+    low: dict = {}
+    stack: list = []
+    live: set = set()
+    done = len(states)  # index of a state in a completed component
+    for root in states:
+        if root in index:
             continue
+        index[root] = low[root] = len(index)
+        stack.append(root)
+        work = [(root, iter(edges[root]))]
+        while work:
+            v, children = work[-1]
+            for edge in children:
+                w = edge.dst
+                if w not in index:
+                    index[w] = low[w] = len(index)
+                    stack.append(w)
+                    work.append((w, iter(edges[w])))
+                    break
+                low[v] = min(low[v], index[w])
+            else:
+                work.pop()
+                if work:
+                    u = work[-1][0]
+                    low[u] = min(low[u], low[v])
+                if low[v] < index[v]:
+                    continue
+                component = [stack.pop()]
+                while component[-1] != v:
+                    component.append(stack.pop())
+                out = {e.dst for w in component for e in edges[w]}
+                if not live.isdisjoint(out) or (
+                        not accepting.isdisjoint(component)
+                        and (len(component) > 1 or v in out)):
+                    live.update(component)
+                for w in component:
+                    index[w] = done
+    return live
+
+
+def _simplify(aut: BuchiAutomaton) -> BuchiAutomaton:
+    """Keep the states that can reach an accepting cycle, then merge
+    equivalent ones.
+
+    Every state must be reachable from an initial edge, as ``to_buchi``'s
+    breadth-first construction ensures.  Merging two states keeps every
+    state reachable and able to reach an accepting cycle, so one pruning
+    pass suffices.  States may be any sortable values; the result numbers
+    them from 0 in sorted order.
+    """
+    states = _live_states(aut.states, aut.edges, aut.accepting)
+    init_edges = [e for e in aut.init_edges if e.dst in states]
+    edges = {s: [e for e in aut.edges[s] if e.dst in states] for s in states}
+    accepting = aut.accepting & states
+
+    while True:
         # merge states with identical outgoing behavior and acceptance
         signature: dict[tuple, int] = {}
-        rename: dict[int, int] = {}
+        rename = {}
         for s in sorted(states):
             sig = (s in accepting,
                    frozenset((e.guard, e.dst) for e in edges[s]))
@@ -644,20 +646,17 @@ def _simplify(aut: BuchiAutomaton) -> BuchiAutomaton:
             else:
                 signature[sig] = s
         if rename:
-            changed = True
             states -= set(rename)
             accepting -= set(rename)
-
-            def target(x: int) -> int:
-                return rename.get(x, x)
-
-            init_edges = [BuchiEdge(e.guard, target(e.dst))
+            init_edges = [BuchiEdge(e.guard, rename.get(e.dst, e.dst))
                           for e in init_edges]
-            edges = {s: [BuchiEdge(e.guard, target(e.dst)) for e in edges[s]]
-                     for s in states}
+            edges = {s: [BuchiEdge(e.guard, rename.get(e.dst, e.dst))
+                         for e in edges[s]] for s in states}
         # dedupe edges
         init_edges = list(dict.fromkeys(init_edges))
         edges = {s: list(dict.fromkeys(edges[s])) for s in states}
+        if not rename:
+            break
 
     renamed = {s: i for i, s in enumerate(sorted(states))}
     return BuchiAutomaton(

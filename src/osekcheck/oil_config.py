@@ -737,4 +737,7 @@ def pretty_print(config: KernelConfig) -> str:
         else:
             attrs.append("AUTOSTART = FALSE;")
         block("ALARM", a.id, attrs)
-    return "\n".join(lines).rstrip() + "\n"
+    text = "\n".join(lines).rstrip() + "\n"
+    if config.name == "system":  # the name of a configuration without CPU
+        return text
+    return f"CPU {config.name} {{\n{text}}};\n"

@@ -5,13 +5,22 @@ digits and deep nesting.  A parsed result must also survive the recursive
 walks done on it later (unparsing and negation normal form).  Hypothesis
 raises the recursion limit while a test runs, so the explicit deep examples
 nest far past it; ``test_cli.TestParserLimits`` checks the default limit.
+
+The fuzzed texts almost never parse, so the round trips (unparsed text parses
+back to the same value) are checked on generated applications instead, with
+comments and line breaks for some of their spaces.
 """
 
 from __future__ import annotations
 
+import random
+from dataclasses import replace
+from itertools import cycle
+
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from helpers import random_app
 from osekcheck import ltl
 from osekcheck.ltl import LtlError, parse_formula_file
 from osekcheck.oil_config import OilError, parse_oil, pretty_print
@@ -75,6 +84,38 @@ formula_text = st.lists(formula, max_size=4).map(
     FORMULA_WORDS)
 
 
+# What may stand for a space between two words of a generated application.
+GAPS = [" ", "\n", "\t", "/* note */", "// note\n", " /**/ "]
+app_text = st.tuples(st.integers(0, 10**9),
+                     st.lists(st.sampled_from(GAPS), min_size=1, max_size=6))
+
+
+def respaced(text: str, gaps: list[str]) -> str:
+    words = text.split(" ")
+    return words[0] + "".join(gap + word
+                              for gap, word in zip(cycle(gaps), words[1:]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(app_text, st.sampled_from(["{}", "CPU box {{ {} }};"]))
+def test_config_round_trip(app, wrapper):
+    seed, gaps = app
+    oil, _ = random_app(random.Random(seed))
+    config = parse_oil(wrapper.format(respaced(oil, gaps)))
+    again = parse_oil(pretty_print(config))
+    assert replace(again, warnings=()) == replace(config, warnings=())
+
+
+@settings(max_examples=300, deadline=None)
+@given(app_text)
+def test_task_file_round_trip(app):
+    seed, gaps = app
+    oil, tsk = random_app(random.Random(seed))
+    config = parse_oil(oil)
+    bodies = parse_task_file(respaced(tsk, gaps), config)
+    assert parse_task_file(unparse_task_file(bodies), config) == bodies
+
+
 @settings(max_examples=300, deadline=None)
 @given(config_text)
 @example("TASK A { PRIORITY = 1; " + "X = Y { " * 3000 + " };" * 3000 + " };")
@@ -111,5 +152,6 @@ def test_formula_text(text):
     except LtlError:
         return
     for _, parsed in formulas:
-        ltl.unparse_formula(ltl._nnf(parsed, True))
+        ltl.unparse_formula(parsed)
+        ltl._intern(parsed)
         list(ltl.iter_props(parsed))

@@ -2,13 +2,18 @@
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import EMS_LTL
 from helpers import FakeView, ORACLE_PATTERNS, make_app, random_fake_view
 from osekcheck import explorer, ltl
 from osekcheck.ltl import (And, Future, Globally, Implies, LtlError, Next,
@@ -89,10 +94,19 @@ class TestParser:
             parse_ltl("(" * 50 + "p" + " & p)" * 50 + " & p")
 
     def test_unparse_round_trip(self):
-        for text in ("[] (p -> <> q)", "!p U (q && r)", "X X p",
-                     "(p U q) U r", "true U p", "[] <> p -> <> [] q"):
-            f = parse_ltl(text)
+        rng = random.Random(0)
+        formulas = [parse_ltl(text) for text in (
+            "[] (p -> <> q)", "!p U (q && r)", "X X p", "(p U q) U r",
+            "true U p", "[] <> p -> <> [] q")]
+        for f in formulas + [random_formula(rng, 5) for _ in range(1000)]:
             assert parse_ltl(unparse_formula(f)) == f
+
+    @pytest.mark.parametrize("op", ["&", "|", "->", "U"])
+    def test_unparse_round_trip_on_long_chains(self, op):
+        # a chain needs no parentheses on its associative side; with them,
+        # 100 operands unparsed to text nested deeper than the parser allows
+        f = parse_ltl(f" {op} ".join(f"p{i}" for i in range(100)))
+        assert parse_ltl(unparse_formula(f)) == f
 
 
 class TestValidation:
@@ -159,33 +173,52 @@ class TestBuchi:
         aut = to_buchi(parse_ltl("false"))
         assert aut.init_edges
 
-    @settings(max_examples=120, deadline=None)
+    @settings(max_examples=250, deadline=None)
     @given(st.integers(0, 10**9))
     def test_automaton_matches_direct_evaluation(self, seed):
         """Language check on random lassos: the automaton for a formula
-        accepts exactly the words the direct evaluator rejects."""
+        accepts exactly the words the direct evaluator rejects.  Each example
+        checks a listed formula and a random one on four lassos each."""
         rng = random.Random(seed)
         text = rng.choice(["[] p", "<> p", "p U q", "[] (p -> <> q)",
                            "<> [] p", "[] <> q", "X p", "p -> X X q",
                            "!p U q", "[] (p -> q)"])
-        formula = parse_ltl(text)
-        aut = to_buchi(formula)
-        length = rng.randint(1, 5)
-        cycle_len = rng.randint(1, 4)
-        word = [{"p": rng.random() < 0.5, "q": rng.random() < 0.5}
-                for _ in range(length + cycle_len)]
-        prefix = tuple(range(length))
-        cycle = tuple(range(length, length + cycle_len))
+        for formula in (parse_ltl(text), random_formula(rng, 5)):
+            aut = to_buchi(formula)
+            for _ in range(4):
+                length = rng.randint(1, 5)
+                cycle_len = rng.randint(1, 4)
+                word = [{name: rng.random() < 0.5 for name in "pqr"}
+                        for _ in range(length + cycle_len)]
+                prefix = tuple(range(length))
+                cycle = tuple(range(length, length + cycle_len))
 
-        def value(pos, prop):
-            return word[pos][prop.name]
+                def value(pos, prop):
+                    return word[pos][prop.name]
 
-        accepted = automaton_accepts_lasso(aut, prefix, cycle, value)
-        satisfied = eval_on_lasso(formula, prefix, cycle, value)
-        assert accepted == (not satisfied)
+                accepted = automaton_accepts_lasso(aut, prefix, cycle, value)
+                satisfied = eval_on_lasso(formula, prefix, cycle, value)
+                assert accepted == (not satisfied), formula
+
+    def test_automaton_does_not_depend_on_hash_seed(self):
+        script = ("import sys\n"
+                  "from osekcheck import ltl\n"
+                  "for text in sys.argv[1:]:\n"
+                  "    print(repr(ltl.to_buchi(ltl.parse_ltl(text))))\n")
+        texts = [str(f) for _, f in parse_formula_file(EMS_LTL.read_text())]
+        texts += [" U ".join(f"p{i}" for i in range(k + 1))
+                  for k in range(2, 6)]
+        texts += ["[] (p -> (q U (r U !p)))", "<> [] p -> [] (q U (r U p))"]
+        src = Path(ltl.__file__).resolve().parent.parent
+        outputs = {subprocess.run(
+            [sys.executable, "-c", script, *texts], check=True,
+            capture_output=True, text=True,
+            env=dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=str(src))
+        ).stdout for seed in ("0", "1", "2", "3")}
+        assert len(outputs) == 1
 
 
-def _recursive_tableau(formula):
+def _recursive_tableau(table, root):
     """The recursive tableau expansion the iterative one replaced."""
     nodes = []
     counter = [0]
@@ -205,46 +238,47 @@ def _recursive_tableau(formula):
             expand(fresh({node.id}, set(node.next), set(), set()))
             return
         f = node.new.pop()
-        if isinstance(f, ltl.FalseF):
+        op, left, right = table[f]
+        if op is ltl.FalseF:
             return
-        if isinstance(f, ltl.TrueF):
+        if op is ltl.TrueF:
             expand(node)
             return
-        if isinstance(f, (Prop, Not)):
-            if ltl._negate_literal(f) in node.old:
+        if op is Prop or op is Not:
+            if right in node.old:
                 return
             node.old.add(f)
             expand(node)
             return
-        if isinstance(f, And):
+        if op is And:
             node.old.add(f)
-            for part in (f.left, f.right):
+            for part in (left, right):
                 if part not in node.old:
                     node.new.add(part)
             expand(node)
             return
-        if isinstance(f, Next):
+        if op is Next:
             node.old.add(f)
-            node.next.add(f.sub)
+            node.next.add(left)
             expand(node)
             return
-        if isinstance(f, Or):
-            first, first_next, second, second_next = {f.left}, set(), \
-                {f.right}, set()
-        elif isinstance(f, Until):
-            first, first_next, second, second_next = {f.right}, set(), \
-                {f.left}, {f}
+        if op is Or:
+            first, first_next, second, second_next = {left}, set(), \
+                {right}, set()
+        elif op is Until:
+            first, first_next, second, second_next = {right}, set(), \
+                {left}, {f}
         else:
-            first, first_next, second, second_next = {f.left, f.right}, \
-                set(), {f.right}, {f}
-        left = fresh(node.incoming, node.new | (first - node.old),
-                     node.old | {f}, node.next | first_next)
-        right = fresh(node.incoming, node.new | (second - node.old),
-                      node.old | {f}, node.next | second_next)
-        expand(left)
-        expand(right)
+            first, first_next, second, second_next = {left, right}, \
+                set(), {right}, {f}
+        left_node = fresh(node.incoming, node.new | (first - node.old),
+                          node.old | {f}, node.next | first_next)
+        right_node = fresh(node.incoming, node.new | (second - node.old),
+                           node.old | {f}, node.next | second_next)
+        expand(left_node)
+        expand(right_node)
 
-    expand(fresh({ltl._INIT}, {formula}, set(), set()))
+    expand(fresh({ltl._INIT}, {root}, set(), set()))
     return nodes
 
 
@@ -264,9 +298,9 @@ class TestTableau:
     @settings(max_examples=200, deadline=None)
     @given(st.integers(0, 10**9))
     def test_iterative_matches_recursive(self, seed):
-        nnf = ltl._nnf(random_formula(random.Random(seed), 5), True)
-        expected = _recursive_tableau(nnf)
-        actual = ltl._expand_tableau(nnf)
+        table, root = ltl._intern(random_formula(random.Random(seed), 5))
+        expected = _recursive_tableau(table, root)
+        actual = ltl._expand_tableau(table, root)
         assert [(n.id, n.incoming, n.old, n.next) for n in actual] == \
             [(n.id, n.incoming, n.old, n.next) for n in expected]
 
@@ -316,6 +350,14 @@ class TestModelCheck:
                          2: {"p": False, "q": False}})
         assert model_check(view, parse_ltl("[] p")).verdict == "violated"
         assert model_check(view, parse_ltl("!([] p)")).verdict == "violated"
+
+    def test_until_met_by_true_is_accepted(self):
+        # ``<> !<> true`` is false on every word; the ``true U true`` in its
+        # negation once got an acceptance set that ``true`` could not enter,
+        # and the formula was reported to hold
+        view = two_node_view(True, False, True, False)
+        assert model_check(view, parse_ltl("<> !<> true")).verdict == \
+            "violated"
 
     def test_truncated_view_downgrades_holds(self):
         view = two_node_view(True, False, True, False)

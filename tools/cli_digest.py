@@ -13,6 +13,9 @@ corpus configurations, the harmonic-alarm app of ``perfbench/harmonic.py``
 ``search-final``, ``ltlmc`` and ``conform`` run once more with ``--out``
 into the scratch directory, and every file written there (trace files and
 ``report.txt``) is digested by name and content next to the output.
+``ems_repaired`` also goes through ``ltlmc`` with ``--out`` on a fixed file
+of formulas that stress the LTL translation: nested untils of 3 to 7
+operands, a 100-operand conjunction and one formula using every operator.
 The script runs with ``PYTHONHASHSEED=0`` (re-executing itself if needed),
 because the harmonic generator's identifier order follows set iteration
 order.
@@ -47,6 +50,18 @@ from workloads import ALL_PASS_REPORT, RANDOM_FORMULAS  # noqa: E402
 
 CORPUS = ROOT / "corpus"
 PROP_SUBSETS = ("DF", "ME\nPIF\nMAF", "DF\nSF", "DF\nPE\nMAF")
+EMS_TASKS = ("Task_10ms", "EMS_Task_10ms", "EMS_Task_100ms",
+             "EMS_Adap_Task_10ms", "SystemInit")
+STRESS_FORMULAS = "\n".join(
+    [f"until{k}: [] <> ("
+     + "".join(f"!running({EMS_TASKS[i % 5]}) U " for i in range(k))
+     + f"running({EMS_TASKS[k % 5]}))" for k in range(2, 7)]
+    + ["chain100: " + " & ".join(f"!counter_eq({i})" for i in range(100)),
+       "every_op: [] (ready(Task_10ms) -> <> running(Task_10ms)) && "
+       "(G !deadlocked || F [] suspended(SystemInit)) & (X true | "
+       "!(waiting(EMS_Adap_Task_10ms) U false)) -> (running(SystemInit) U "
+       "(expired(AL_Task_10ms) U set(Adap_Event, EMS_Adap_Task_10ms)) | "
+       "wait(Adap_Event, EMS_Adap_Task_10ms) | error(E_OS_LIMIT))"]) + "\n"
 
 
 def _hash(text: str, work: Path) -> str:
@@ -125,6 +140,13 @@ def main() -> int:
         oil, tsk, formulas = harmonic.generate(1)
         apps.append(("harmonic", write("h.oil", oil), write("h.tsk", tsk),
                      write("h.ltl", formulas), report, subsets))
+        stress = write("stress.ltl", STRESS_FORMULAS)
+        for fmt in ("text", "machine"):
+            argv = ["ltlmc", str(CORPUS / "ems_repaired.oil"),
+                    str(CORPUS / "ems.tsk"), "--formula", stress,
+                    "--trace-format", fmt, "--out", str(work / "out")]
+            print(f"ems_repaired ltlmc[stress] {fmt} --out "
+                  f"{digest(argv, work)}", flush=True)
         random_ltl = write("random.ltl", RANDOM_FORMULAS)
         for seed in range(low, high + 1):
             oil, tsk = random_app(random.Random(seed))
