@@ -18,8 +18,7 @@ from .model import (BOOT_LABEL, E_OK, E_OS_ACCESS, E_OS_LIMIT, E_OS_NOFUNC,
                     E_OS_RESOURCE, E_OS_STATE, NORMAL, READY, RUNNING,
                     SCHEDULE_SIGNAL, SUSPENDED, WAITING, AlarmCell,
                     AlarmFiring, KernelState, TaskCell, TransitionLabel,
-                    alarmed_signal, enqueue, normalize_program, peek_highest,
-                    pop_highest)
+                    alarmed_signal, enqueue, peek_highest, pop_highest)
 from .oil_config import FULL, KernelConfig
 from .task_lang import (CallService, TaskBody, TimeInterval, WhileTrue)
 
@@ -44,24 +43,20 @@ def boot(config: KernelConfig, bodies: dict[str, TaskBody]) -> KernelState:
         raise BootError(f"tasks without bodies: {', '.join(missing)}")
     modulus = config.system_counter.max_allowed_value + 1
 
-    cells = []
-    for task in config.tasks.values():
-        cells.append(TaskCell(
-            id=task.id, state=SUSPENDED, static_priority=task.priority,
-            current_priority=task.priority,
-            max_activations=task.max_activations, pending_activations=0,
-            set_events=frozenset(), waiting_for=None, held_resources=(),
-            program=tuple(bodies[task.id].statements)))
-
-    autostart = [c for c in cells if config.tasks[c.id].autostart]
+    autostart = [t for t in config.tasks.values() if t.autostart]
     if not autostart:
         raise BootError("no autostart task; nothing would ever run")
     ready: tuple = ()
-    for cell in autostart:
-        ready = enqueue(ready, cell.static_priority, cell.id)
+    for task in autostart:
+        ready = enqueue(ready, task.priority, task.id)
     _, first, ready = pop_highest(ready)
-    cells = [replace(c, state=RUNNING if c.id == first else READY)
-             if config.tasks[c.id].autostart else c for c in cells]
+    cells = tuple(TaskCell(
+        id=task.id, state=SUSPENDED if not task.autostart
+        else RUNNING if task.id == first else READY,
+        static_priority=task.priority, current_priority=task.priority,
+        max_activations=task.max_activations, pending_activations=0,
+        set_events=frozenset(), waiting_for=None, held_resources=(),
+        pc=0, residue=0) for task in config.tasks.values())
 
     alarm_cells = []
     working: list[str] = []
@@ -80,7 +75,7 @@ def boot(config: KernelConfig, bodies: dict[str, TaskBody]) -> KernelState:
                                      alarm.action))
 
     return KernelState(
-        config=config, bodies=bodies, tasks=tuple(cells), ready=ready,
+        config=config, bodies=bodies, tasks=cells, ready=ready,
         running=first, signals=frozenset(signals), counter_value=0,
         working_alarms=tuple(working), alarms=tuple(alarm_cells),
         last_label=BOOT_LABEL, status=NORMAL)
@@ -91,11 +86,19 @@ def boot(config: KernelConfig, bodies: dict[str, TaskBody]) -> KernelState:
 # ---------------------------------------------------------------------------
 
 
-def _fresh_cell(state: KernelState, cell: TaskCell) -> TaskCell:
+def _fresh_cell(cell: TaskCell, state: str, **changes) -> TaskCell:
     """Reset a cell for a new activation: full body, no events, base priority."""
-    return replace(cell, set_events=frozenset(), waiting_for=None,
-                   current_priority=cell.static_priority,
-                   program=tuple(state.bodies[cell.id].statements))
+    return replace(cell, state=state, set_events=frozenset(),
+                   waiting_for=None, current_priority=cell.static_priority,
+                   pc=0, residue=0, **changes)
+
+
+def _make_ready(state: KernelState, cell: TaskCell) -> KernelState:
+    """Store a READY cell, queue it last at its priority, ask to reschedule."""
+    state = state.with_task(cell)
+    return replace(state,
+                   ready=enqueue(state.ready, cell.current_priority, cell.id),
+                   signals=state.signals | {SCHEDULE_SIGNAL})
 
 
 def activation_status(cell: TaskCell) -> str:
@@ -118,12 +121,7 @@ def _apply_activation(state: KernelState, target: str
     if status != E_OK:
         return state, status
     if cell.state == SUSPENDED and cell.pending_activations == 0:
-        fresh = replace(_fresh_cell(state, cell), state=READY)
-        state = state.with_task(fresh)
-        state = replace(
-            state,
-            ready=enqueue(state.ready, fresh.current_priority, target),
-            signals=state.signals | {SCHEDULE_SIGNAL})
+        state = _make_ready(state, _fresh_cell(cell, READY))
     else:
         state = state.with_task(replace(
             cell, pending_activations=cell.pending_activations + 1))
@@ -141,12 +139,8 @@ def _apply_set_event(state: KernelState, target: str, event: str
         return state, E_OS_STATE
     cell = replace(cell, set_events=cell.set_events | {event})
     if cell.state == WAITING and cell.waiting_for == event:
-        cell = replace(cell, state=READY, waiting_for=None)
-        state = state.with_task(cell)
-        state = replace(
-            state,
-            ready=enqueue(state.ready, cell.current_priority, target),
-            signals=state.signals | {SCHEDULE_SIGNAL})
+        state = _make_ready(state, replace(cell, state=READY,
+                                           waiting_for=None))
     else:
         state = state.with_task(cell)
     return state, E_OK
@@ -175,10 +169,8 @@ def svc_terminate_task(state: KernelState, caller: str, *,
     cell = state.task_cell(caller)
     if cell.held_resources:
         return timing.finish_service(state, caller, "TerminateTask", (),
-                                     E_OS_RESOURCE, consume=not implicit,
-                                     detail=detail)
-    state = state.with_task(replace(_fresh_cell(state, cell),
-                                    state=SUSPENDED))
+                                     E_OS_RESOURCE, detail=detail)
+    state = state.with_task(_fresh_cell(cell, SUSPENDED))
     state = replace(state, running=None,
                     signals=state.signals | {SCHEDULE_SIGNAL})
     return timing.finish_service(state, caller, "TerminateTask", (), E_OK,
@@ -201,8 +193,8 @@ def svc_chain_task(state: KernelState, caller: str,
         if cell.pending_activations + 1 > cell.max_activations:
             return timing.finish_service(state, caller, "ChainTask",
                                          (target,), E_OS_LIMIT)
-        fresh = replace(_fresh_cell(state, cell), state=SUSPENDED,
-                        pending_activations=cell.pending_activations + 1)
+        fresh = _fresh_cell(cell, SUSPENDED,
+                            pending_activations=cell.pending_activations + 1)
         state = replace(state.with_task(fresh), running=None)
         return timing.finish_service(state, caller, "ChainTask", (target,),
                                      E_OK, consume=False)
@@ -211,8 +203,7 @@ def svc_chain_task(state: KernelState, caller: str,
                                      E_OS_LIMIT)
     state, _ = _apply_activation(state, target)
     cell = state.task_cell(caller)
-    state = state.with_task(replace(_fresh_cell(state, cell),
-                                    state=SUSPENDED))
+    state = state.with_task(_fresh_cell(cell, SUSPENDED))
     state = replace(state, running=None,
                     signals=state.signals | {SCHEDULE_SIGNAL})
     return timing.finish_service(state, caller, "ChainTask", (target,), E_OK,
@@ -254,7 +245,7 @@ def svc_wait_event(state: KernelState, caller: str,
     """Wait until ``event`` is set for the caller.
 
     If the event is pending the call returns at once.  Otherwise the caller
-    blocks and the statement stays in its program: the call is re-issued
+    blocks and its program counter stays on the call: the call is re-issued
     (and charged again) when the task resumes, which is when it consumes.
     """
     task_def = state.config.tasks[caller]
@@ -378,16 +369,10 @@ def handle_multiactivation(state: KernelState) -> KernelState:
     if target is None:
         raise ValueError("no pending activation to release")
     cell = state.task_cell(target)
-    fresh = replace(_fresh_cell(state, cell), state=READY,
-                    pending_activations=cell.pending_activations - 1)
-    state = state.with_task(fresh)
-    state = replace(
-        state,
-        ready=enqueue(state.ready, fresh.current_priority, target),
-        signals=state.signals | {SCHEDULE_SIGNAL},
-        last_label=TransitionLabel(kind="signal",
-                                   detail=f"multiactivation:{target}"))
-    return state
+    state = _make_ready(state, _fresh_cell(
+        cell, READY, pending_activations=cell.pending_activations - 1))
+    return replace(state, last_label=TransitionLabel(
+        kind="signal", detail=f"multiactivation:{target}"))
 
 
 def handle_schedule_signal(state: KernelState) -> KernelState:
@@ -436,12 +421,9 @@ def exec_running_statement(state: KernelState) -> KernelState:
     caller = state.running
     if caller is None:
         raise ValueError("no running task")
-    program = normalize_program(state.task_cell(caller).program)
-    state = state.with_task(replace(state.task_cell(caller),
-                                    program=program))
-    if not program:
+    stmt = state.front(caller)
+    if stmt is None:
         return svc_terminate_task(state, caller, implicit=True)
-    stmt = program[0]
     if isinstance(stmt, TimeInterval):
         return timing.exec_time_interval(state, caller, stmt.ticks)
     if isinstance(stmt, WhileTrue):

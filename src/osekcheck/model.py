@@ -15,7 +15,7 @@ import hashlib
 from dataclasses import dataclass, field, replace
 
 from .oil_config import AlarmAction, KernelConfig
-from .task_lang import Statement, TaskBody, compact_statement
+from .task_lang import Statement, TaskBody, TimeInterval, compact_statement
 
 # ---------------------------------------------------------------------------
 # constants
@@ -53,40 +53,6 @@ def error_status(code: str) -> str:
 
 
 # ---------------------------------------------------------------------------
-# runtime program
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class LoopBack:
-    """Marker closing a while(true) body; expands back to the body."""
-
-    body: tuple[Statement, ...]
-
-
-RuntimeStatement = Statement | LoopBack
-
-
-def normalize_program(program: tuple) -> tuple:
-    """Expand loop-back markers until the front is a real statement."""
-    while program and isinstance(program[0], LoopBack):
-        back = program[0]
-        program = back.body + (back,) + program[1:]
-    return program
-
-
-def render_program(program: tuple) -> str:
-    parts = []
-    for stmt in program:
-        if isinstance(stmt, LoopBack):
-            parts.append("@{" + ";".join(compact_statement(s)
-                                         for s in stmt.body) + "}")
-        else:
-            parts.append(compact_statement(stmt))
-    return ";".join(parts) if parts else "-"
-
-
-# ---------------------------------------------------------------------------
 # cells
 # ---------------------------------------------------------------------------
 
@@ -102,7 +68,8 @@ class TaskCell:
     set_events: frozenset[str]
     waiting_for: str | None
     held_resources: tuple[str, ...]
-    program: tuple
+    pc: int  # index into the body's flattened code; len(code) is its end
+    residue: int  # ticks left of the TimeInterval at pc; 0 until it starts
 
 
 @dataclass(frozen=True)
@@ -240,6 +207,22 @@ class KernelState:
         tasks = tuple(cell if c.id == cell.id else c for c in self.tasks)
         return replace(self, tasks=tasks)
 
+    def front(self, task_id: str) -> Statement | None:
+        """The task's next statement (None at the end of its body); a split
+        TimeInterval reads as the ticks it has left."""
+        cell = self.task_cell(task_id)
+        code = self.bodies[task_id].code
+        if cell.residue:
+            return TimeInterval(cell.residue)
+        return code[cell.pc].statement if cell.pc < len(code) else None
+
+    def past_front(self, task_id: str) -> "KernelState":
+        """Move the task past its front statement; the end stays the end."""
+        cell = self.task_cell(task_id)
+        code = self.bodies[task_id].code
+        pc = code[cell.pc].next if cell.pc < len(code) else cell.pc
+        return self.with_task(replace(cell, pc=pc, residue=0))
+
     def with_alarm(self, cell: AlarmCell) -> "KernelState":
         alarms = tuple(cell if c.id == cell.id else c for c in self.alarms)
         return replace(self, alarms=alarms)
@@ -302,6 +285,15 @@ def pop_highest(ready: ReadyQueues) -> tuple[int, str, ReadyQueues]:
 # ---------------------------------------------------------------------------
 
 
+def _program_text(body: TaskBody, cell: TaskCell) -> str:
+    if cell.pc == len(body.code):
+        return "-"
+    stmt, _, rest = body.code[cell.pc]
+    head = (f"TimeInterval={cell.residue}" if cell.residue
+            else compact_statement(stmt))
+    return f"{head};{rest}" if rest else head
+
+
 def canonical_snapshot(state: KernelState) -> str:
     """Deterministic textual form of every semantic cell."""
     lines = [
@@ -329,7 +321,7 @@ def canonical_snapshot(state: KernelState) -> str:
             f"cp={cell.current_priority} act={cell.max_activations}/"
             f"{cell.pending_activations} ev={events} "
             f"w={cell.waiting_for or '-'} res={resources} "
-            f"pgm={render_program(cell.program)}")
+            f"pgm={_program_text(state.bodies[cell.id], cell)}")
     for cell in state.alarms:
         at = "-" if cell.alarm_time is None else str(cell.alarm_time)
         lines.append(f"alarm={cell.id} at={at} ct={cell.cycle_time}")

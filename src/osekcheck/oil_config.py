@@ -572,12 +572,18 @@ def validate(config: KernelConfig) -> list[Diagnostic]:
         err("NoSystemCounter",
             "no counter is marked SYSTEM and the designation is ambiguous"
             if config.counters else "configuration declares no counter")
+    system = (config.system_counter if len(system_marked) == 1
+              or len(config.counters) == 1 else None)
 
     for alarm in config.alarms.values():
         counter = config.counters.get(alarm.counter)
         if counter is None:
             err("DanglingReference",
                 f"alarm {alarm.id}: counter {alarm.counter} is not declared")
+        elif system is not None and counter is not system:
+            warn("AlarmCounterIgnored",
+                 f"alarm {alarm.id}: COUNTER = {counter.id} declared, but "
+                 f"every alarm runs on the system counter {system.id}")
         act = alarm.action
         if act.kind in ("activatetask", "setevent"):
             target = config.tasks.get(act.task or "")
@@ -600,14 +606,14 @@ def validate(config: KernelConfig) -> list[Diagnostic]:
             if alarm.autostart_offset is None:
                 err("MissingAttribute",
                     f"alarm {alarm.id}: autostart requires ALARMTIME")
-            elif counter is not None and not (
-                    0 <= alarm.autostart_offset <= counter.max_allowed_value):
+            elif system is not None and not (
+                    0 <= alarm.autostart_offset <= system.max_allowed_value):
                 err("OffsetOutOfRange",
                     f"alarm {alarm.id}: ALARMTIME must lie within "
                     "[0, MAXALLOWEDVALUE]")
             cyc = alarm.autostart_cycle or 0
-            if counter is not None and cyc != 0 and not (
-                    counter.min_cycle <= cyc <= counter.max_allowed_value):
+            if system is not None and cyc != 0 and not (
+                    system.min_cycle <= cyc <= system.max_allowed_value):
                 err("CycleOutOfRange",
                     f"alarm {alarm.id}: CYCLETIME must be 0 or lie within "
                     "[MINCYCLE, MAXALLOWEDVALUE]")

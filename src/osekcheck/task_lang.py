@@ -10,6 +10,8 @@ unchanged.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 from .oil_config import (OIL_SYMBOL_TABLE, Cursor, Diagnostic,
                          KernelConfig, ParseError, SemanticError, int_value,
@@ -39,10 +41,40 @@ class WhileTrue:
 Statement = CallService | TimeInterval | WhileTrue
 
 
+class CodeEntry(NamedTuple):
+    statement: Statement
+    next: int  # the program counter after the statement
+    rest: str  # snapshot spelling of everything that follows the statement
+
+
 @dataclass(frozen=True)
 class TaskBody:
     task_id: str
     statements: tuple[Statement, ...]
+
+    @cached_property
+    def code(self) -> tuple[CodeEntry, ...]:
+        """One entry per program counter; ``len(code)`` is the end.  A loop
+        entry leads into its body, whose last statement jumps back to the
+        first.  ``rest`` spells what follows, loops closed by ``@{...}``."""
+        code: list[CodeEntry] = []
+        _flatten(self.statements, None, [], code)
+        return tuple(code)
+
+
+def _flatten(statements: tuple[Statement, ...], loop_start: int | None,
+             rest: list[str], code: list[CodeEntry]) -> None:
+    """Append ``statements``; the last jumps back to ``loop_start``, if any."""
+    for idx, stmt in enumerate(statements):
+        tail = [compact_statement(s) for s in statements[idx + 1:]] + rest
+        loop = isinstance(stmt, WhileTrue)
+        back = (idx == len(statements) - 1 and not loop
+                and loop_start is not None)
+        code.append(CodeEntry(stmt, loop_start if back else len(code) + 1,
+                              ";".join(tail)))
+        if loop:
+            marker = "@{" + ";".join(map(compact_statement, stmt.body)) + "}"
+            _flatten(stmt.body, len(code), [marker] + tail, code)
 
 
 # Service name -> parameter kinds.  "int" parameters are literal numbers,

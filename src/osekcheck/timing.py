@@ -13,9 +13,7 @@ from __future__ import annotations
 from dataclasses import replace
 
 from .model import (E_OK, E_OS_NOFUNC, E_OS_STATE, E_OS_VALUE, KernelState,
-                    LoopBack, TransitionLabel, alarmed_signal,
-                    normalize_program)
-from .task_lang import TimeInterval as TimeIntervalStmt
+                    TransitionLabel, alarmed_signal)
 
 JUMP = "jump"
 UNIT = "unit"
@@ -72,9 +70,7 @@ def finish_service(state: KernelState, caller: str, service: str,
     A failing call (non-``E_OK`` status) is charged its tick too.
     """
     if consume:
-        cell = state.task_cell(caller)
-        program = normalize_program(cell.program[1:])
-        state = state.with_task(replace(cell, program=program))
+        state = state.past_front(caller)
     label = TransitionLabel(kind="service", task=caller, service=service,
                             args=tuple(args), status=status, detail=detail)
     return _advance(replace(state, last_label=label), 1)
@@ -90,20 +86,16 @@ def exec_time_interval(state: KernelState, caller: str,
     """Run (part of) a TimeInterval block of the running task.
 
     The advance is cut short at the earliest pending expiry; the remaining
-    ticks stay in the program as a smaller TimeInterval statement so the
-    expiry is handled before computation resumes.
+    ticks stay in the task's cell as its residue so the expiry is handled
+    before computation resumes.
     """
-    cell = state.task_cell(caller)
     nearest = next_expiry(state)
-    if nearest is None or nearest[0] > ticks:
-        advance, residue = ticks, 0
+    advance = ticks if nearest is None else min(ticks, nearest[0])
+    if advance < ticks:
+        state = state.with_task(replace(state.task_cell(caller),
+                                        residue=ticks - advance))
     else:
-        advance, residue = nearest[0], ticks - nearest[0]
-    if residue > 0:
-        program = (TimeIntervalStmt(residue),) + cell.program[1:]
-    else:
-        program = normalize_program(cell.program[1:])
-    state = state.with_task(replace(cell, program=program))
+        state = state.past_front(caller)
     label = TransitionLabel(kind="time", amount=advance, reason="interval")
     return _advance(replace(state, last_label=label), advance)
 
@@ -114,11 +106,7 @@ def exec_loop_entry(state: KernelState, caller: str) -> KernelState:
     Only the first entry is charged; closing an iteration and starting the
     next is free.
     """
-    cell = state.task_cell(caller)
-    loop = cell.program[0]
-    program = normalize_program(loop.body + (LoopBack(loop.body),)
-                                + cell.program[1:])
-    state = state.with_task(replace(cell, program=program))
+    state = state.past_front(caller)
     label = TransitionLabel(kind="time", amount=1, reason="loop")
     return _advance(replace(state, last_label=label), 1)
 

@@ -9,11 +9,9 @@ from dataclasses import dataclass
 
 from osekcheck import explorer, ltl
 from osekcheck.model import (ALLIDLE, DEADLOCK, NORMAL, READY, RUNNING,
-                             SUSPENDED, WAITING, KernelState, LoopBack,
-                             normalize_program)
+                             SUSPENDED, WAITING, KernelState)
 from osekcheck.oil_config import KernelConfig, parse_oil
-from osekcheck.task_lang import (CallService, TaskBody, TimeInterval,
-                                 WhileTrue, parse_task_file)
+from osekcheck.task_lang import TaskBody, TimeInterval, parse_task_file
 
 
 def make_app(oil_text: str, tsk_text: str):
@@ -33,6 +31,57 @@ TASK High { PRIORITY = 2; SCHEDULE = FULL; ACTIVATION = 1; AUTOSTART = FALSE; };
 MINI_TSK = """
 TASK Low { ActivateTask(High); TerminateTask(); }
 TASK High { TerminateTask(); }
+"""
+
+
+# ==== loop shapes that random_app never generates ==========================
+# Nested loops, a loop whose body starts with a loop, a TimeInterval inside
+# a loop that an expiry splits, statements after a loop and after
+# TerminateTask (reached when Tail's TerminateTask fails with R held), and
+# an empty body.
+
+LOOP_OIL = """
+COUNTER C { MAXALLOWEDVALUE = 15; TICKSPERBASE = 1; MINCYCLE = 1; SYSTEM = TRUE; };
+RESOURCE R { RESOURCEPROPERTY = STANDARD; };
+EVENT E { MASK = AUTO; };
+TASK Main  { PRIORITY = 1; SCHEDULE = FULL; ACTIVATION = 1; AUTOSTART = TRUE; EVENT = E; };
+TASK Nest  { PRIORITY = 2; SCHEDULE = FULL; ACTIVATION = 1; AUTOSTART = FALSE; };
+TASK Tail  { PRIORITY = 3; SCHEDULE = FULL; ACTIVATION = 2; AUTOSTART = FALSE; RESOURCE = R; };
+TASK Empty { PRIORITY = 4; SCHEDULE = FULL; ACTIVATION = 1; AUTOSTART = FALSE; };
+ALARM Wake { COUNTER = C; ACTION = SETEVENT { TASK = Main; EVENT = E; };
+             AUTOSTART = TRUE { ALARMTIME = 3; CYCLETIME = 11; }; };
+ALARM Split { COUNTER = C; ACTION = ACTIVATETASK { TASK = Tail; };
+              AUTOSTART = TRUE { ALARMTIME = 13; CYCLETIME = 13; }; };
+"""
+
+LOOP_TSK = """
+TASK Main {
+    ActivateTask(Empty);
+    while (true) {
+        TimeInterval = 4;
+        ActivateTask(Nest);
+        while (true) { WaitEvent(E); ClearEvent(E); TimeInterval = 2; Schedule(); }
+        Schedule();
+    }
+    TerminateTask();
+}
+TASK Nest {
+    while (true) {
+        while (true) { TimeInterval = 1; ActivateTask(Empty); TerminateTask(); }
+        ActivateTask(Tail);
+    }
+}
+TASK Tail {
+    GetResource(R); TerminateTask(); ReleaseResource(R); TerminateTask();
+    ActivateTask(Empty);
+}
+TASK Empty { }
+"""
+
+LOOP_LTL = """
+main_runs: [] <> running(Main)
+nest_ends: <> suspended(Nest)
+no_resource_error: [] !error(E_OS_RESOURCE)
 """
 
 
@@ -317,10 +366,14 @@ def check_invariants(state: KernelState) -> list[str]:
         if cell.current_priority != expected:
             bad.append(f"{cell.id}: current priority "
                        f"{cell.current_priority}, expected {expected}")
-        for stmt in normalize_program(cell.program):
-            if not isinstance(stmt, (CallService, TimeInterval, WhileTrue,
-                                     LoopBack)):
-                bad.append(f"{cell.id}: alien statement {stmt!r}")
+        code = state.bodies[cell.id].code
+        if not 0 <= cell.pc <= len(code):
+            bad.append(f"{cell.id}: pc {cell.pc} outside [0, {len(code)}]")
+        elif cell.residue and not (
+                cell.pc < len(code)
+                and isinstance(code[cell.pc].statement, TimeInterval)
+                and code[cell.pc].statement.ticks > cell.residue > 0):
+            bad.append(f"{cell.id}: residue {cell.residue} at pc {cell.pc}")
 
     cells = {a.id for a in state.alarms}
     for alarm_id in state.working_alarms:

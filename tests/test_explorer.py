@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
 from dataclasses import replace
 
@@ -9,8 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import (GOLDEN_SCENARIOS, check_invariants, make_app,
-                     random_app, run_deterministic)
+from helpers import (GOLDEN_SCENARIOS, LOOP_OIL, LOOP_TSK, check_invariants,
+                     make_app, random_app, run_deterministic)
 from osekcheck import explorer, kernel_core, timing
 from osekcheck.model import (ALLIDLE, DEADLOCK, NORMAL, canonical_label,
                              canonical_snapshot, state_hash)
@@ -304,6 +305,40 @@ class TestStateIdentity:
             state.last_label, amount=state.last_label.amount + 1))
         assert longer == state and hash(longer) == hash(state)
         assert canonical_snapshot(longer) == canonical_snapshot(state)
+
+
+# ==== loop shapes, frozen ===================================================
+
+# (node count, sha256 over every node's snapshot and edges), recorded with
+# an implementation that kept each task's remaining statements as a tuple
+# with loop-back markers, so these pin the program-counter one against it
+LOOP_SHAPE_GRAPHS = {
+    (timing.JUMP, False): (3297, "dd04076e7706bf488bb774caa2949820"
+                                 "d261ee224e9999eebaa51701b73a75da"),
+    (timing.JUMP, True): (22, "f11ae036267357e1fce476b162e260e2"
+                              "b0b654c83c2c7a4780fc80deb7b5e6a3"),
+    (timing.UNIT, False): (3425, "2832c035226d595955cadc3cb4057984"
+                                 "ef26917bdd47e842e5b9c85ff93dc567"),
+    (timing.UNIT, True): (22, "f11ae036267357e1fce476b162e260e2"
+                              "b0b654c83c2c7a4780fc80deb7b5e6a3"),
+}
+
+
+@pytest.mark.parametrize("strict", [False, True])
+@pytest.mark.parametrize("idle_mode", timing.IDLE_MODES)
+def test_loop_shapes_are_frozen(idle_mode, strict):
+    config, bodies = make_app(LOOP_OIL, LOOP_TSK)
+    graph = explorer.build_graph(config, bodies, strict=strict,
+                                 idle_mode=idle_mode)
+    digest = hashlib.sha256()
+    for node, state in graph.nodes.items():
+        edges = ",".join(f"{explorer.choice_text(choice)}>{target}"
+                         for choice, target in graph.successors_of(node))
+        digest.update(f"{node}\n{canonical_snapshot(state)}\n{edges}\n"
+                      .encode())
+    assert not graph.truncated
+    assert (len(graph.nodes), digest.hexdigest()) == \
+        LOOP_SHAPE_GRAPHS[idle_mode, strict]
 
 
 # ==== strict graph read off the continue-on-error graph ====================

@@ -15,6 +15,7 @@ from osekcheck.model import (E_OK, E_OS_ACCESS, E_OS_LIMIT, E_OS_NOFUNC,
                              E_OS_RESOURCE, E_OS_STATE, READY, RUNNING,
                              SCHEDULE_SIGNAL, SUSPENDED, WAITING,
                              alarmed_signal, error_status)
+from osekcheck.task_lang import CallService
 
 OIL = """
 COUNTER C { MAXALLOWEDVALUE = 63; MINCYCLE = 1; SYSTEM = TRUE; };
@@ -161,7 +162,8 @@ class TestTerminateTask:
         assert cell.state == SUSPENDED
         assert after.running is None
         assert SCHEDULE_SIGNAL in after.signals
-        assert cell.program == state.bodies["Main"].statements
+        assert (cell.pc, cell.residue) == (0, 0)
+        assert after.front("Main") == state.bodies["Main"].statements[0]
         healthy(after)
 
     def test_terminate_with_held_resource_fails(self, state):
@@ -228,7 +230,8 @@ class TestEvents:
         cell = blocked.task_cell("Ext")
         assert cell.state == WAITING
         assert cell.waiting_for == "E"
-        assert cell.program[0].name == "WaitEvent"
+        assert blocked.front("Ext") == CallService("WaitEvent", ("E",))
+        assert cell.residue == 0
         assert blocked.running is None
         healthy(blocked)
 
@@ -273,7 +276,8 @@ class TestEvents:
         after = kernel_core.svc_wait_event(state, "Ext", "E")
         cell = after.task_cell("Ext")
         assert cell.state == RUNNING
-        assert cell.program[0].name == "ClearEvent"
+        assert after.front("Ext") == CallService("ClearEvent", ("E",))
+        assert cell.residue == 0
         healthy(after)
 
     def test_wait_by_basic_task(self, state):

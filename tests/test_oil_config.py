@@ -231,6 +231,25 @@ class TestValidation:
             """)
         assert "CycleOutOfRange" in codes(err)
 
+    def test_alarm_runs_on_the_system_counter(self):
+        text = """
+        COUNTER C { MAXALLOWEDVALUE = 7; MINCYCLE = 1; SYSTEM = TRUE; };
+        COUNTER C2 { MAXALLOWEDVALUE = 100; MINCYCLE = 1; };
+        TASK A { PRIORITY = 1; AUTOSTART = TRUE; };
+        ALARM B { COUNTER = C2; ACTION = ACTIVATETASK { TASK = A; };
+                  AUTOSTART = TRUE { ALARMTIME = 50; CYCLETIME = 60; }; };
+        """
+        with pytest.raises(SemanticError) as err:
+            parse_oil(text)
+        assert codes(err) == {"OffsetOutOfRange", "CycleOutOfRange"}
+        config = parse_oil(text.replace("ALARMTIME = 50; CYCLETIME = 60;",
+                                        "ALARMTIME = 5; CYCLETIME = 6;"))
+        assert [w.code for w in config.warnings] == ["AlarmCounterIgnored"]
+        config = parse_oil(text.replace("COUNTER = C2;", "COUNTER = C;")
+                           .replace("ALARMTIME = 50; CYCLETIME = 60;",
+                                    "ALARMTIME = 5; CYCLETIME = 6;"))
+        assert not config.warnings
+
     def test_setevent_on_basic_task_warns(self):
         config = parse_oil(BASE + """
         EVENT E { MASK = AUTO; };

@@ -101,6 +101,34 @@ class TestParsing:
         assert any(w.code == "MissingTerminate" for w in warnings)
 
 
+# ==== flattened code =======================================================
+
+
+class TestCode:
+    def test_loops_jump_back_and_nothing_leads_past_them(self):
+        _, bodies = make_app(OIL, GOOD.replace(
+            "GetResource(R); ActivateTask(X); ReleaseResource(R); ",
+            "Schedule(); while (true) { ActivateTask(X); "
+            "while (true) { TimeInterval = 2; } Schedule(); } "))
+        code = bodies["A"].code
+        # 0 Schedule, 1 while, 2 ActivateTask, 3 while, 4 TimeInterval,
+        # 5 Schedule (after the inner loop), 6 TerminateTask (after the outer)
+        assert [type(e.statement).__name__ for e in code] == [
+            "CallService", "WhileTrue", "CallService", "WhileTrue",
+            "TimeInterval", "CallService", "CallService"]
+        assert [e.next for e in code] == [1, 2, 3, 4, 4, 2, 7]
+        assert code[4].rest == ("@{TimeInterval=2};Schedule();"
+                                "@{ActivateTask(X);while{TimeInterval=2};"
+                                "Schedule()};TerminateTask()")
+        assert code[6].rest == ""
+
+    def test_empty_body(self):
+        _, bodies = make_app(OIL, GOOD.replace(
+            "GetResource(R); ActivateTask(X); ReleaseResource(R); "
+            "TerminateTask();", ""))
+        assert bodies["A"].code == ()
+
+
 # ==== rejection ============================================================
 
 

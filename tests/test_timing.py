@@ -138,12 +138,10 @@ class TestSetRelAlarm:
         assert alarmed_signal("AL") in after.signals
         assert after.alarm_cell("AL").alarm_time == 0
 
-    def test_strict_mode_freezes_failures(self, state):
-        armed = arm(state, "AL", 9)
-        init = armed.task_cell("Init")
-        armed = armed.with_task(replace(
-            init, program=(CallService("SetRelAlarm", ("AL", 5, 0)),)
-            + init.program))
+    def test_strict_mode_freezes_failures(self):
+        config, bodies = make_app(OIL, TSK.replace(
+            "TASK Init {", "TASK Init { SetRelAlarm(AL, 5, 0);"))
+        armed = arm(kernel_core.boot(config, bodies), "AL", 9)
         strict = explorer.step(armed, strict=True)
         relaxed = explorer.step(armed)
         assert relaxed == timing.svc_set_rel_alarm(armed, "Init", "AL", 5, 0)
@@ -211,22 +209,27 @@ class TestTimeInterval:
         after = timing.exec_time_interval(state, "Init", 5)
         assert after.counter_value == 5
         assert after.last_label.amount == 5
-        front = after.task_cell("Init").program[0]
-        assert front.name == "TerminateTask"
+        cell = after.task_cell("Init")
+        assert (cell.pc, cell.residue) == (1, 0)
+        assert after.front("Init") == CallService("TerminateTask")
 
     def test_split_at_expiry_keeps_residue(self, state):
         state = arm(state, "AL", 2)
         after = timing.exec_time_interval(state, "Init", 5)
         assert after.counter_value == 2
         assert alarmed_signal("AL") in after.signals
-        assert after.task_cell("Init").program[0] == TimeIntervalStmt(3)
+        cell = after.task_cell("Init")
+        assert (cell.pc, cell.residue) == (0, 3)
+        assert after.front("Init") == TimeIntervalStmt(3)
 
     def test_exact_fit_is_not_split(self, state):
         state = arm(state, "AL", 5)
         after = timing.exec_time_interval(state, "Init", 5)
         assert after.counter_value == 5
         assert alarmed_signal("AL") in after.signals
-        assert after.task_cell("Init").program[0].name == "TerminateTask"
+        cell = after.task_cell("Init")
+        assert (cell.pc, cell.residue) == (1, 0)
+        assert after.front("Init") == CallService("TerminateTask")
 
 
 class TestLoopEntry:
@@ -236,11 +239,13 @@ TASK Init { while (true) { Schedule(); } }
 TASK W { TerminateTask(); }
 """)
         state = kernel_core.boot(config, bodies)
-        assert isinstance(state.task_cell("Init").program[0], WhileTrue)
+        assert isinstance(state.front("Init"), WhileTrue)
         after = timing.exec_loop_entry(state, "Init")
         assert after.counter_value == 1
         assert after.last_label.reason == "loop"
-        assert after.task_cell("Init").program[0].name == "Schedule"
+        cell = after.task_cell("Init")
+        assert (cell.pc, cell.residue) == (1, 0)
+        assert after.front("Init") == CallService("Schedule")
 
 
 # ==== idle time ============================================================
