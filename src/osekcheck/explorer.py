@@ -75,21 +75,13 @@ def _freeze(state: KernelState) -> KernelState:
     return state
 
 
-def _apply_rule(state: KernelState, choice: Choice | None,
+def _apply_rule(state: KernelState, order: tuple[str, ...],
                 idle_mode: str) -> KernelState:
-    """The one transition rule that applies, on continue-on-error semantics."""
+    """The one transition rule that applies, on continue-on-error semantics;
+    ``order`` is the handling order of the pending expiries (every one)."""
     if state.status != NORMAL:
         return stutterize(state)
-    pending = kernel_core.pending_expiries(state)
-    if pending:
-        if choice is None:
-            order = pending
-        else:
-            if sorted(choice.order) != sorted(pending):
-                raise ValueError(
-                    f"choice {choice} does not cover pending expiries "
-                    f"{pending}")
-            order = choice.order
+    if order:
         return kernel_core.handle_expiries(state, order)
     if kernel_core.multiactivation_candidate(state) is not None:
         return kernel_core.handle_multiactivation(state)
@@ -114,7 +106,16 @@ def step(state: KernelState, choice: Choice | None = None, *,
     When nothing is enabled the successor is the stutter twin with status
     all-idle or deadlock.  Non-normal states return their own stutter twin.
     """
-    result = _apply_rule(state, choice, idle_mode)
+    order = ()
+    if state.status == NORMAL:
+        order = kernel_core.pending_expiries(state)
+        if order and choice is not None:
+            if sorted(choice.order) != sorted(order):
+                raise ValueError(
+                    f"choice {choice} does not cover pending expiries "
+                    f"{order}")
+            order = choice.order
+    result = _apply_rule(state, order, idle_mode)
     return _freeze(result) if strict else result
 
 
@@ -129,7 +130,7 @@ def successors(state: KernelState, *, strict: bool = False,
         out = [(Choice(order), kernel_core.handle_expiries(state, order))
                for order in itertools.permutations(pending)]
     else:
-        out = [(None, step(state, idle_mode=idle_mode))]
+        out = [(None, _apply_rule(state, pending, idle_mode))]
     return [(c, _freeze(target)) for c, target in out] if strict else out
 
 

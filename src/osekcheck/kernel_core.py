@@ -1,12 +1,16 @@
-"""Task, event and resource services plus scheduler signal handling.
+"""Boot, the service table and the scheduler's signal rules.
 
-Service functions take a state and return the successor state; nothing is
-mutated.  Every service charges one counter tick through
-:func:`timing.finish_service`, including failing calls, whose error code is
-recorded in the transition label; the run goes on after a failure (strict
-error handling, which freezes such a state, is applied by the explorer).
-Scheduler signal handling (expiry actions, pending-activation release,
-rescheduling) consumes no time.
+A kernel service is its effect: a function ``(state, caller, *args)`` that
+returns the successor state and the status code, mutating nothing.
+``EFFECTS`` maps every service name the task language accepts to its effect;
+the task, event and resource services live here and the alarm services in
+:mod:`timing`.  ``call_service`` is the one place a call is made: it applies
+the effect, then :func:`timing.finish_service`, which labels the call,
+consumes it and charges its counter tick, failing calls included.  The run
+goes on after a failure (strict error handling, which freezes such a state,
+is applied by the explorer).  Alarm expiry actions reuse the ActivateTask and
+SetEvent effects.  Scheduler signal handling (expiry actions,
+pending-activation release, rescheduling) consumes no time.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from .model import (BOOT_LABEL, E_OK, E_OS_ACCESS, E_OS_LIMIT, E_OS_NOFUNC,
                     AlarmFiring, KernelState, TaskCell, TransitionLabel,
                     alarmed_signal, enqueue, peek_highest, pop_highest)
 from .oil_config import FULL, KernelConfig
-from .task_lang import (CallService, TaskBody, TimeInterval, WhileTrue)
+from .task_lang import TaskBody, TimeInterval, WhileTrue
 
 
 class BootError(Exception):
@@ -82,7 +86,7 @@ def boot(config: KernelConfig, bodies: dict[str, TaskBody]) -> KernelState:
 
 
 # ---------------------------------------------------------------------------
-# activation and event delivery helpers (shared with alarm expiry actions)
+# helpers shared by the services
 # ---------------------------------------------------------------------------
 
 
@@ -101,6 +105,19 @@ def _make_ready(state: KernelState, cell: TaskCell) -> KernelState:
                    signals=state.signals | {SCHEDULE_SIGNAL})
 
 
+def _end_activation(state: KernelState, task: str) -> KernelState:
+    """Suspend the running ``task`` with a fresh cell and ask to reschedule."""
+    state = state.with_task(_fresh_cell(state.task_cell(task), SUSPENDED))
+    return replace(state, running=None,
+                   signals=state.signals | {SCHEDULE_SIGNAL})
+
+
+def _owns_event(state: KernelState, task: str, event: str) -> bool:
+    """Is ``task`` an extended task that declares ``event``?"""
+    task_def = state.config.tasks[task]
+    return task_def.is_extended and event in task_def.events
+
+
 def activation_status(cell: TaskCell) -> str:
     """Would one more activation request be accepted for this cell?
 
@@ -113,9 +130,15 @@ def activation_status(cell: TaskCell) -> str:
     return E_OS_LIMIT
 
 
-def _apply_activation(state: KernelState, target: str
-                      ) -> tuple[KernelState, str]:
-    """Activate ``target``: make it ready now or record the request."""
+# ---------------------------------------------------------------------------
+# task services
+# ---------------------------------------------------------------------------
+
+
+def activate_task(state: KernelState, caller: str | None,
+                  target: str) -> tuple[KernelState, str]:
+    """Make ``target`` ready now or record the request (alarm actions pass
+    no caller)."""
     cell = state.task_cell(target)
     status = activation_status(cell)
     if status != E_OK:
@@ -128,13 +151,57 @@ def _apply_activation(state: KernelState, target: str
     return state, E_OK
 
 
-def _apply_set_event(state: KernelState, target: str, event: str
-                     ) -> tuple[KernelState, str]:
-    """Deliver an event to ``target``, waking it if it waits for the event."""
-    cell = state.task_cell(target)
-    task_def = state.config.tasks[target]
-    if not task_def.is_extended or event not in task_def.events:
+def terminate_task(state: KernelState,
+                   caller: str) -> tuple[KernelState, str]:
+    """End the running task's current activation.
+
+    With resources still held the call fails and the task keeps running.
+    """
+    if state.task_cell(caller).held_resources:
+        return state, E_OS_RESOURCE
+    return _end_activation(state, caller), E_OK
+
+
+def chain_task(state: KernelState, caller: str,
+               target: str) -> tuple[KernelState, str]:
+    """Terminate the caller and activate ``target`` in one atomic service.
+
+    Chaining the caller itself records a pending activation without raising a
+    scheduling signal.  If the activation would exceed the target's limit the
+    whole call fails and the caller keeps running.
+    """
+    cell = state.task_cell(caller)
+    if cell.held_resources:
+        return state, E_OS_RESOURCE
+    if target == caller:
+        if cell.pending_activations + 1 > cell.max_activations:
+            return state, E_OS_LIMIT
+        fresh = _fresh_cell(cell, SUSPENDED,
+                            pending_activations=cell.pending_activations + 1)
+        return replace(state.with_task(fresh), running=None), E_OK
+    if activation_status(state.task_cell(target)) != E_OK:
+        return state, E_OS_LIMIT
+    state, _ = activate_task(state, caller, target)
+    return _end_activation(state, caller), E_OK
+
+
+def schedule(state: KernelState, caller: str) -> tuple[KernelState, str]:
+    """Voluntary scheduling point; lets higher-priority ready tasks in."""
+    return replace(state, signals=state.signals | {SCHEDULE_SIGNAL}), E_OK
+
+
+# ---------------------------------------------------------------------------
+# event services
+# ---------------------------------------------------------------------------
+
+
+def set_event(state: KernelState, caller: str | None, target: str,
+              event: str) -> tuple[KernelState, str]:
+    """Deliver an event to ``target``, waking it if it waits for the event
+    (alarm actions pass no caller)."""
+    if not _owns_event(state, target, event):
         return state, E_OS_ACCESS
+    cell = state.task_cell(target)
     if cell.state == SUSPENDED:
         return state, E_OS_STATE
     cell = replace(cell, set_events=cell.set_events | {event})
@@ -146,124 +213,33 @@ def _apply_set_event(state: KernelState, target: str, event: str
     return state, E_OK
 
 
-# ---------------------------------------------------------------------------
-# task services
-# ---------------------------------------------------------------------------
-
-
-def svc_activate_task(state: KernelState, caller: str,
-                      target: str) -> KernelState:
-    state, status = _apply_activation(state, target)
-    return timing.finish_service(state, caller, "ActivateTask", (target,),
-                                 status)
-
-
-def svc_terminate_task(state: KernelState, caller: str, *,
-                       implicit: bool = False) -> KernelState:
-    """End the running task's current activation.
-
-    With resources still held the call fails and the task keeps running.  An
-    implicit terminate (body ran out of statements) carries a detail marker.
-    """
-    detail = "implicit" if implicit else None
+def clear_event(state: KernelState, caller: str,
+                event: str) -> tuple[KernelState, str]:
+    if not _owns_event(state, caller, event):
+        return state, E_OS_ACCESS
     cell = state.task_cell(caller)
-    if cell.held_resources:
-        return timing.finish_service(state, caller, "TerminateTask", (),
-                                     E_OS_RESOURCE, detail=detail)
-    state = state.with_task(_fresh_cell(cell, SUSPENDED))
-    state = replace(state, running=None,
-                    signals=state.signals | {SCHEDULE_SIGNAL})
-    return timing.finish_service(state, caller, "TerminateTask", (), E_OK,
-                                 consume=False, detail=detail)
+    return state.with_task(replace(cell, set_events=cell.set_events
+                                   - {event})), E_OK
 
 
-def svc_chain_task(state: KernelState, caller: str,
-                   target: str) -> KernelState:
-    """Terminate the caller and activate ``target`` in one atomic service.
-
-    Chaining the caller itself records a pending activation without raising a
-    scheduling signal.  If the activation would exceed the target's limit the
-    whole call fails and the caller keeps running.
-    """
-    cell = state.task_cell(caller)
-    if cell.held_resources:
-        return timing.finish_service(state, caller, "ChainTask", (target,),
-                                     E_OS_RESOURCE)
-    if target == caller:
-        if cell.pending_activations + 1 > cell.max_activations:
-            return timing.finish_service(state, caller, "ChainTask",
-                                         (target,), E_OS_LIMIT)
-        fresh = _fresh_cell(cell, SUSPENDED,
-                            pending_activations=cell.pending_activations + 1)
-        state = replace(state.with_task(fresh), running=None)
-        return timing.finish_service(state, caller, "ChainTask", (target,),
-                                     E_OK, consume=False)
-    if activation_status(state.task_cell(target)) != E_OK:
-        return timing.finish_service(state, caller, "ChainTask", (target,),
-                                     E_OS_LIMIT)
-    state, _ = _apply_activation(state, target)
-    cell = state.task_cell(caller)
-    state = state.with_task(_fresh_cell(cell, SUSPENDED))
-    state = replace(state, running=None,
-                    signals=state.signals | {SCHEDULE_SIGNAL})
-    return timing.finish_service(state, caller, "ChainTask", (target,), E_OK,
-                                 consume=False)
-
-
-def svc_schedule(state: KernelState, caller: str) -> KernelState:
-    """Voluntary scheduling point; lets higher-priority ready tasks in."""
-    state = replace(state, signals=state.signals | {SCHEDULE_SIGNAL})
-    return timing.finish_service(state, caller, "Schedule", (), E_OK)
-
-
-# ---------------------------------------------------------------------------
-# event services
-# ---------------------------------------------------------------------------
-
-
-def svc_set_event(state: KernelState, caller: str, target: str,
-                  event: str) -> KernelState:
-    state, status = _apply_set_event(state, target, event)
-    return timing.finish_service(state, caller, "SetEvent", (target, event),
-                                 status)
-
-
-def svc_clear_event(state: KernelState, caller: str,
-                    event: str) -> KernelState:
-    task_def = state.config.tasks[caller]
-    if not task_def.is_extended or event not in task_def.events:
-        return timing.finish_service(state, caller, "ClearEvent", (event,),
-                                     E_OS_ACCESS)
-    cell = state.task_cell(caller)
-    state = state.with_task(replace(cell,
-                                    set_events=cell.set_events - {event}))
-    return timing.finish_service(state, caller, "ClearEvent", (event,), E_OK)
-
-
-def svc_wait_event(state: KernelState, caller: str,
-                   event: str) -> KernelState:
+def wait_event(state: KernelState, caller: str,
+               event: str) -> tuple[KernelState, str]:
     """Wait until ``event`` is set for the caller.
 
     If the event is pending the call returns at once.  Otherwise the caller
     blocks and its program counter stays on the call: the call is re-issued
     (and charged again) when the task resumes, which is when it consumes.
     """
-    task_def = state.config.tasks[caller]
-    if not task_def.is_extended or event not in task_def.events:
-        return timing.finish_service(state, caller, "WaitEvent", (event,),
-                                     E_OS_ACCESS)
+    if not _owns_event(state, caller, event):
+        return state, E_OS_ACCESS
     cell = state.task_cell(caller)
     if cell.held_resources:
-        return timing.finish_service(state, caller, "WaitEvent", (event,),
-                                     E_OS_RESOURCE)
+        return state, E_OS_RESOURCE
     if event in cell.set_events:
-        return timing.finish_service(state, caller, "WaitEvent", (event,),
-                                     E_OK)
+        return state, E_OK
     state = state.with_task(replace(cell, state=WAITING, waiting_for=event))
-    state = replace(state, running=None,
-                    signals=state.signals | {SCHEDULE_SIGNAL})
-    return timing.finish_service(state, caller, "WaitEvent", (event,), E_OK,
-                                 consume=False, detail="blocked")
+    return replace(state, running=None,
+                   signals=state.signals | {SCHEDULE_SIGNAL}), E_OK
 
 
 # ---------------------------------------------------------------------------
@@ -271,29 +247,26 @@ def svc_wait_event(state: KernelState, caller: str,
 # ---------------------------------------------------------------------------
 
 
-def svc_get_resource(state: KernelState, caller: str,
-                     resource: str) -> KernelState:
+def get_resource(state: KernelState, caller: str,
+                 resource: str) -> tuple[KernelState, str]:
     """Occupy a resource and raise the caller to its ceiling priority."""
     task_def = state.config.tasks[caller]
     held_anywhere = any(resource in c.held_resources for c in state.tasks)
     if resource not in task_def.resources or held_anywhere:
-        return timing.finish_service(state, caller, "GetResource",
-                                     (resource,), E_OS_ACCESS)
+        return state, E_OS_ACCESS
     cell = state.task_cell(caller)
     ceiling = state.config.ceiling(resource)
     cell = replace(cell, held_resources=cell.held_resources + (resource,),
                    current_priority=max(cell.current_priority, ceiling))
-    return timing.finish_service(state.with_task(cell), caller,
-                                 "GetResource", (resource,), E_OK)
+    return state.with_task(cell), E_OK
 
 
-def svc_release_resource(state: KernelState, caller: str,
-                         resource: str) -> KernelState:
+def release_resource(state: KernelState, caller: str,
+                     resource: str) -> tuple[KernelState, str]:
     """Release the most recently taken resource and drop back in priority."""
     cell = state.task_cell(caller)
     if not cell.held_resources or cell.held_resources[-1] != resource:
-        return timing.finish_service(state, caller, "ReleaseResource",
-                                     (resource,), E_OS_NOFUNC)
+        return state, E_OS_NOFUNC
     held = cell.held_resources[:-1]
     priority = max([cell.static_priority]
                    + [state.config.ceiling(r) for r in held])
@@ -302,8 +275,37 @@ def svc_release_resource(state: KernelState, caller: str,
     top = peek_highest(state.ready)
     if top is not None and top[0] > priority:
         state = replace(state, signals=state.signals | {SCHEDULE_SIGNAL})
-    return timing.finish_service(state, caller, "ReleaseResource",
-                                 (resource,), E_OK)
+    return state, E_OK
+
+
+# ---------------------------------------------------------------------------
+# the service table
+# ---------------------------------------------------------------------------
+
+# The effect of each service the task language accepts, keyed by its name:
+# ``effect(state, caller, *args)`` returns the successor and the status.
+EFFECTS = {
+    "ActivateTask": activate_task,
+    "TerminateTask": terminate_task,
+    "ChainTask": chain_task,
+    "Schedule": schedule,
+    "SetEvent": set_event,
+    "ClearEvent": clear_event,
+    "WaitEvent": wait_event,
+    "GetResource": get_resource,
+    "ReleaseResource": release_resource,
+    "SetRelAlarm": timing.set_rel_alarm,
+    "SetAbsAlarm": timing.set_abs_alarm,
+    "CancelAlarm": timing.cancel_alarm,
+}
+
+
+def call_service(state: KernelState, caller: str, name: str, *args,
+                 detail: str | None = None) -> KernelState:
+    """Apply the service's effect, then its epilogue (label, consume, tick)."""
+    state, status = EFFECTS[name](state, caller, *args)
+    return timing.finish_service(state, caller, name, args, status,
+                                 detail=detail)
 
 
 # ---------------------------------------------------------------------------
@@ -334,9 +336,9 @@ def handle_expiries(state: KernelState,
         cell = state.alarm_cell(alarm_id)
         action = cell.action
         if action.kind == "activatetask":
-            state, status = _apply_activation(state, action.task)
+            state, status = activate_task(state, None, action.task)
         elif action.kind == "setevent":
-            state, status = _apply_set_event(state, action.task, action.event)
+            state, status = set_event(state, None, action.task, action.event)
         else:
             status = E_OK
         firings.append(AlarmFiring(alarm_id, action.kind, action.task,
@@ -412,46 +414,21 @@ def handle_schedule_signal(state: KernelState) -> KernelState:
 
 
 # ---------------------------------------------------------------------------
-# statement dispatch
+# the running task's next statement
 # ---------------------------------------------------------------------------
 
 
 def exec_running_statement(state: KernelState) -> KernelState:
-    """Execute the front statement of the running task."""
+    """Execute the front statement of the running task; past the end of its
+    body that is an implicit TerminateTask."""
     caller = state.running
     if caller is None:
         raise ValueError("no running task")
     stmt = state.front(caller)
     if stmt is None:
-        return svc_terminate_task(state, caller, implicit=True)
+        return call_service(state, caller, "TerminateTask", detail="implicit")
     if isinstance(stmt, TimeInterval):
         return timing.exec_time_interval(state, caller, stmt.ticks)
     if isinstance(stmt, WhileTrue):
         return timing.exec_loop_entry(state, caller)
-    assert isinstance(stmt, CallService)
-    name, args = stmt.name, stmt.args
-    if name == "ActivateTask":
-        return svc_activate_task(state, caller, args[0])
-    if name == "TerminateTask":
-        return svc_terminate_task(state, caller)
-    if name == "ChainTask":
-        return svc_chain_task(state, caller, args[0])
-    if name == "Schedule":
-        return svc_schedule(state, caller)
-    if name == "SetEvent":
-        return svc_set_event(state, caller, args[0], args[1])
-    if name == "ClearEvent":
-        return svc_clear_event(state, caller, args[0])
-    if name == "WaitEvent":
-        return svc_wait_event(state, caller, args[0])
-    if name == "GetResource":
-        return svc_get_resource(state, caller, args[0])
-    if name == "ReleaseResource":
-        return svc_release_resource(state, caller, args[0])
-    if name == "SetRelAlarm":
-        return timing.svc_set_rel_alarm(state, caller, *args)
-    if name == "SetAbsAlarm":
-        return timing.svc_set_abs_alarm(state, caller, *args)
-    if name == "CancelAlarm":
-        return timing.svc_cancel_alarm(state, caller, args[0])
-    raise ValueError(f"unknown service {name}")
+    return call_service(state, caller, stmt.name, *stmt.args)

@@ -1,19 +1,22 @@
-"""System counter, alarms and discrete time.
+"""System counter arithmetic, the alarm services and the service epilogue.
 
 Time is discrete: every kernel service accounts for exactly one counter tick,
-and ``TimeInterval = N`` blocks account for ``N``.  The counter wraps at
+charged by :func:`finish_service`, the epilogue of every service call, and
+``TimeInterval = N`` blocks account for ``N``.  The counter wraps at
 ``MAXALLOWEDVALUE + 1``.  An armed alarm raises an expiry signal in the step
 whose tick makes the counter equal the alarm time; expiry handling itself
 consumes no time.  Multi-tick advances (time intervals and idle time) are
 split at the earliest pending expiry so that no expiry is ever skipped.
+The alarm services are effects in the sense of ``kernel_core.EFFECTS``: they
+return the successor state and the status, and the epilogue does the rest.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
 
-from .model import (E_OK, E_OS_NOFUNC, E_OS_STATE, E_OS_VALUE, KernelState,
-                    TransitionLabel, alarmed_signal)
+from .model import (E_OK, E_OS_NOFUNC, E_OS_STATE, E_OS_VALUE, SUSPENDED,
+                    WAITING, KernelState, TransitionLabel, alarmed_signal)
 
 JUMP = "jump"
 UNIT = "unit"
@@ -43,8 +46,10 @@ def next_expiry(state: KernelState) -> tuple[int, tuple[str, ...]] | None:
     return nearest, landing
 
 
-def _advance(state: KernelState, amount: int) -> KernelState:
-    """Move the counter ``amount`` ticks, raising signals only on the last.
+def _advance(state: KernelState, amount: int,
+             label: TransitionLabel) -> KernelState:
+    """Move the counter ``amount`` ticks, raising signals only on the last,
+    and label the step.
 
     Callers guarantee that no armed alarm expires strictly inside the span.
     """
@@ -54,7 +59,8 @@ def _advance(state: KernelState, amount: int) -> KernelState:
     for alarm_id in state.working_alarms:
         if state.alarm_cell(alarm_id).alarm_time == value:
             signals.add(alarmed_signal(alarm_id))
-    return replace(state, counter_value=value, signals=frozenset(signals))
+    return replace(state, counter_value=value, signals=frozenset(signals),
+                   last_label=label)
 
 
 # ---------------------------------------------------------------------------
@@ -63,17 +69,24 @@ def _advance(state: KernelState, amount: int) -> KernelState:
 
 
 def finish_service(state: KernelState, caller: str, service: str,
-                   args: tuple, status: str, *, consume: bool = True,
+                   args: tuple, status: str, *,
                    detail: str | None = None) -> KernelState:
-    """Label, consume the caller's front statement and charge one tick.
+    """Label the call, consume the caller's front statement and charge one
+    tick; ``state`` is the call's effect.
 
-    A failing call (non-``E_OK`` status) is charged its tick too.
+    A failing call (non-``E_OK`` status) is consumed and charged too.  A call
+    that left its caller suspended (a terminate or chain) or waiting (a
+    blocking WaitEvent, labelled ``blocked``, which is re-issued when the
+    task resumes) is not consumed.
     """
-    if consume:
+    caller_state = state.task_cell(caller).state
+    if caller_state == WAITING:
+        detail = "blocked"
+    elif caller_state != SUSPENDED:
         state = state.past_front(caller)
     label = TransitionLabel(kind="service", task=caller, service=service,
-                            args=tuple(args), status=status, detail=detail)
-    return _advance(replace(state, last_label=label), 1)
+                            args=args, status=status, detail=detail)
+    return _advance(state, 1, label)
 
 
 # ---------------------------------------------------------------------------
@@ -96,8 +109,8 @@ def exec_time_interval(state: KernelState, caller: str,
                                         residue=ticks - advance))
     else:
         state = state.past_front(caller)
-    label = TransitionLabel(kind="time", amount=advance, reason="interval")
-    return _advance(replace(state, last_label=label), advance)
+    return _advance(state, advance, TransitionLabel(
+        kind="time", amount=advance, reason="interval"))
 
 
 def exec_loop_entry(state: KernelState, caller: str) -> KernelState:
@@ -106,9 +119,8 @@ def exec_loop_entry(state: KernelState, caller: str) -> KernelState:
     Only the first entry is charged; closing an iteration and starting the
     next is free.
     """
-    state = state.past_front(caller)
-    label = TransitionLabel(kind="time", amount=1, reason="loop")
-    return _advance(replace(state, last_label=label), 1)
+    return _advance(state.past_front(caller), 1,
+                    TransitionLabel(kind="time", amount=1, reason="loop"))
 
 
 def idle_advance(state: KernelState, mode: str = JUMP) -> KernelState:
@@ -121,8 +133,8 @@ def idle_advance(state: KernelState, mode: str = JUMP) -> KernelState:
     if nearest is None:
         raise ValueError("idle_advance requires an armed alarm")
     amount = 1 if mode == UNIT else nearest[0]
-    label = TransitionLabel(kind="time", amount=amount, reason="idle")
-    return _advance(replace(state, last_label=label), amount)
+    return _advance(state, amount, TransitionLabel(kind="time", amount=amount,
+                                                   reason="idle"))
 
 
 # ---------------------------------------------------------------------------
@@ -136,18 +148,17 @@ def _cycle_ok(state: KernelState, cycle: int) -> bool:
     return state.min_cycle <= cycle <= state.max_allowed_value
 
 
-def svc_set_rel_alarm(state: KernelState, caller: str, alarm_id: str,
-                      increment: int, cycle: int) -> KernelState:
+def set_rel_alarm(state: KernelState, caller: str, alarm_id: str,
+                  increment: int, cycle: int) -> tuple[KernelState, str]:
     """Arm an alarm ``increment`` ticks from now, optionally cyclic.
 
     An increment of zero raises the expiry signal immediately.  The alarm
     time is computed against the counter value before this call's own tick.
     """
-    args = (alarm_id, increment, cycle)
     if alarm_id in state.working_alarms:
-        return finish_service(state, caller, "SetRelAlarm", args, E_OS_STATE)
+        return state, E_OS_STATE
     if increment > state.max_allowed_value or not _cycle_ok(state, cycle):
-        return finish_service(state, caller, "SetRelAlarm", args, E_OS_VALUE)
+        return state, E_OS_VALUE
     modulus = state.max_allowed_value + 1
     alarm_time = (state.counter_value + increment) % modulus
     cell = replace(state.alarm_cell(alarm_id), alarm_time=alarm_time,
@@ -157,35 +168,32 @@ def svc_set_rel_alarm(state: KernelState, caller: str, alarm_id: str,
     if increment == 0:
         state = replace(state, signals=state.signals
                         | {alarmed_signal(alarm_id)})
-    return finish_service(state, caller, "SetRelAlarm", args, E_OK)
+    return state, E_OK
 
 
-def svc_set_abs_alarm(state: KernelState, caller: str, alarm_id: str,
-                      start: int, cycle: int) -> KernelState:
+def set_abs_alarm(state: KernelState, caller: str, alarm_id: str,
+                  start: int, cycle: int) -> tuple[KernelState, str]:
     """Arm an alarm to expire when the counter reaches ``start``.
 
     If the counter already equals ``start`` the alarm expires only after a
     full counter wrap.
     """
-    args = (alarm_id, start, cycle)
     if alarm_id in state.working_alarms:
-        return finish_service(state, caller, "SetAbsAlarm", args, E_OS_STATE)
+        return state, E_OS_STATE
     if start > state.max_allowed_value or not _cycle_ok(state, cycle):
-        return finish_service(state, caller, "SetAbsAlarm", args, E_OS_VALUE)
+        return state, E_OS_VALUE
     cell = replace(state.alarm_cell(alarm_id), alarm_time=start,
                    cycle_time=cycle)
     state = state.with_alarm(cell)
-    state = replace(state, working_alarms=state.working_alarms + (alarm_id,))
-    return finish_service(state, caller, "SetAbsAlarm", args, E_OK)
+    return replace(state, working_alarms=state.working_alarms
+                   + (alarm_id,)), E_OK
 
 
-def svc_cancel_alarm(state: KernelState, caller: str,
-                     alarm_id: str) -> KernelState:
+def cancel_alarm(state: KernelState, caller: str,
+                 alarm_id: str) -> tuple[KernelState, str]:
     """Disarm an alarm; its stored time and cycle stay readable and the alarm
     can be armed again later."""
     if alarm_id not in state.working_alarms:
-        return finish_service(state, caller, "CancelAlarm", (alarm_id,),
-                              E_OS_NOFUNC)
+        return state, E_OS_NOFUNC
     working = tuple(a for a in state.working_alarms if a != alarm_id)
-    state = replace(state, working_alarms=working)
-    return finish_service(state, caller, "CancelAlarm", (alarm_id,), E_OK)
+    return replace(state, working_alarms=working), E_OK

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import inspect
 import random
 from dataclasses import replace
 
@@ -15,7 +16,7 @@ from osekcheck.model import (E_OK, E_OS_ACCESS, E_OS_LIMIT, E_OS_NOFUNC,
                              E_OS_RESOURCE, E_OS_STATE, READY, RUNNING,
                              SCHEDULE_SIGNAL, SUSPENDED, WAITING,
                              alarmed_signal, error_status)
-from osekcheck.task_lang import CallService
+from osekcheck.task_lang import SERVICES, CallService
 
 OIL = """
 COUNTER C { MAXALLOWEDVALUE = 63; MINCYCLE = 1; SYSTEM = TRUE; };
@@ -93,46 +94,60 @@ class TestBoot:
         assert alarmed_signal("AA") in state.signals
 
 
+# ==== the service table ====================================================
+
+
+class TestServiceTable:
+    @pytest.mark.parametrize("name", sorted(SERVICES))
+    def test_every_parsed_service_has_an_effect_of_its_arity(self, name):
+        params = inspect.signature(kernel_core.EFFECTS[name]).parameters
+        assert list(params)[:2] == ["state", "caller"]
+        assert len(params) - 2 == len(SERVICES[name])
+
+    def test_no_effect_without_a_parsed_service(self):
+        assert set(kernel_core.EFFECTS) == set(SERVICES)
+
+
 # ==== activation ===========================================================
 
 
 class TestActivateTask:
     def test_suspended_target_becomes_ready(self, state):
-        after = kernel_core.svc_activate_task(state, "Main", "Hi")
+        after = kernel_core.call_service(state, "Main", "ActivateTask", "Hi")
         assert after.task_cell("Hi").state == READY
         assert SCHEDULE_SIGNAL in after.signals
         assert after.counter_value == 1
         healthy(after)
 
     def test_single_activation_overflow(self, state):
-        once = kernel_core.svc_activate_task(state, "Main", "Hi")
-        twice = kernel_core.svc_activate_task(once, "Main", "Hi")
+        once = kernel_core.call_service(state, "Main", "ActivateTask", "Hi")
+        twice = kernel_core.call_service(once, "Main", "ActivateTask", "Hi")
         assert twice.last_label.status == E_OS_LIMIT
         assert twice.task_cell("Hi").pending_activations == 0
         healthy(twice)
 
     def test_multiple_activation_records_pending(self, state):
-        once = kernel_core.svc_activate_task(state, "Main", "Twin")
-        twice = kernel_core.svc_activate_task(once, "Main", "Twin")
+        once = kernel_core.call_service(state, "Main", "ActivateTask", "Twin")
+        twice = kernel_core.call_service(once, "Main", "ActivateTask", "Twin")
         assert twice.last_label.status == E_OK
         assert twice.task_cell("Twin").pending_activations == 1
-        third = kernel_core.svc_activate_task(twice, "Main", "Twin")
+        third = kernel_core.call_service(twice, "Main", "ActivateTask", "Twin")
         assert third.last_label.status == E_OS_LIMIT
         healthy(third)
 
     def test_self_activation_while_running(self, state):
         # Main has ACTIVATION = 1 and is live, so self-activation overflows
-        after = kernel_core.svc_activate_task(state, "Main", "Main")
+        after = kernel_core.call_service(state, "Main", "ActivateTask", "Main")
         assert after.last_label.status == E_OS_LIMIT
 
 
 class TestMultiActivationRelease:
     def prepare(self, state):
-        state = kernel_core.svc_activate_task(state, "Main", "Twin")
-        state = kernel_core.svc_activate_task(state, "Main", "Twin")
-        state = kernel_core.svc_terminate_task(state, "Main")
+        state = kernel_core.call_service(state, "Main", "ActivateTask", "Twin")
+        state = kernel_core.call_service(state, "Main", "ActivateTask", "Twin")
+        state = kernel_core.call_service(state, "Main", "TerminateTask")
         state = kernel_core.handle_schedule_signal(state)  # dispatch Twin
-        state = kernel_core.svc_terminate_task(state, "Twin")
+        state = kernel_core.call_service(state, "Twin", "TerminateTask")
         return state
 
     def test_pending_instance_released(self, state):
@@ -157,7 +172,7 @@ class TestMultiActivationRelease:
 
 class TestTerminateTask:
     def test_terminate_resets_and_yields(self, state):
-        after = kernel_core.svc_terminate_task(state, "Main")
+        after = kernel_core.call_service(state, "Main", "TerminateTask")
         cell = after.task_cell("Main")
         assert cell.state == SUSPENDED
         assert after.running is None
@@ -167,14 +182,14 @@ class TestTerminateTask:
         healthy(after)
 
     def test_terminate_with_held_resource_fails(self, state):
-        state = kernel_core.svc_get_resource(state, "Main", "R")
-        after = kernel_core.svc_terminate_task(state, "Main")
+        state = kernel_core.call_service(state, "Main", "GetResource", "R")
+        after = kernel_core.call_service(state, "Main", "TerminateTask")
         assert after.last_label.status == E_OS_RESOURCE
         assert after.running == "Main"
         healthy(after)
 
     def test_strict_error_freeze(self, state):
-        state = kernel_core.svc_get_resource(state, "Main", "R")
+        state = kernel_core.call_service(state, "Main", "GetResource", "R")
         # the front statement is now TerminateTask(), with R still held
         relaxed = explorer.step(state)
         after = explorer.step(state, strict=True)
@@ -182,10 +197,42 @@ class TestTerminateTask:
         assert after.status == error_status(E_OS_RESOURCE)
         assert replace(after, status=relaxed.status) == relaxed
 
+    @pytest.mark.parametrize("body, status, task_state", [
+        ("Schedule();", E_OK, SUSPENDED),
+        ("GetResource(R);", E_OS_RESOURCE, RUNNING),
+    ])
+    def test_end_of_body_is_an_implicit_terminate(self, body, status,
+                                                  task_state):
+        config, bodies = make_app(OIL, TSK.replace(
+            "ActivateTask(Hi); TerminateTask();", body))
+        state = kernel_core.exec_running_statement(
+            kernel_core.boot(config, bodies))
+        assert state.front("Main") is None
+        after = kernel_core.exec_running_statement(state)
+        label = after.last_label
+        assert (label.service, label.args) == ("TerminateTask", ())
+        assert (label.status, label.detail) == (status, "implicit")
+        assert after.task_cell("Main").state == task_state
+        assert after.counter_value == state.counter_value + 1
+        healthy(after)
+
+    @pytest.mark.parametrize("call", ["TerminateTask()", "ChainTask(Hi)"])
+    def test_failed_call_moves_past_it(self, call):
+        config, bodies = make_app(OIL, TSK.replace(
+            "ActivateTask(Hi); TerminateTask();",
+            f"GetResource(R); {call}; ReleaseResource(R); TerminateTask();"))
+        state = kernel_core.exec_running_statement(
+            kernel_core.boot(config, bodies))
+        after = kernel_core.exec_running_statement(state)
+        assert after.last_label.status == E_OS_RESOURCE
+        assert after.last_label.detail is None
+        assert after.task_cell("Main").pc == state.task_cell("Main").pc + 1
+        assert after.front("Main") == CallService("ReleaseResource", ("R",))
+
 
 class TestChainTask:
     def test_chain_to_other_task(self, state):
-        after = kernel_core.svc_chain_task(state, "Main", "Hi")
+        after = kernel_core.call_service(state, "Main", "ChainTask", "Hi")
         assert after.task_cell("Main").state == SUSPENDED
         assert after.task_cell("Hi").state == READY
         assert after.running is None
@@ -193,15 +240,15 @@ class TestChainTask:
         healthy(after)
 
     def test_chain_overflow_keeps_caller_running(self, state):
-        state = kernel_core.svc_activate_task(state, "Main", "Hi")
-        after = kernel_core.svc_chain_task(state, "Main", "Hi")
+        state = kernel_core.call_service(state, "Main", "ActivateTask", "Hi")
+        after = kernel_core.call_service(state, "Main", "ChainTask", "Hi")
         assert after.last_label.status == E_OS_LIMIT
         assert after.running == "Main"
         assert after.task_cell("Main").state == RUNNING
         healthy(after)
 
     def test_chain_self_respawns_via_pending(self, state):
-        after = kernel_core.svc_chain_task(state, "Main", "Main")
+        after = kernel_core.call_service(state, "Main", "ChainTask", "Main")
         cell = after.task_cell("Main")
         assert cell.state == SUSPENDED
         assert cell.pending_activations == 1
@@ -209,8 +256,8 @@ class TestChainTask:
         healthy(after)
 
     def test_chain_with_held_resource_fails(self, state):
-        state = kernel_core.svc_get_resource(state, "Main", "R")
-        after = kernel_core.svc_chain_task(state, "Main", "Hi")
+        state = kernel_core.call_service(state, "Main", "GetResource", "R")
+        after = kernel_core.call_service(state, "Main", "ChainTask", "Hi")
         assert after.last_label.status == E_OS_RESOURCE
         assert after.running == "Main"
 
@@ -220,10 +267,11 @@ class TestChainTask:
 
 class TestEvents:
     def wake_target(self, state):
-        state = kernel_core.svc_activate_task(state, "Main", "Ext")
-        state = kernel_core.svc_terminate_task(state, "Main")
+        state = kernel_core.call_service(state, "Main", "ActivateTask", "Ext")
+        state = kernel_core.call_service(state, "Main", "TerminateTask")
         state = kernel_core.handle_schedule_signal(state)
-        return kernel_core.svc_wait_event(state, "Ext", "E")  # blocks
+        return kernel_core.call_service(state, "Ext",
+                                        "WaitEvent", "E")  # blocks
 
     def test_wait_blocks_and_retains_statement(self, state):
         blocked = self.wake_target(state)
@@ -235,9 +283,28 @@ class TestEvents:
         assert blocked.running is None
         healthy(blocked)
 
+    @pytest.mark.parametrize("preset, detail, moved", [
+        (False, "blocked", 0),
+        (True, None, 1),
+    ])
+    def test_only_a_blocking_wait_is_labelled_and_kept(self, state, preset,
+                                                       detail, moved):
+        state = kernel_core.call_service(state, "Main", "ActivateTask", "Ext")
+        if preset:
+            state = kernel_core.call_service(state, "Main",
+                                             "SetEvent", "Ext", "E")
+        state = kernel_core.call_service(state, "Main", "TerminateTask")
+        state = kernel_core.handle_schedule_signal(state)
+        after = kernel_core.exec_running_statement(state)
+        assert after.last_label.service == "WaitEvent"
+        assert after.last_label.detail == detail
+        assert after.task_cell("Ext").pc == state.task_cell("Ext").pc + moved
+        assert after.counter_value == state.counter_value + 1
+
     def test_set_event_wakes_waiter(self, state):
         blocked = self.wake_target(state)
-        woken = kernel_core.svc_set_event(blocked, "Main", "Ext", "E")
+        woken = kernel_core.call_service(blocked, "Main",
+                                         "SetEvent", "Ext", "E")
         cell = woken.task_cell("Ext")
         assert cell.state == READY
         assert "E" in cell.set_events
@@ -245,18 +312,18 @@ class TestEvents:
         healthy(woken)
 
     def test_set_event_on_ready_task_just_records(self, state):
-        state = kernel_core.svc_activate_task(state, "Main", "Ext")
-        after = kernel_core.svc_set_event(state, "Main", "Ext", "E")
+        state = kernel_core.call_service(state, "Main", "ActivateTask", "Ext")
+        after = kernel_core.call_service(state, "Main", "SetEvent", "Ext", "E")
         assert after.last_label.status == E_OK
         assert after.task_cell("Ext").state == READY
         assert "E" in after.task_cell("Ext").set_events
 
     def test_set_event_on_suspended_task(self, state):
-        after = kernel_core.svc_set_event(state, "Main", "Ext", "E")
+        after = kernel_core.call_service(state, "Main", "SetEvent", "Ext", "E")
         assert after.last_label.status == E_OS_STATE
 
     def test_set_event_on_basic_task(self, state):
-        after = kernel_core.svc_set_event(state, "Main", "Hi", "E")
+        after = kernel_core.call_service(state, "Main", "SetEvent", "Hi", "E")
         assert after.last_label.status == E_OS_ACCESS
 
     def test_set_undeclared_event(self, state):
@@ -265,15 +332,15 @@ class TestEvents:
                                                    "ClearEvent(E);",
                                                    "WaitEvent(F);"))
         boot = kernel_core.boot(config, bodies)
-        after = kernel_core.svc_set_event(boot, "Main", "Ext", "E")
+        after = kernel_core.call_service(boot, "Main", "SetEvent", "Ext", "E")
         assert after.last_label.status == E_OS_ACCESS
 
     def test_wait_with_event_already_set_continues(self, state):
-        state = kernel_core.svc_activate_task(state, "Main", "Ext")
-        state = kernel_core.svc_set_event(state, "Main", "Ext", "E")
-        state = kernel_core.svc_terminate_task(state, "Main")
+        state = kernel_core.call_service(state, "Main", "ActivateTask", "Ext")
+        state = kernel_core.call_service(state, "Main", "SetEvent", "Ext", "E")
+        state = kernel_core.call_service(state, "Main", "TerminateTask")
         state = kernel_core.handle_schedule_signal(state)
-        after = kernel_core.svc_wait_event(state, "Ext", "E")
+        after = kernel_core.call_service(state, "Ext", "WaitEvent", "E")
         cell = after.task_cell("Ext")
         assert cell.state == RUNNING
         assert after.front("Ext") == CallService("ClearEvent", ("E",))
@@ -281,29 +348,29 @@ class TestEvents:
         healthy(after)
 
     def test_wait_by_basic_task(self, state):
-        after = kernel_core.svc_wait_event(state, "Main", "E")
+        after = kernel_core.call_service(state, "Main", "WaitEvent", "E")
         assert after.last_label.status == E_OS_ACCESS
 
     def test_wait_while_holding_resource(self, state):
-        state = kernel_core.svc_activate_task(state, "Main", "Ext")
-        state = kernel_core.svc_terminate_task(state, "Main")
+        state = kernel_core.call_service(state, "Main", "ActivateTask", "Ext")
+        state = kernel_core.call_service(state, "Main", "TerminateTask")
         state = kernel_core.handle_schedule_signal(state)
         oil_state = state  # Ext runs but holds nothing; fake a hold
         cell = replace(oil_state.task_cell("Ext"), held_resources=("R",))
         held = oil_state.with_task(cell)
-        after = kernel_core.svc_wait_event(held, "Ext", "E")
+        after = kernel_core.call_service(held, "Ext", "WaitEvent", "E")
         assert after.last_label.status == E_OS_RESOURCE
 
     def test_clear_event(self, state):
-        state = kernel_core.svc_activate_task(state, "Main", "Ext")
-        state = kernel_core.svc_set_event(state, "Main", "Ext", "E")
-        state = kernel_core.svc_terminate_task(state, "Main")
+        state = kernel_core.call_service(state, "Main", "ActivateTask", "Ext")
+        state = kernel_core.call_service(state, "Main", "SetEvent", "Ext", "E")
+        state = kernel_core.call_service(state, "Main", "TerminateTask")
         state = kernel_core.handle_schedule_signal(state)
-        after = kernel_core.svc_clear_event(state, "Ext", "E")
+        after = kernel_core.call_service(state, "Ext", "ClearEvent", "E")
         assert after.task_cell("Ext").set_events == frozenset()
 
     def test_clear_event_by_basic_task(self, state):
-        after = kernel_core.svc_clear_event(state, "Main", "E")
+        after = kernel_core.call_service(state, "Main", "ClearEvent", "E")
         assert after.last_label.status == E_OS_ACCESS
 
 
@@ -312,41 +379,42 @@ class TestEvents:
 
 class TestResources:
     def test_ceiling_raises_priority(self, state):
-        after = kernel_core.svc_get_resource(state, "Main", "R")
+        after = kernel_core.call_service(state, "Main", "GetResource", "R")
         assert after.task_cell("Main").current_priority == 5
         healthy(after)
 
     def test_release_restores_priority(self, state):
-        state = kernel_core.svc_get_resource(state, "Main", "R")
-        after = kernel_core.svc_release_resource(state, "Main", "R")
+        state = kernel_core.call_service(state, "Main", "GetResource", "R")
+        after = kernel_core.call_service(state, "Main", "ReleaseResource", "R")
         assert after.task_cell("Main").current_priority == 2
         assert after.task_cell("Main").held_resources == ()
         healthy(after)
 
     def test_get_undeclared_resource(self, state):
-        state = kernel_core.svc_activate_task(state, "Main", "Twin")
-        state = kernel_core.svc_terminate_task(state, "Main")
+        state = kernel_core.call_service(state, "Main", "ActivateTask", "Twin")
+        state = kernel_core.call_service(state, "Main", "TerminateTask")
         state = kernel_core.handle_schedule_signal(state)
-        after = kernel_core.svc_get_resource(state, "Twin", "R")
+        after = kernel_core.call_service(state, "Twin", "GetResource", "R")
         assert after.last_label.status == E_OS_ACCESS
 
     def test_get_held_resource(self, state):
-        state = kernel_core.svc_get_resource(state, "Main", "R")
-        after = kernel_core.svc_get_resource(state, "Main", "R")
+        state = kernel_core.call_service(state, "Main", "GetResource", "R")
+        after = kernel_core.call_service(state, "Main", "GetResource", "R")
         assert after.last_label.status == E_OS_ACCESS
 
     def test_release_without_holding(self, state):
-        after = kernel_core.svc_release_resource(state, "Main", "R")
+        after = kernel_core.call_service(state, "Main", "ReleaseResource", "R")
         assert after.last_label.status == E_OS_NOFUNC
 
     def test_release_lets_waiting_higher_task_in(self, state):
         # Main holds R at ceiling 5; Hi (priority 5) is activated but cannot
         # displace it (equal priority); after release Hi preempts.
-        state = kernel_core.svc_get_resource(state, "Main", "R")
-        state = kernel_core.svc_activate_task(state, "Main", "Hi")
+        state = kernel_core.call_service(state, "Main", "GetResource", "R")
+        state = kernel_core.call_service(state, "Main", "ActivateTask", "Hi")
         state = kernel_core.handle_schedule_signal(state)
         assert state.running == "Main"
-        released = kernel_core.svc_release_resource(state, "Main", "R")
+        released = kernel_core.call_service(state, "Main",
+                                            "ReleaseResource", "R")
         assert SCHEDULE_SIGNAL in released.signals
         after = kernel_core.handle_schedule_signal(released)
         assert after.running == "Hi"
@@ -389,7 +457,7 @@ class TestExpiries:
             (state.counter_value + 8) % 64
 
     def test_cyclic_rearm_even_on_failure(self, state):
-        state = kernel_core.svc_activate_task(state, "Main", "Hi")
+        state = kernel_core.call_service(state, "Main", "ActivateTask", "Hi")
         state = self.arm_fire(state, "AA")
         state = state.with_alarm(replace(state.alarm_cell("AA"),
                                          cycle_time=8))
@@ -398,14 +466,32 @@ class TestExpiries:
         assert "AA" in after.working_alarms
 
     def test_setevent_firing_wakes(self, state):
-        state = kernel_core.svc_activate_task(state, "Main", "Ext")
-        state = kernel_core.svc_terminate_task(state, "Main")
+        state = kernel_core.call_service(state, "Main", "ActivateTask", "Ext")
+        state = kernel_core.call_service(state, "Main", "TerminateTask")
         state = kernel_core.handle_schedule_signal(state)
-        state = kernel_core.svc_wait_event(state, "Ext", "E")
+        state = kernel_core.call_service(state, "Ext", "WaitEvent", "E")
         state = self.arm_fire(state, "AB")
         after = kernel_core.handle_expiries(state, ("AB",))
         assert after.task_cell("Ext").state == READY
         healthy(after)
+
+    @pytest.mark.parametrize("alarm, call, before", [
+        ("AA", ("ActivateTask", "Hi"), ()),
+        ("AA", ("ActivateTask", "Hi"), (("ActivateTask", "Hi"),)),
+        ("AB", ("SetEvent", "Ext", "E"), ()),
+        ("AB", ("SetEvent", "Ext", "E"), (("ActivateTask", "Ext"),)),
+    ])
+    def test_action_has_the_effect_of_the_call(self, state, alarm, call,
+                                               before):
+        for earlier in before:
+            state = kernel_core.call_service(state, "Main", *earlier)
+        fired = kernel_core.handle_expiries(self.arm_fire(state, alarm),
+                                            (alarm,))
+        called = kernel_core.call_service(state, "Main", *call)
+        assert fired.last_label.firings[0].status == called.last_label.status
+        assert fired.ready == called.ready
+        others = [c for c in fired.tasks if c.id != "Main"]
+        assert others == [c for c in called.tasks if c.id != "Main"]
 
     def test_callback_is_a_no_op(self, state):
         state = self.arm_fire(state, "AC")
@@ -428,7 +514,7 @@ class TestExpiries:
         assert two.last_label.firings[0].alarm == "AB"
 
     def test_strict_freezes_after_whole_batch(self, state):
-        state = kernel_core.svc_activate_task(state, "Main", "Hi")
+        state = kernel_core.call_service(state, "Main", "ActivateTask", "Hi")
         state = self.arm_fire(state, "AA", "AC")
         after = explorer.step(state, explorer.Choice(("AA", "AC")),
                               strict=True)
@@ -441,8 +527,8 @@ class TestExpiries:
 
 class TestScheduleSignal:
     def test_preemption_reenters_at_queue_head(self, state):
-        state = kernel_core.svc_activate_task(state, "Main", "Twin")
-        state = kernel_core.svc_activate_task(state, "Main", "Hi")
+        state = kernel_core.call_service(state, "Main", "ActivateTask", "Twin")
+        state = kernel_core.call_service(state, "Main", "ActivateTask", "Hi")
         after = kernel_core.handle_schedule_signal(state)
         assert after.running == "Hi"
         # Main re-entered at the head of the priority-2 queue, before Twin
@@ -451,7 +537,7 @@ class TestScheduleSignal:
         healthy(after)
 
     def test_equal_priority_does_not_preempt(self, state):
-        state = kernel_core.svc_activate_task(state, "Main", "Twin")
+        state = kernel_core.call_service(state, "Main", "ActivateTask", "Twin")
         after = kernel_core.handle_schedule_signal(state)
         assert after.running == "Main"
         assert after.last_label.detail == "keep"
@@ -464,18 +550,18 @@ class TestScheduleSignal:
                           "RESOURCE = R; };")
         config, bodies = make_app(oil, TSK)
         state = kernel_core.boot(config, bodies)
-        state = kernel_core.svc_activate_task(state, "Main", "Hi")
+        state = kernel_core.call_service(state, "Main", "ActivateTask", "Hi")
         after = kernel_core.handle_schedule_signal(state)
         assert after.running == "Main"
         assert after.last_label.detail == "keep"
 
     def test_fifo_within_priority(self, state):
-        state = kernel_core.svc_activate_task(state, "Main", "Twin")
-        state = kernel_core.svc_activate_task(state, "Main", "Twin")
-        state = kernel_core.svc_terminate_task(state, "Main")
+        state = kernel_core.call_service(state, "Main", "ActivateTask", "Twin")
+        state = kernel_core.call_service(state, "Main", "ActivateTask", "Twin")
+        state = kernel_core.call_service(state, "Main", "TerminateTask")
         state = kernel_core.handle_schedule_signal(state)
         assert state.running == "Twin"
-        state = kernel_core.svc_terminate_task(state, "Twin")
+        state = kernel_core.call_service(state, "Twin", "TerminateTask")
         state = kernel_core.handle_multiactivation(state)
         state = kernel_core.handle_schedule_signal(state)
         assert state.running == "Twin"
@@ -486,17 +572,19 @@ class TestScheduleSignal:
         config, bodies = make_app(OIL, TSK)
         state = kernel_core.boot(config, bodies)
         for target in order:
-            state = kernel_core.svc_activate_task(state, "Main", target)
-        state = kernel_core.svc_get_resource(state, "Main", "R")
+            state = kernel_core.call_service(state, "Main",
+                                             "ActivateTask", target)
+        state = kernel_core.call_service(state, "Main", "GetResource", "R")
         ranked = sorted(order,
                         key=lambda t: -state.config.tasks[t].priority)
         dispatched = []
-        state = kernel_core.svc_release_resource(state, "Main", "R")
-        state = kernel_core.svc_terminate_task(state, "Main")
+        state = kernel_core.call_service(state, "Main", "ReleaseResource", "R")
+        state = kernel_core.call_service(state, "Main", "TerminateTask")
         while True:
             state = kernel_core.handle_schedule_signal(state)
             if state.running is None:
                 break
             dispatched.append(state.running)
-            state = kernel_core.svc_terminate_task(state, state.running)
+            state = kernel_core.call_service(state, state.running,
+                                             "TerminateTask")
         assert dispatched == ranked

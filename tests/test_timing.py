@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 from helpers import make_app
 from osekcheck import explorer, kernel_core, timing
 from osekcheck.model import (E_OK, E_OS_NOFUNC, E_OS_STATE, E_OS_VALUE,
-                             NORMAL, alarmed_signal, error_status)
+                             NORMAL, TransitionLabel, alarmed_signal,
+                             error_status)
 from osekcheck.task_lang import CallService
 from osekcheck.task_lang import TimeInterval as TimeIntervalStmt
 from osekcheck.task_lang import WhileTrue
@@ -36,6 +37,9 @@ def state():
     return kernel_core.boot(config, bodies)
 
 
+TICK = TransitionLabel(kind="time", amount=1, reason="idle")
+
+
 def arm(state, alarm_id, at, cycle=0):
     state = state.with_alarm(replace(state.alarm_cell(alarm_id),
                                      alarm_time=at, cycle_time=cycle))
@@ -47,14 +51,15 @@ def arm(state, alarm_id, at, cycle=0):
 
 class TestCounter:
     def test_tick_wraps(self, state):
-        wrapped = timing._advance(replace(state, counter_value=15), 1)
+        wrapped = timing._advance(replace(state, counter_value=15), 1,
+                                  TICK)
         assert wrapped.counter_value == 0
 
     def test_tick_raises_expiry_signal_on_landing(self, state):
         state = arm(state, "AL", 2)
-        one = timing._advance(state, 1)
+        one = timing._advance(state, 1, TICK)
         assert not one.signals
-        two = timing._advance(one, 1)
+        two = timing._advance(one, 1, TICK)
         assert alarmed_signal("AL") in two.signals
 
     def test_distance_counts_to_expiry(self, state):
@@ -93,7 +98,7 @@ class TestCounter:
         distance = timing.expiry_distance(probe, "AL")
         walker, steps = probe, 0
         while True:
-            walker = timing._advance(walker, 1)
+            walker = timing._advance(walker, 1, TICK)
             steps += 1
             if alarmed_signal("AL") in walker.signals:
                 break
@@ -106,7 +111,8 @@ class TestCounter:
 
 class TestSetRelAlarm:
     def test_arms_against_pre_tick_counter(self, state):
-        after = timing.svc_set_rel_alarm(state, "Init", "AL", 5, 0)
+        after = kernel_core.call_service(state, "Init",
+                                         "SetRelAlarm", "AL", 5, 0)
         assert after.alarm_cell("AL").alarm_time == 5
         assert after.counter_value == 1
         assert "AL" in after.working_alarms
@@ -114,27 +120,33 @@ class TestSetRelAlarm:
 
     def test_already_armed_is_state_error(self, state):
         state = arm(state, "AL", 9)
-        after = timing.svc_set_rel_alarm(state, "Init", "AL", 5, 0)
+        after = kernel_core.call_service(state, "Init",
+                                         "SetRelAlarm", "AL", 5, 0)
         assert after.last_label.status == E_OS_STATE
         assert after.alarm_cell("AL").alarm_time == 9
 
     def test_increment_beyond_counter_range(self, state):
-        after = timing.svc_set_rel_alarm(state, "Init", "AL", 16, 0)
+        after = kernel_core.call_service(state, "Init",
+                                         "SetRelAlarm", "AL", 16, 0)
         assert after.last_label.status == E_OS_VALUE
         assert "AL" not in after.working_alarms
 
     def test_cycle_below_min_cycle(self, state):
-        after = timing.svc_set_rel_alarm(state, "Init", "AL", 5, 1)
+        after = kernel_core.call_service(state, "Init",
+                                         "SetRelAlarm", "AL", 5, 1)
         assert after.last_label.status == E_OS_VALUE
 
     def test_cycle_zero_and_in_range_accepted(self, state):
-        ok0 = timing.svc_set_rel_alarm(state, "Init", "AL", 5, 0)
-        ok2 = timing.svc_set_rel_alarm(state, "Init", "AL2", 5, 2)
+        ok0 = kernel_core.call_service(state, "Init",
+                                       "SetRelAlarm", "AL", 5, 0)
+        ok2 = kernel_core.call_service(state, "Init",
+                                       "SetRelAlarm", "AL2", 5, 2)
         assert ok0.last_label.status == E_OK
         assert ok2.last_label.status == E_OK
 
     def test_zero_increment_expires_immediately(self, state):
-        after = timing.svc_set_rel_alarm(state, "Init", "AL", 0, 0)
+        after = kernel_core.call_service(state, "Init",
+                                         "SetRelAlarm", "AL", 0, 0)
         assert alarmed_signal("AL") in after.signals
         assert after.alarm_cell("AL").alarm_time == 0
 
@@ -144,7 +156,8 @@ class TestSetRelAlarm:
         armed = arm(kernel_core.boot(config, bodies), "AL", 9)
         strict = explorer.step(armed, strict=True)
         relaxed = explorer.step(armed)
-        assert relaxed == timing.svc_set_rel_alarm(armed, "Init", "AL", 5, 0)
+        assert relaxed == kernel_core.call_service(armed, "Init",
+                                                   "SetRelAlarm", "AL", 5, 0)
         assert strict.status == error_status(E_OS_STATE)
         assert relaxed.status == NORMAL
         assert replace(strict, status=NORMAL) == relaxed
@@ -156,18 +169,21 @@ class TestSetRelAlarm:
 class TestSetAbsAlarm:
     def test_arms_at_literal_counter_value(self, state):
         state = replace(state, counter_value=9)
-        after = timing.svc_set_abs_alarm(state, "Init", "AL", 3, 0)
+        after = kernel_core.call_service(state, "Init",
+                                         "SetAbsAlarm", "AL", 3, 0)
         assert after.alarm_cell("AL").alarm_time == 3
         assert timing.expiry_distance(after, "AL") == 3 - 10 + 16
 
     def test_start_equal_to_counter_waits_full_wrap(self, state):
-        after = timing.svc_set_abs_alarm(state, "Init", "AL", 0, 0)
+        after = kernel_core.call_service(state, "Init",
+                                         "SetAbsAlarm", "AL", 0, 0)
         # the service itself ticked the counter to 1, so 15 ticks remain
         assert timing.expiry_distance(after, "AL") == 15
         assert alarmed_signal("AL") not in after.signals
 
     def test_start_beyond_range(self, state):
-        after = timing.svc_set_abs_alarm(state, "Init", "AL", 16, 0)
+        after = kernel_core.call_service(state, "Init",
+                                         "SetAbsAlarm", "AL", 16, 0)
         assert after.last_label.status == E_OS_VALUE
 
 
@@ -176,12 +192,12 @@ class TestSetAbsAlarm:
 
 class TestCancelAlarm:
     def test_cancel_unarmed_is_nofunc(self, state):
-        after = timing.svc_cancel_alarm(state, "Init", "AL")
+        after = kernel_core.call_service(state, "Init", "CancelAlarm", "AL")
         assert after.last_label.status == E_OS_NOFUNC
 
     def test_cancel_disarms_but_keeps_cell(self, state):
         state = arm(state, "AL", 9, cycle=4)
-        after = timing.svc_cancel_alarm(state, "Init", "AL")
+        after = kernel_core.call_service(state, "Init", "CancelAlarm", "AL")
         assert "AL" not in after.working_alarms
         assert after.alarm_cell("AL").alarm_time == 9
 
@@ -189,14 +205,15 @@ class TestCancelAlarm:
         # counter 0, expiry at 1: the cancel's own tick lands on the old
         # expiry time and must not raise the signal
         state = arm(state, "AL", 1)
-        after = timing.svc_cancel_alarm(state, "Init", "AL")
+        after = kernel_core.call_service(state, "Init", "CancelAlarm", "AL")
         assert after.counter_value == 1
         assert not after.signals
 
     def test_rearm_after_cancel(self, state):
         state = arm(state, "AL", 9)
-        state = timing.svc_cancel_alarm(state, "Init", "AL")
-        after = timing.svc_set_rel_alarm(state, "Init", "AL", 4, 0)
+        state = kernel_core.call_service(state, "Init", "CancelAlarm", "AL")
+        after = kernel_core.call_service(state, "Init",
+                                         "SetRelAlarm", "AL", 4, 0)
         assert after.last_label.status == E_OK
         assert after.alarm_cell("AL").alarm_time == 5  # armed at counter 1
 

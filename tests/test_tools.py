@@ -1,0 +1,46 @@
+"""The parity tools in ``tools/`` still run against the current API.
+
+Each tool's core is run once on the smallest canned app.  The tools
+themselves take minutes, so they are only run by hand, to compare two
+checkouts.
+"""
+
+from __future__ import annotations
+
+import sys
+from pathlib import Path
+
+from helpers import MINI_OIL, MINI_TSK, make_app
+from osekcheck import explorer, timing
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
+
+import cli_digest  # noqa: E402
+import graph_digest  # noqa: E402
+
+
+def test_graph_line_counts_the_graph():
+    config, bodies = make_app(MINI_OIL, MINI_TSK)
+    graph = explorer.build_graph(config, bodies)
+    line = graph_digest.graph_line(config, bodies, timing.JUMP, False)
+    nodes, edges, truncated, digest = line.split()
+    assert int(nodes) == len(graph.nodes)
+    assert int(edges) == sum(len(out) for out in graph.edges.values())
+    assert truncated == "0"
+    assert len(digest) == 32
+    assert graph_digest.graph_line(config, bodies, timing.JUMP, False) == line
+
+
+def test_digest_covers_exit_code_output_and_written_files(tmp_path):
+    (tmp_path / "mini.oil").write_text(MINI_OIL)
+    (tmp_path / "mini.tsk").write_text(MINI_TSK)
+    out = tmp_path / "out"
+    line = cli_digest.digest(["search-final", str(tmp_path / "mini.oil"),
+                              str(tmp_path / "mini.tsk"), "--out", str(out)],
+                             tmp_path)
+    code, _, stdout_bytes, _, stderr_bytes, written, _ = line.split()
+    assert code == "0"
+    assert int(stdout_bytes) > 0
+    assert int(stderr_bytes) == 0
+    assert written.startswith("final-0.trace=")
+    assert not out.exists()
