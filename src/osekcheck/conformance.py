@@ -22,33 +22,8 @@ from .task_lang import TaskBody
 
 PROPERTY_ORDER = ("DF", "ME", "PIF", "SF", "PE", "MAF")
 
-_DESCRIPTIONS = {
-    "DF": "deadlock freedom: no reachable state gets stuck before all idle",
-    "ME": "mutual exclusion: at most one task occupies the processor",
-    "PIF": "priority inversion freedom: at scheduling rest the running task "
-           "is never outprioritized by a ready one",
-    "SF": "starvation freedom: a task waiting for an event eventually "
-          "receives it",
-    "PE": "periodic execution: between consecutive activations of a "
-          "periodic task it completes exactly once",
-    "MAF": "multiple activation freedom: activation requests never exceed "
-           "a task's activation limit",
-}
-
 _ORIGINS = {"DF": "standard", "ME": "standard", "PIF": "standard",
             "SF": "standard", "PE": "application", "MAF": "application"}
-
-
-@dataclass(frozen=True)
-class PropertySpec:
-    id: str
-    origin: str
-    description: str
-
-
-def standard_catalog() -> tuple[PropertySpec, ...]:
-    return tuple(PropertySpec(pid, _ORIGINS[pid], _DESCRIPTIONS[pid])
-                 for pid in PROPERTY_ORDER)
 
 
 @dataclass
@@ -135,16 +110,13 @@ def _activation_overflow(config: KernelConfig,
                          state: KernelState) -> str | None:
     """Activation overflow on single-activation tasks must never happen."""
     label = state.last_label
-    if (label.kind == "service" and label.status == E_OS_LIMIT
-            and label.service in ("ActivateTask", "ChainTask")):
-        target = label.args[0]
-        if config.tasks[target].max_activations == 1:
-            return f"{label.service} overflowed task {target}"
-    for firing in label.firings:
-        if (firing.action == "activatetask"
-                and firing.status == E_OS_LIMIT
-                and config.tasks[firing.target].max_activations == 1):
-            return f"alarm {firing.alarm} overflowed task {firing.target}"
+    for call in label.calls:
+        if (call.service in ("ActivateTask", "ChainTask")
+                and call.status == E_OS_LIMIT
+                and config.tasks[call.args[0]].max_activations == 1):
+            who = (f"alarm {call.by}" if label.kind == "alarm"
+                   else call.service)
+            return f"{who} overflowed task {call.args[0]}"
     return None
 
 
@@ -202,14 +174,14 @@ def _check_starvation_freedom(graph: explorer.StateGraph) -> PropertyResult:
 
 
 def _edge_completes(label: TransitionLabel, task: str) -> bool:
-    return (label.kind == "service" and label.task == task
-            and label.service in ("TerminateTask", "ChainTask")
-            and label.status == E_OK)
+    return any(c.by == task and c.service in ("TerminateTask", "ChainTask")
+               and c.status == E_OK for c in label.calls)
 
 
 def _edge_activates(label: TransitionLabel, alarm_id: str) -> bool:
-    return any(f.alarm == alarm_id and f.action == "activatetask"
-               and f.status == E_OK for f in label.firings)
+    return label.kind == "alarm" and any(
+        c.by == alarm_id and c.service == "ActivateTask" and c.status == E_OK
+        for c in label.calls)
 
 
 def _check_periodic_execution(graph: explorer.StateGraph) -> PropertyResult:

@@ -66,12 +66,12 @@ def _freeze(state: KernelState) -> KernelState:
     """Strict error handling: a failed service or alarm action freezes the run.
 
     The failing transition still happened (its tick, its label, the rest of
-    an expiry batch); only the status changes, to the first error code.
+    an expiry batch); only the status changes, to the first failing call's
+    error code.
     """
-    label = state.last_label
-    for code in (label.status, *(f.status for f in label.firings)):
-        if code not in (None, E_OK):
-            return replace(state, status=error_status(code))
+    for call in state.last_label.calls:
+        if call.status != E_OK:
+            return replace(state, status=error_status(call.status))
     return state
 
 

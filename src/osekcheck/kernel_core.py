@@ -8,9 +8,12 @@ the task, event and resource services live here and the alarm services in
 the effect, then :func:`timing.finish_service`, which labels the call,
 consumes it and charges its counter tick, failing calls included.  The run
 goes on after a failure (strict error handling, which freezes such a state,
-is applied by the explorer).  Alarm expiry actions reuse the ActivateTask and
-SetEvent effects.  Scheduler signal handling (expiry actions,
-pending-activation release, rescheduling) consumes no time.
+is applied by the explorer).  An alarm expiry makes its action's call, an
+ActivateTask, SetEvent or AlarmCallback call by the alarm, through the same
+table (AlarmCallback has no effect and returns E_OK), and the batch's label
+records the calls.  Boot is StartOS: the ActivateTask and SetRelAlarm calls of
+the autostart tasks and alarms, then a dispatch.  Scheduler signal handling
+(expiry actions, pending-activation release, rescheduling) consumes no time.
 """
 
 from __future__ import annotations
@@ -19,10 +22,10 @@ from dataclasses import replace
 
 from . import timing
 from .model import (BOOT_LABEL, E_OK, E_OS_ACCESS, E_OS_LIMIT, E_OS_NOFUNC,
-                    E_OS_RESOURCE, E_OS_STATE, NORMAL, READY, RUNNING,
-                    SCHEDULE_SIGNAL, SUSPENDED, WAITING, AlarmCell,
-                    AlarmFiring, KernelState, TaskCell, TransitionLabel,
-                    alarmed_signal, enqueue, peek_highest, pop_highest)
+                    E_OS_RESOURCE, E_OS_STATE, READY, RUNNING, SCHEDULE_SIGNAL,
+                    SUSPENDED, WAITING, AlarmCell, Call, KernelState, TaskCell,
+                    TransitionLabel, alarmed_signal, enqueue, peek_highest,
+                    pop_highest)
 from .oil_config import FULL, KernelConfig
 from .task_lang import TaskBody, TimeInterval, WhileTrue
 
@@ -37,52 +40,39 @@ class BootError(Exception):
 
 
 def boot(config: KernelConfig, bodies: dict[str, TaskBody]) -> KernelState:
-    """Build the initial state: autostart tasks ready, highest dispatched.
+    """StartOS: from every task suspended and every alarm disarmed, make the
+    ActivateTask call of each autostart task and the SetRelAlarm call of each
+    autostart alarm, then dispatch.
 
-    Autostart alarms are armed relative to counter zero, so an offset of zero
-    raises its expiry signal immediately.
+    Autostart alarms are thus armed relative to counter zero, and an offset
+    of zero raises its expiry signal immediately.  A call that fails (only
+    a configuration that ``oil_config.validate`` rejects can make one) is a
+    BootError.
     """
     missing = [t for t in config.tasks if t not in bodies]
     if missing:
         raise BootError(f"tasks without bodies: {', '.join(missing)}")
-    modulus = config.system_counter.max_allowed_value + 1
-
-    autostart = [t for t in config.tasks.values() if t.autostart]
-    if not autostart:
+    if not any(task.autostart for task in config.tasks.values()):
         raise BootError("no autostart task; nothing would ever run")
-    ready: tuple = ()
-    for task in autostart:
-        ready = enqueue(ready, task.priority, task.id)
-    _, first, ready = pop_highest(ready)
-    cells = tuple(TaskCell(
-        id=task.id, state=SUSPENDED if not task.autostart
-        else RUNNING if task.id == first else READY,
-        static_priority=task.priority, current_priority=task.priority,
-        max_activations=task.max_activations, pending_activations=0,
-        set_events=frozenset(), waiting_for=None, held_resources=(),
-        pc=0, residue=0) for task in config.tasks.values())
-
-    alarm_cells = []
-    working: list[str] = []
-    signals: set = set()
-    for alarm in config.alarms.values():
-        alarm_time = None
-        cycle = 0
-        if alarm.autostart:
-            offset = alarm.autostart_offset or 0
-            cycle = alarm.autostart_cycle or 0
-            alarm_time = offset % modulus
-            working.append(alarm.id)
-            if offset == 0:
-                signals.add(alarmed_signal(alarm.id))
-        alarm_cells.append(AlarmCell(alarm.id, alarm_time, cycle,
-                                     alarm.action))
-
-    return KernelState(
-        config=config, bodies=bodies, tasks=cells, ready=ready,
-        running=first, signals=frozenset(signals), counter_value=0,
-        working_alarms=tuple(working), alarms=tuple(alarm_cells),
-        last_label=BOOT_LABEL, status=NORMAL)
+    tasks = tuple(TaskCell(
+        id=task.id, state=SUSPENDED, static_priority=task.priority,
+        current_priority=task.priority, max_activations=task.max_activations,
+        pending_activations=0, set_events=frozenset(), waiting_for=None,
+        held_resources=(), pc=0, residue=0) for task in config.tasks.values())
+    state = KernelState(config=config, bodies=bodies, tasks=tasks,
+                        alarms=tuple(AlarmCell(alarm, None, 0)
+                                     for alarm in config.alarms))
+    calls = [("ActivateTask", task.id) for task in config.tasks.values()
+             if task.autostart]
+    calls += [("SetRelAlarm", alarm.id, alarm.autostart_offset or 0,
+               alarm.autostart_cycle or 0)
+              for alarm in config.alarms.values() if alarm.autostart]
+    for name, *args in calls:
+        state, status = EFFECTS[name](state, None, *args)
+        if status != E_OK:
+            raise BootError(f"StartOS: {name}({', '.join(map(str, args))}) "
+                            f"returns {status}")
+    return replace(handle_schedule_signal(state), last_label=BOOT_LABEL)
 
 
 # ---------------------------------------------------------------------------
@@ -137,8 +127,8 @@ def activation_status(cell: TaskCell) -> str:
 
 def activate_task(state: KernelState, caller: str | None,
                   target: str) -> tuple[KernelState, str]:
-    """Make ``target`` ready now or record the request (alarm actions pass
-    no caller)."""
+    """Make ``target`` ready now or record the request (alarm actions and
+    boot pass no caller)."""
     cell = state.task_cell(target)
     status = activation_status(cell)
     if status != E_OK:
@@ -300,6 +290,13 @@ EFFECTS = {
 }
 
 
+# The service call each alarm action makes, with the action's task and event
+# as its arguments.  AlarmCallback stands for an application routine outside
+# the kernel: it has no effect and returns E_OK.
+ACTION_SERVICES = {"activatetask": "ActivateTask", "setevent": "SetEvent",
+                   "alarmcallback": "AlarmCallback"}
+
+
 def call_service(state: KernelState, caller: str, name: str, *args,
                  detail: str | None = None) -> KernelState:
     """Apply the service's effect, then its epilogue (label, consume, tick)."""
@@ -321,28 +318,26 @@ def pending_expiries(state: KernelState) -> tuple[str, ...]:
 
 def handle_expiries(state: KernelState,
                     order: tuple[str, ...]) -> KernelState:
-    """Apply all pending expiry actions in the given order, then rearm.
+    """Make the call of each pending expiry's action in the given order,
+    record it and rearm the alarm.
 
     Cyclic alarms advance their alarm time by the cycle even when the action
     fails; one-shot alarms disarm.
     """
     modulus = state.max_allowed_value + 1
-    firings: list[AlarmFiring] = []
+    calls: list[Call] = []
     signals = set(state.signals)
     for alarm_id in order:
         signals.discard(alarmed_signal(alarm_id))
     state = replace(state, signals=frozenset(signals))
     for alarm_id in order:
-        cell = state.alarm_cell(alarm_id)
-        action = cell.action
-        if action.kind == "activatetask":
-            state, status = activate_task(state, None, action.task)
-        elif action.kind == "setevent":
-            state, status = set_event(state, None, action.task, action.event)
-        else:
-            status = E_OK
-        firings.append(AlarmFiring(alarm_id, action.kind, action.task,
-                                   action.event, status))
+        action = state.config.alarms[alarm_id].action
+        service = ACTION_SERVICES[action.kind]
+        args = tuple(a for a in (action.task, action.event) if a is not None)
+        status = E_OK
+        if service in EFFECTS:
+            state, status = EFFECTS[service](state, None, *args)
+        calls.append(Call(alarm_id, service, args, status))
         cell = state.alarm_cell(alarm_id)
         if cell.cyclic:
             state = state.with_alarm(replace(
@@ -351,7 +346,7 @@ def handle_expiries(state: KernelState,
         else:
             state = replace(state, working_alarms=tuple(
                 a for a in state.working_alarms if a != alarm_id))
-    label = TransitionLabel(kind="alarm", firings=tuple(firings))
+    label = TransitionLabel(kind="alarm", calls=tuple(calls))
     return replace(state, last_label=label)
 
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .model import (E_OK, ERROR_CODES, KernelState, alarmed_signal,
+from .model import (E_OK, ERROR_CODES, Call, KernelState, alarmed_signal,
                     error_status, is_deadlocked)
 from .oil_config import Cursor, KernelConfig, ParseError, int_value, tokenize
 
@@ -317,23 +317,16 @@ def eval_prop(prop: Prop, state: KernelState) -> bool:
         return state.task_cell(args[0]).state == name
     if name == "wait":
         event, task = args
-        return (label.kind == "service" and label.service == "WaitEvent"
-                and label.task == task and label.args[:1] == (event,)
-                and label.status == E_OK)
+        return Call(task, "WaitEvent", (event,), E_OK) in label.calls
     if name == "set":
         event, task = args
-        if (label.kind == "service" and label.service == "SetEvent"
-                and label.args == (task, event) and label.status == E_OK):
-            return True
-        return any(f.action == "setevent" and f.target == task
-                   and f.event == event and f.status == E_OK
-                   for f in label.firings)
+        return any(c.service == "SetEvent" and c.args == (task, event)
+                   and c.status == E_OK for c in label.calls)
     if name == "expired":
         return alarmed_signal(args[0]) in state.signals
     if name == "error":
         code = args[0]
-        return (label.status == code
-                or any(f.status == code for f in label.firings)
+        return (any(c.status == code for c in label.calls)
                 or state.status == error_status(code))
     if name == "counter_eq":
         return state.counter_value == args[0]
@@ -712,10 +705,6 @@ class LtlResult:
     prefix_choices: tuple = ()
     cycle: tuple = ()
     cycle_choices: tuple = ()
-
-    @property
-    def holds(self) -> bool:
-        return self.verdict == "holds"
 
 
 def model_check(view, formula: Formula) -> LtlResult:

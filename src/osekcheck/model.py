@@ -1,11 +1,14 @@
-"""Immutable kernel state and its canonical textual snapshot.
+"""Immutable kernel state, transition labels and the canonical snapshot.
 
 The state mirrors a configuration-style cell layout: one cell per task, a
 priority-ordered ready structure, the running task, a pending-signal set, the
 system counter, the list of armed alarms and the label of the transition that
-produced the state.  States are frozen dataclasses; every transition builds a
-new state, and two states are the same state exactly when they are equal
-(the configuration, task bodies and time-advance amounts are not compared).
+produced the state.  A label records the service calls the transition made as
+``Call`` records: a task's one call, or one per alarm in an expiry batch,
+whose action is an ActivateTask, SetEvent or AlarmCallback call by the alarm.
+States are frozen dataclasses; every transition builds a new state, and two
+states are the same state exactly when they are equal (the configuration,
+task bodies and time-advance amounts are not compared).
 ``canonical_snapshot`` renders the cells as stable text for printed traces.
 """
 
@@ -13,8 +16,9 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
-from .oil_config import AlarmAction, KernelConfig
+from .oil_config import KernelConfig
 from .task_lang import Statement, TaskBody, TimeInterval, compact_statement
 
 # ---------------------------------------------------------------------------
@@ -77,7 +81,6 @@ class AlarmCell:
     id: str
     alarm_time: int | None  # None until first armed
     cycle_time: int
-    action: AlarmAction
 
     @property
     def cyclic(self) -> bool:
@@ -89,25 +92,20 @@ class AlarmCell:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AlarmFiring:
-    """Outcome of a single alarm expiry within an expiry-handling step."""
+class Call(NamedTuple):
+    """One service call and its status: made ``by`` a task, or by an alarm
+    whose expiry action it is (ActivateTask, SetEvent or AlarmCallback)."""
 
-    alarm: str
-    action: str  # "activatetask" | "setevent" | "alarmcallback"
-    target: str | None
-    event: str | None
+    by: str
+    service: str
+    args: tuple
     status: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TransitionLabel:
     kind: str  # "boot" | "service" | "alarm" | "signal" | "time"
-    task: str | None = None
-    service: str | None = None
-    args: tuple = ()
-    status: str | None = None
-    firings: tuple[AlarmFiring, ...] = ()
+    calls: tuple[Call, ...] = ()  # service: the task's; alarm: one per expiry
     amount: int = field(default=0, compare=False)
     reason: str | None = None  # time: "interval" | "idle" | "loop" | "stutter"
     detail: str | None = None
@@ -123,19 +121,16 @@ def canonical_label(label: TransitionLabel) -> str:
     if label.kind == "boot":
         return "boot"
     if label.kind == "service":
-        args = ",".join(str(a) for a in label.args)
-        text = f"svc:{label.task}:{label.service}({args}):{label.status}"
+        (call,) = label.calls
+        args = ",".join(str(a) for a in call.args)
+        text = f"svc:{call.by}:{call.service}({args}):{call.status}"
         if label.detail:
             text += f":{label.detail}"
         return text
     if label.kind == "alarm":
-        parts = []
-        for f in label.firings:
-            target = f.target or f.event or ""
-            if f.action == "setevent":
-                target = f"{f.target}:{f.event}"
-            parts.append(f"{f.alarm}>{f.action}:{target}={f.status}")
-        return "alarm:" + ";".join(parts)
+        return "alarm:" + ";".join(
+            f"{c.by}>{c.service.lower()}:{':'.join(c.args)}={c.status}"
+            for c in label.calls)
     if label.kind == "signal":
         return f"sig:{label.detail}"
     if label.kind == "time":
@@ -148,17 +143,16 @@ def label_text(label: TransitionLabel) -> str:
     if label.kind == "boot":
         return "boot"
     if label.kind == "service":
-        args = ", ".join(str(a) for a in label.args)
-        text = f"{label.task}: {label.service}({args}) -> {label.status}"
+        (call,) = label.calls
+        args = ", ".join(str(a) for a in call.args)
+        text = f"{call.by}: {call.service}({args}) -> {call.status}"
         if label.detail:
             text += f" [{label.detail}]"
         return text
     if label.kind == "alarm":
-        parts = [f"{f.alarm} expired: {f.action}"
-                 + (f" {f.target}" if f.target else "")
-                 + (f"/{f.event}" if f.event else "")
-                 + f" -> {f.status}" for f in label.firings]
-        return "; ".join(parts)
+        return "; ".join(f"{c.by} expired: {c.service.lower()}"
+                         + (" " + "/".join(c.args) if c.args else "")
+                         + f" -> {c.status}" for c in label.calls)
     if label.kind == "signal":
         return f"scheduler: {label.detail}"
     if label.kind == "time":

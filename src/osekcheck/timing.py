@@ -1,7 +1,8 @@
 """System counter arithmetic, the alarm services and the service epilogue.
 
 Time is discrete: every kernel service accounts for exactly one counter tick,
-charged by :func:`finish_service`, the epilogue of every service call, and
+charged by :func:`finish_service`, the epilogue of every service call a task
+makes (it also records the call in the step's label), and
 ``TimeInterval = N`` blocks account for ``N``.  The counter wraps at
 ``MAXALLOWEDVALUE + 1``.  An armed alarm raises an expiry signal in the step
 whose tick makes the counter equal the alarm time; expiry handling itself
@@ -16,7 +17,8 @@ from __future__ import annotations
 from dataclasses import replace
 
 from .model import (E_OK, E_OS_NOFUNC, E_OS_STATE, E_OS_VALUE, SUSPENDED,
-                    WAITING, KernelState, TransitionLabel, alarmed_signal)
+                    WAITING, Call, KernelState, TransitionLabel,
+                    alarmed_signal)
 
 JUMP = "jump"
 UNIT = "unit"
@@ -71,8 +73,8 @@ def _advance(state: KernelState, amount: int,
 def finish_service(state: KernelState, caller: str, service: str,
                    args: tuple, status: str, *,
                    detail: str | None = None) -> KernelState:
-    """Label the call, consume the caller's front statement and charge one
-    tick; ``state`` is the call's effect.
+    """Record the call in the label, consume the caller's front statement
+    and charge one tick; ``state`` is the call's effect.
 
     A failing call (non-``E_OK`` status) is consumed and charged too.  A call
     that left its caller suspended (a terminate or chain) or waiting (a
@@ -84,9 +86,9 @@ def finish_service(state: KernelState, caller: str, service: str,
         detail = "blocked"
     elif caller_state != SUSPENDED:
         state = state.past_front(caller)
-    label = TransitionLabel(kind="service", task=caller, service=service,
-                            args=args, status=status, detail=detail)
-    return _advance(state, 1, label)
+    call = Call(caller, service, args, status)
+    return _advance(state, 1, TransitionLabel(kind="service", calls=(call,),
+                                              detail=detail))
 
 
 # ---------------------------------------------------------------------------

@@ -85,6 +85,38 @@ no_resource_error: [] !error(E_OS_RESOURCE)
 """
 
 
+# ==== every alarm action in one batch ======================================
+# Three alarms expire together, so each batch has six handling orders.
+# Handling Kick's SETEVENT before Go's ACTIVATETASK fails with E_OS_STATE
+# (Ext is still suspended), which freezes the strict graph.  When Ext is
+# left waiting, the next batch's ACTIVATETASK overflows it (E_OS_LIMIT)
+# and the SETEVENT wakes it.  Tock's ALARMCALLBACK has no effect.
+
+ACTIONS_OIL = """
+COUNTER C { MAXALLOWEDVALUE = 15; TICKSPERBASE = 1; MINCYCLE = 1; SYSTEM = TRUE; };
+EVENT E { MASK = AUTO; };
+TASK Main { PRIORITY = 1; SCHEDULE = FULL; ACTIVATION = 1; AUTOSTART = TRUE; };
+TASK Ext  { PRIORITY = 2; SCHEDULE = FULL; ACTIVATION = 1; AUTOSTART = FALSE; EVENT = E; };
+ALARM Go   { COUNTER = C; ACTION = ACTIVATETASK { TASK = Ext; };
+             AUTOSTART = TRUE { ALARMTIME = 3; CYCLETIME = 6; }; };
+ALARM Kick { COUNTER = C; ACTION = SETEVENT { TASK = Ext; EVENT = E; };
+             AUTOSTART = TRUE { ALARMTIME = 3; CYCLETIME = 6; }; };
+ALARM Tock { COUNTER = C; ACTION = ALARMCALLBACK { ALARMCALLBACKNAME = tock; };
+             AUTOSTART = TRUE { ALARMTIME = 3; CYCLETIME = 6; }; };
+"""
+
+ACTIONS_TSK = """
+TASK Main { TimeInterval = 2; TerminateTask(); }
+TASK Ext { WaitEvent(E); ClearEvent(E); TerminateTask(); }
+"""
+
+ACTIONS_LTL = """
+ext_woken: [] (wait(E, Ext) -> <> set(E, Ext))
+no_state_error: [] !error(E_OS_STATE)
+ext_ends: [] <> suspended(Ext)
+"""
+
+
 # ==== golden scenarios =====================================================
 # Expected transition-label sequences were worked out by hand with a tick
 # ledger before the engine first ran them; they are frozen here.

@@ -48,7 +48,7 @@ class TestStep:
         states, outcome = run_deterministic(config, bodies, bound=10)
         batches = [s for s in states if s.last_label.kind == "alarm"]
         assert len(batches) == 1
-        assert {f.alarm for f in batches[0].last_label.firings} == \
+        assert {c.by for c in batches[0].last_label.calls} == \
             {"A1", "A2"}
 
     def test_simultaneous_expiries_split_into_choices(self):

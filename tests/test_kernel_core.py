@@ -15,7 +15,7 @@ from osekcheck import kernel_core, explorer
 from osekcheck.model import (E_OK, E_OS_ACCESS, E_OS_LIMIT, E_OS_NOFUNC,
                              E_OS_RESOURCE, E_OS_STATE, READY, RUNNING,
                              SCHEDULE_SIGNAL, SUSPENDED, WAITING,
-                             alarmed_signal, error_status)
+                             Call, alarmed_signal, error_status)
 from osekcheck.task_lang import SERVICES, CallService
 
 OIL = """
@@ -93,6 +93,32 @@ class TestBoot:
         state = kernel_core.boot(config, bodies)
         assert alarmed_signal("AA") in state.signals
 
+    def test_autostart_tasks_are_activated_then_one_dispatched(self):
+        oil = OIL.replace("TASK Twin { PRIORITY = 2; ACTIVATION = 2; };",
+                          "TASK Twin { PRIORITY = 2; ACTIVATION = 2;"
+                          " AUTOSTART = TRUE; };")
+        config, bodies = make_app(oil, TSK)
+        state = kernel_core.boot(config, bodies)
+        assert state.running == "Main"  # declared first, equal priority
+        assert state.ready == ((2, ("Twin",)),)
+        assert state.task_cell("Twin").state == READY
+        assert state.signals == frozenset()
+        assert state.last_label.kind == "boot"
+        healthy(state)
+
+    def test_failing_autostart_arming_is_an_error(self):
+        # validation rejects an ALARMTIME beyond MAXALLOWEDVALUE, so the
+        # configuration is altered after parsing; SetRelAlarm says E_OS_VALUE
+        oil = OIL.replace(
+            "ALARM AA { COUNTER = C; ACTION = ACTIVATETASK { TASK = Hi; }; };",
+            "ALARM AA { COUNTER = C; ACTION = ACTIVATETASK { TASK = Hi; };"
+            " AUTOSTART = TRUE { ALARMTIME = 7; CYCLETIME = 0; }; };")
+        config, bodies = make_app(oil, TSK)
+        alarm = replace(config.alarms["AA"], autostart_offset=64)
+        config = replace(config, alarms={**config.alarms, "AA": alarm})
+        with pytest.raises(kernel_core.BootError, match="E_OS_VALUE"):
+            kernel_core.boot(config, bodies)
+
 
 # ==== the service table ====================================================
 
@@ -122,23 +148,23 @@ class TestActivateTask:
     def test_single_activation_overflow(self, state):
         once = kernel_core.call_service(state, "Main", "ActivateTask", "Hi")
         twice = kernel_core.call_service(once, "Main", "ActivateTask", "Hi")
-        assert twice.last_label.status == E_OS_LIMIT
+        assert twice.last_label.calls[0].status == E_OS_LIMIT
         assert twice.task_cell("Hi").pending_activations == 0
         healthy(twice)
 
     def test_multiple_activation_records_pending(self, state):
         once = kernel_core.call_service(state, "Main", "ActivateTask", "Twin")
         twice = kernel_core.call_service(once, "Main", "ActivateTask", "Twin")
-        assert twice.last_label.status == E_OK
+        assert twice.last_label.calls[0].status == E_OK
         assert twice.task_cell("Twin").pending_activations == 1
         third = kernel_core.call_service(twice, "Main", "ActivateTask", "Twin")
-        assert third.last_label.status == E_OS_LIMIT
+        assert third.last_label.calls[0].status == E_OS_LIMIT
         healthy(third)
 
     def test_self_activation_while_running(self, state):
         # Main has ACTIVATION = 1 and is live, so self-activation overflows
         after = kernel_core.call_service(state, "Main", "ActivateTask", "Main")
-        assert after.last_label.status == E_OS_LIMIT
+        assert after.last_label.calls[0].status == E_OS_LIMIT
 
 
 class TestMultiActivationRelease:
@@ -184,7 +210,7 @@ class TestTerminateTask:
     def test_terminate_with_held_resource_fails(self, state):
         state = kernel_core.call_service(state, "Main", "GetResource", "R")
         after = kernel_core.call_service(state, "Main", "TerminateTask")
-        assert after.last_label.status == E_OS_RESOURCE
+        assert after.last_label.calls[0].status == E_OS_RESOURCE
         assert after.running == "Main"
         healthy(after)
 
@@ -193,7 +219,7 @@ class TestTerminateTask:
         # the front statement is now TerminateTask(), with R still held
         relaxed = explorer.step(state)
         after = explorer.step(state, strict=True)
-        assert relaxed.last_label.status == E_OS_RESOURCE
+        assert relaxed.last_label.calls[0].status == E_OS_RESOURCE
         assert after.status == error_status(E_OS_RESOURCE)
         assert replace(after, status=relaxed.status) == relaxed
 
@@ -210,8 +236,8 @@ class TestTerminateTask:
         assert state.front("Main") is None
         after = kernel_core.exec_running_statement(state)
         label = after.last_label
-        assert (label.service, label.args) == ("TerminateTask", ())
-        assert (label.status, label.detail) == (status, "implicit")
+        assert label.calls == (Call("Main", "TerminateTask", (), status),)
+        assert label.detail == "implicit"
         assert after.task_cell("Main").state == task_state
         assert after.counter_value == state.counter_value + 1
         healthy(after)
@@ -224,7 +250,7 @@ class TestTerminateTask:
         state = kernel_core.exec_running_statement(
             kernel_core.boot(config, bodies))
         after = kernel_core.exec_running_statement(state)
-        assert after.last_label.status == E_OS_RESOURCE
+        assert after.last_label.calls[0].status == E_OS_RESOURCE
         assert after.last_label.detail is None
         assert after.task_cell("Main").pc == state.task_cell("Main").pc + 1
         assert after.front("Main") == CallService("ReleaseResource", ("R",))
@@ -242,7 +268,7 @@ class TestChainTask:
     def test_chain_overflow_keeps_caller_running(self, state):
         state = kernel_core.call_service(state, "Main", "ActivateTask", "Hi")
         after = kernel_core.call_service(state, "Main", "ChainTask", "Hi")
-        assert after.last_label.status == E_OS_LIMIT
+        assert after.last_label.calls[0].status == E_OS_LIMIT
         assert after.running == "Main"
         assert after.task_cell("Main").state == RUNNING
         healthy(after)
@@ -258,7 +284,7 @@ class TestChainTask:
     def test_chain_with_held_resource_fails(self, state):
         state = kernel_core.call_service(state, "Main", "GetResource", "R")
         after = kernel_core.call_service(state, "Main", "ChainTask", "Hi")
-        assert after.last_label.status == E_OS_RESOURCE
+        assert after.last_label.calls[0].status == E_OS_RESOURCE
         assert after.running == "Main"
 
 
@@ -296,7 +322,7 @@ class TestEvents:
         state = kernel_core.call_service(state, "Main", "TerminateTask")
         state = kernel_core.handle_schedule_signal(state)
         after = kernel_core.exec_running_statement(state)
-        assert after.last_label.service == "WaitEvent"
+        assert after.last_label.calls[0].service == "WaitEvent"
         assert after.last_label.detail == detail
         assert after.task_cell("Ext").pc == state.task_cell("Ext").pc + moved
         assert after.counter_value == state.counter_value + 1
@@ -314,17 +340,17 @@ class TestEvents:
     def test_set_event_on_ready_task_just_records(self, state):
         state = kernel_core.call_service(state, "Main", "ActivateTask", "Ext")
         after = kernel_core.call_service(state, "Main", "SetEvent", "Ext", "E")
-        assert after.last_label.status == E_OK
+        assert after.last_label.calls[0].status == E_OK
         assert after.task_cell("Ext").state == READY
         assert "E" in after.task_cell("Ext").set_events
 
     def test_set_event_on_suspended_task(self, state):
         after = kernel_core.call_service(state, "Main", "SetEvent", "Ext", "E")
-        assert after.last_label.status == E_OS_STATE
+        assert after.last_label.calls[0].status == E_OS_STATE
 
     def test_set_event_on_basic_task(self, state):
         after = kernel_core.call_service(state, "Main", "SetEvent", "Hi", "E")
-        assert after.last_label.status == E_OS_ACCESS
+        assert after.last_label.calls[0].status == E_OS_ACCESS
 
     def test_set_undeclared_event(self, state):
         oil = OIL.replace("EVENT = E; EVENT = F;", "EVENT = F;")
@@ -333,7 +359,7 @@ class TestEvents:
                                                    "WaitEvent(F);"))
         boot = kernel_core.boot(config, bodies)
         after = kernel_core.call_service(boot, "Main", "SetEvent", "Ext", "E")
-        assert after.last_label.status == E_OS_ACCESS
+        assert after.last_label.calls[0].status == E_OS_ACCESS
 
     def test_wait_with_event_already_set_continues(self, state):
         state = kernel_core.call_service(state, "Main", "ActivateTask", "Ext")
@@ -349,7 +375,7 @@ class TestEvents:
 
     def test_wait_by_basic_task(self, state):
         after = kernel_core.call_service(state, "Main", "WaitEvent", "E")
-        assert after.last_label.status == E_OS_ACCESS
+        assert after.last_label.calls[0].status == E_OS_ACCESS
 
     def test_wait_while_holding_resource(self, state):
         state = kernel_core.call_service(state, "Main", "ActivateTask", "Ext")
@@ -359,7 +385,7 @@ class TestEvents:
         cell = replace(oil_state.task_cell("Ext"), held_resources=("R",))
         held = oil_state.with_task(cell)
         after = kernel_core.call_service(held, "Ext", "WaitEvent", "E")
-        assert after.last_label.status == E_OS_RESOURCE
+        assert after.last_label.calls[0].status == E_OS_RESOURCE
 
     def test_clear_event(self, state):
         state = kernel_core.call_service(state, "Main", "ActivateTask", "Ext")
@@ -371,7 +397,7 @@ class TestEvents:
 
     def test_clear_event_by_basic_task(self, state):
         after = kernel_core.call_service(state, "Main", "ClearEvent", "E")
-        assert after.last_label.status == E_OS_ACCESS
+        assert after.last_label.calls[0].status == E_OS_ACCESS
 
 
 # ==== resources ============================================================
@@ -395,16 +421,16 @@ class TestResources:
         state = kernel_core.call_service(state, "Main", "TerminateTask")
         state = kernel_core.handle_schedule_signal(state)
         after = kernel_core.call_service(state, "Twin", "GetResource", "R")
-        assert after.last_label.status == E_OS_ACCESS
+        assert after.last_label.calls[0].status == E_OS_ACCESS
 
     def test_get_held_resource(self, state):
         state = kernel_core.call_service(state, "Main", "GetResource", "R")
         after = kernel_core.call_service(state, "Main", "GetResource", "R")
-        assert after.last_label.status == E_OS_ACCESS
+        assert after.last_label.calls[0].status == E_OS_ACCESS
 
     def test_release_without_holding(self, state):
         after = kernel_core.call_service(state, "Main", "ReleaseResource", "R")
-        assert after.last_label.status == E_OS_NOFUNC
+        assert after.last_label.calls[0].status == E_OS_NOFUNC
 
     def test_release_lets_waiting_higher_task_in(self, state):
         # Main holds R at ceiling 5; Hi (priority 5) is activated but cannot
@@ -443,7 +469,7 @@ class TestExpiries:
         after = kernel_core.handle_expiries(state, ("AA",))
         assert after.task_cell("Hi").state == READY
         assert after.counter_value == state.counter_value  # no tick
-        assert after.last_label.firings[0].status == E_OK
+        assert after.last_label.calls[0].status == E_OK
         assert "AA" not in after.working_alarms  # one-shot disarms
         healthy(after)
 
@@ -462,7 +488,7 @@ class TestExpiries:
         state = state.with_alarm(replace(state.alarm_cell("AA"),
                                          cycle_time=8))
         after = kernel_core.handle_expiries(state, ("AA",))
-        assert after.last_label.firings[0].status == E_OS_LIMIT
+        assert after.last_label.calls[0].status == E_OS_LIMIT
         assert "AA" in after.working_alarms
 
     def test_setevent_firing_wakes(self, state):
@@ -488,7 +514,8 @@ class TestExpiries:
         fired = kernel_core.handle_expiries(self.arm_fire(state, alarm),
                                             (alarm,))
         called = kernel_core.call_service(state, "Main", *call)
-        assert fired.last_label.firings[0].status == called.last_label.status
+        (alarm_call,) = fired.last_label.calls
+        assert alarm_call._replace(by="Main") == called.last_label.calls[0]
         assert fired.ready == called.ready
         others = [c for c in fired.tasks if c.id != "Main"]
         assert others == [c for c in called.tasks if c.id != "Main"]
@@ -496,7 +523,7 @@ class TestExpiries:
     def test_callback_is_a_no_op(self, state):
         state = self.arm_fire(state, "AC")
         after = kernel_core.handle_expiries(state, ("AC",))
-        assert after.last_label.firings[0].status == E_OK
+        assert after.last_label.calls[0].status == E_OK
         assert after.tasks == state.tasks
 
     def test_batch_order_controls_ready_order(self, state):
@@ -510,8 +537,8 @@ class TestExpiries:
         assert one.task_cell("Hi").state == READY
         assert two.task_cell("Hi").state == READY
         # same sets, different queue arrival order for the equal-priority pair
-        assert one.last_label.firings[0].alarm == "AA"
-        assert two.last_label.firings[0].alarm == "AB"
+        assert one.last_label.calls[0].by == "AA"
+        assert two.last_label.calls[0].by == "AB"
 
     def test_strict_freezes_after_whole_batch(self, state):
         state = kernel_core.call_service(state, "Main", "ActivateTask", "Hi")
@@ -519,7 +546,7 @@ class TestExpiries:
         after = explorer.step(state, explorer.Choice(("AA", "AC")),
                               strict=True)
         assert after.status == error_status(E_OS_LIMIT)
-        assert len(after.last_label.firings) == 2
+        assert len(after.last_label.calls) == 2
 
 
 # ==== scheduling ===========================================================

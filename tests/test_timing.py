@@ -116,33 +116,33 @@ class TestSetRelAlarm:
         assert after.alarm_cell("AL").alarm_time == 5
         assert after.counter_value == 1
         assert "AL" in after.working_alarms
-        assert after.last_label.status == E_OK
+        assert after.last_label.calls[0].status == E_OK
 
     def test_already_armed_is_state_error(self, state):
         state = arm(state, "AL", 9)
         after = kernel_core.call_service(state, "Init",
                                          "SetRelAlarm", "AL", 5, 0)
-        assert after.last_label.status == E_OS_STATE
+        assert after.last_label.calls[0].status == E_OS_STATE
         assert after.alarm_cell("AL").alarm_time == 9
 
     def test_increment_beyond_counter_range(self, state):
         after = kernel_core.call_service(state, "Init",
                                          "SetRelAlarm", "AL", 16, 0)
-        assert after.last_label.status == E_OS_VALUE
+        assert after.last_label.calls[0].status == E_OS_VALUE
         assert "AL" not in after.working_alarms
 
     def test_cycle_below_min_cycle(self, state):
         after = kernel_core.call_service(state, "Init",
                                          "SetRelAlarm", "AL", 5, 1)
-        assert after.last_label.status == E_OS_VALUE
+        assert after.last_label.calls[0].status == E_OS_VALUE
 
     def test_cycle_zero_and_in_range_accepted(self, state):
         ok0 = kernel_core.call_service(state, "Init",
                                        "SetRelAlarm", "AL", 5, 0)
         ok2 = kernel_core.call_service(state, "Init",
                                        "SetRelAlarm", "AL2", 5, 2)
-        assert ok0.last_label.status == E_OK
-        assert ok2.last_label.status == E_OK
+        assert ok0.last_label.calls[0].status == E_OK
+        assert ok2.last_label.calls[0].status == E_OK
 
     def test_zero_increment_expires_immediately(self, state):
         after = kernel_core.call_service(state, "Init",
@@ -184,7 +184,7 @@ class TestSetAbsAlarm:
     def test_start_beyond_range(self, state):
         after = kernel_core.call_service(state, "Init",
                                          "SetAbsAlarm", "AL", 16, 0)
-        assert after.last_label.status == E_OS_VALUE
+        assert after.last_label.calls[0].status == E_OS_VALUE
 
 
 # ==== cancellation =========================================================
@@ -193,7 +193,7 @@ class TestSetAbsAlarm:
 class TestCancelAlarm:
     def test_cancel_unarmed_is_nofunc(self, state):
         after = kernel_core.call_service(state, "Init", "CancelAlarm", "AL")
-        assert after.last_label.status == E_OS_NOFUNC
+        assert after.last_label.calls[0].status == E_OS_NOFUNC
 
     def test_cancel_disarms_but_keeps_cell(self, state):
         state = arm(state, "AL", 9, cycle=4)
@@ -214,7 +214,7 @@ class TestCancelAlarm:
         state = kernel_core.call_service(state, "Init", "CancelAlarm", "AL")
         after = kernel_core.call_service(state, "Init",
                                          "SetRelAlarm", "AL", 4, 0)
-        assert after.last_label.status == E_OK
+        assert after.last_label.calls[0].status == E_OK
         assert after.alarm_cell("AL").alarm_time == 5  # armed at counter 1
 
 

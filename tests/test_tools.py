@@ -1,8 +1,8 @@
 """The parity tools in ``tools/`` still run against the current API.
 
-Each tool's core is run once on the smallest canned app.  The tools
-themselves take minutes, so they are only run by hand, to compare two
-checkouts.
+Each tool's core is run once on the smallest canned app and once on the app
+whose batches fire every alarm action.  The tools themselves take minutes,
+so they are only run by hand, to compare two checkouts.
 """
 
 from __future__ import annotations
@@ -10,7 +10,7 @@ from __future__ import annotations
 import sys
 from pathlib import Path
 
-from helpers import MINI_OIL, MINI_TSK, make_app
+from helpers import ACTIONS_OIL, ACTIONS_TSK, MINI_OIL, MINI_TSK, make_app
 from osekcheck import explorer, timing
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
@@ -44,3 +44,25 @@ def test_digest_covers_exit_code_output_and_written_files(tmp_path):
     assert int(stderr_bytes) == 0
     assert written.startswith("final-0.trace=")
     assert not out.exists()
+
+
+def test_actions_app_branches_six_ways_and_freezes():
+    config, bodies = make_app(ACTIONS_OIL, ACTIONS_TSK)
+    line = graph_digest.graph_line(config, bodies, timing.JUMP, True)
+    graph = explorer.build_graph(config, bodies, strict=True)
+    assert int(line.split()[0]) == len(graph.nodes)
+    assert max(len(out) for out in graph.edges.values()) == 6
+    assert any(s.status == "error:E_OS_STATE" for s in graph.nodes.values())
+
+
+def test_digest_of_the_actions_app(tmp_path):
+    (tmp_path / "actions.oil").write_text(ACTIONS_OIL)
+    (tmp_path / "actions.tsk").write_text(ACTIONS_TSK)
+    line = cli_digest.digest(["search-final", str(tmp_path / "actions.oil"),
+                              str(tmp_path / "actions.tsk"), "--out",
+                              str(tmp_path / "out")], tmp_path)
+    code, _, stdout_bytes, _, stderr_bytes, written, *_ = line.split()
+    assert code == "2"  # strict dead ends: the failing SETEVENT freezes
+    assert int(stdout_bytes) > 0
+    assert int(stderr_bytes) == 0
+    assert written.startswith("deadlock-0.trace=")

@@ -8,11 +8,13 @@ checkouts in different directories compare equal.  The apps are both
 corpus configurations, the harmonic-alarm app of ``perfbench/harmonic.py``
 (seed 1), the loop-shape app of ``tests/helpers`` (nested loops, a split
 TimeInterval inside a loop, code after a loop and after TerminateTask, an
-empty body) and ``tests/helpers.random_app`` seeds 0-999; each goes through
+empty body), the alarm-action app of ``tests/helpers`` (ACTIVATETASK,
+SETEVENT and ALARMCALLBACK expiring together) and
+``tests/helpers.random_app`` seeds 0-999; each goes through
 ``run``, ``search-final``, ``ltlmc`` and ``conform`` in ``--trace-format``
-``text`` and ``machine``.  The corpus, harmonic and loop-shape apps also go
-through ``conform`` on property subsets that need one error semantics or
-both.
+``text`` and ``machine``.  The corpus, harmonic, loop-shape and alarm-action
+apps also go through ``conform`` on property subsets that need one error
+semantics or both.
 ``search-final``, ``ltlmc`` and ``conform`` run once more with ``--out``
 into the scratch directory, and every file written there (trace files and
 ``report.txt``) is digested by name and content next to the output.
@@ -47,7 +49,8 @@ sys.path.insert(0, str(ROOT / "tests"))
 sys.path.insert(0, str(ROOT / "perfbench"))
 
 import harmonic  # noqa: E402
-from helpers import LOOP_LTL, LOOP_OIL, LOOP_TSK, random_app  # noqa: E402
+from helpers import (ACTIONS_LTL, ACTIONS_OIL, ACTIONS_TSK,  # noqa: E402
+                     LOOP_LTL, LOOP_OIL, LOOP_TSK, random_app)
 from osekcheck import cli  # noqa: E402
 from workloads import ALL_PASS_REPORT, RANDOM_FORMULAS  # noqa: E402
 
@@ -146,6 +149,9 @@ def main() -> int:
         apps.append(("loops", write("loops.oil", LOOP_OIL),
                      write("loops.tsk", LOOP_TSK),
                      write("loops.ltl", LOOP_LTL), report, subsets))
+        apps.append(("actions", write("actions.oil", ACTIONS_OIL),
+                     write("actions.tsk", ACTIONS_TSK),
+                     write("actions.ltl", ACTIONS_LTL), report, subsets))
         stress = write("stress.ltl", STRESS_FORMULAS)
         for fmt in ("text", "machine"):
             argv = ["ltlmc", str(CORPUS / "ems_repaired.oil"),
