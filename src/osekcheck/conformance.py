@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from . import explorer, ltl, timing
 from .model import (E_OK, E_OS_LIMIT, NORMAL, READY, RUNNING, KernelState,
-                    TransitionLabel)
+                    Program, TransitionLabel)
 from .oil_config import FULL, KernelConfig
 from .task_lang import TaskBody
 
@@ -79,7 +79,7 @@ def _check_deadlock_freedom(graph: explorer.StateGraph) -> PropertyResult:
                           f"{len(search.finals)} all-idle final(s)")
 
 
-def _running_conflict(config: KernelConfig, state: KernelState) -> str | None:
+def _running_conflict(program: Program, state: KernelState) -> str | None:
     """Mutual exclusion: one running cell, and it is the running task."""
     running_cells = [c.id for c in state.tasks if c.state == RUNNING]
     consistent = (state.running is None and not running_cells) or (
@@ -89,15 +89,16 @@ def _running_conflict(config: KernelConfig, state: KernelState) -> str | None:
     return None
 
 
-def _priority_inversion(config: KernelConfig,
+def _priority_inversion(program: Program,
                         state: KernelState) -> str | None:
     """At quiescent states (no pending signals) a full-preemptive running
     task must hold the highest current priority."""
     if state.status != NORMAL or state.signals or state.running is None:
         return None
-    if config.tasks[state.running].schedule != FULL:
+    index = program.task_index[state.running]
+    if program.schedule[index] != FULL:
         return None
-    running_priority = state.task_cell(state.running).current_priority
+    running_priority = state.tasks[index].current_priority
     for cell in state.tasks:
         if cell.state == READY and cell.current_priority > running_priority:
             return (f"ready task {cell.id} (priority "
@@ -106,14 +107,15 @@ def _priority_inversion(config: KernelConfig,
     return None
 
 
-def _activation_overflow(config: KernelConfig,
+def _activation_overflow(program: Program,
                          state: KernelState) -> str | None:
     """Activation overflow on single-activation tasks must never happen."""
     label = state.last_label
     for call in label.calls:
         if (call.service in ("ActivateTask", "ChainTask")
                 and call.status == E_OS_LIMIT
-                and config.tasks[call.args[0]].max_activations == 1):
+                and program.max_activations[
+                    program.task_index[call.args[0]]] == 1):
             who = (f"alarm {call.by}" if label.kind == "alarm"
                    else call.service)
             return f"{who} overflowed task {call.args[0]}"
@@ -129,7 +131,7 @@ def _check_states(graph: explorer.StateGraph,
                   pids: list[str]) -> dict[str, PropertyResult]:
     """One pass over the graph's nodes for every selected state property;
     each failing property's witness leads to its first failing node."""
-    config = graph.state(graph.initial).config
+    program = graph.program
     verdict = "bounded_pass" if graph.truncated else "pass"
     results = {pid: PropertyResult(pid, verdict, None,
                                    f"{len(graph.nodes)} states scanned")
@@ -137,7 +139,7 @@ def _check_states(graph: explorer.StateGraph,
     for node, state in graph.nodes.items():
         for pid in pids:
             if results[pid].witness is None:
-                reason = _STATE_PREDICATES[pid](config, state)
+                reason = _STATE_PREDICATES[pid](program, state)
                 if reason is not None:
                     results[pid] = PropertyResult(
                         pid, "fail", graph.trace_to(node), reason)
@@ -156,8 +158,7 @@ def starvation_formula(event: str, task: str) -> ltl.Formula:
 
 
 def _check_starvation_freedom(graph: explorer.StateGraph) -> PropertyResult:
-    config = graph.state(graph.initial).config
-    pairs = _starvation_pairs(config)
+    pairs = _starvation_pairs(graph.program.config)
     view = ltl.KernelGraphView(graph)
     bounded = False
     for event, task in pairs:
@@ -187,8 +188,7 @@ def _edge_activates(label: TransitionLabel, alarm_id: str) -> bool:
 def _check_periodic_execution(graph: explorer.StateGraph) -> PropertyResult:
     """Monitor composition: count completions of the activated task between
     consecutive successful expiry activations of each alarm."""
-    config = graph.state(graph.initial).config
-    monitored = [a for a in config.alarms.values()
+    monitored = [a for a in graph.program.config.alarms.values()
                  if a.action.kind == "activatetask"]
     for alarm in monitored:
         task = alarm.action.task

@@ -15,11 +15,11 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Iterable
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from . import kernel_core, timing
 from .model import (ALLIDLE, DEADLOCK, E_OK, NORMAL, SCHEDULE_SIGNAL,
-                    SUSPENDED, KernelState, canonical_label,
+                    SUSPENDED, KernelState, Program, canonical_label,
                     canonical_snapshot, error_status, label_text,
                     snapshot_hash, stutterize)
 from .oil_config import KernelConfig
@@ -71,7 +71,11 @@ def _freeze(state: KernelState) -> KernelState:
     """
     for call in state.last_label.calls:
         if call.status != E_OK:
-            return replace(state, status=error_status(call.status))
+            return KernelState(state.program, state.tasks, state.ready,
+                               state.running, state.signals,
+                               state.counter_value, state.working_alarms,
+                               state.alarms, state.last_label,
+                               error_status(call.status))
     return state
 
 
@@ -89,8 +93,7 @@ def _apply_rule(state: KernelState, order: tuple[str, ...],
         return kernel_core.handle_schedule_signal(state)
     if state.running is not None:
         return kernel_core.exec_running_statement(state)
-    if state.ready:
-        state = replace(state, signals=state.signals | {SCHEDULE_SIGNAL})
+    if state.ready:  # dispatch: a scheduling point with no signal pending
         return kernel_core.handle_schedule_signal(state)
     if state.working_alarms:
         return timing.idle_advance(state, idle_mode)
@@ -238,6 +241,10 @@ class StateGraph:
     truncated: bool
     strict: bool
     idle_mode: str
+
+    @property
+    def program(self) -> Program:
+        return self.nodes[self.initial].program
 
     def state(self, node: int) -> KernelState:
         return self.nodes[node]

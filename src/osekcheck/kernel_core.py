@@ -1,7 +1,9 @@
 """Boot, the service table and the scheduler's signal rules.
 
 A kernel service is its effect: a function ``(state, caller, *args)`` that
-returns the successor state and the status code, mutating nothing.
+returns the successor state and the status code, mutating nothing; it reads
+the static facts it needs from the state's program and builds its successor
+directly.
 ``EFFECTS`` maps every service name the task language accepts to its effect;
 the task, event and resource services live here and the alarm services in
 :mod:`timing`.  ``call_service`` is the one place a call is made: it applies
@@ -18,16 +20,20 @@ the autostart tasks and alarms, then a dispatch.  Scheduler signal handling
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 from . import timing
 from .model import (BOOT_LABEL, E_OK, E_OS_ACCESS, E_OS_LIMIT, E_OS_NOFUNC,
-                    E_OS_RESOURCE, E_OS_STATE, READY, RUNNING, SCHEDULE_SIGNAL,
-                    SUSPENDED, WAITING, AlarmCell, Call, KernelState, TaskCell,
-                    TransitionLabel, alarmed_signal, enqueue, peek_highest,
-                    pop_highest)
+                    E_OS_RESOURCE, E_OS_STATE, NORMAL, READY, RUNNING,
+                    SCHEDULE_SIGNAL, SUSPENDED, WAITING, AlarmCell, Call,
+                    KernelState, Program, TaskCell, TransitionLabel,
+                    alarmed_signal, enqueue, peek_highest, pop_highest,
+                    with_cell)
 from .oil_config import FULL, KernelConfig
 from .task_lang import TaskBody, TimeInterval, WhileTrue
+
+# Shared sets: a frozenset takes 216 bytes, and most states hold one of these.
+NO_EVENTS: frozenset[str] = frozenset()
+NO_SIGNALS: frozenset = frozenset()
+SCHEDULING: frozenset = frozenset({SCHEDULE_SIGNAL})
 
 
 class BootError(Exception):
@@ -40,9 +46,9 @@ class BootError(Exception):
 
 
 def boot(config: KernelConfig, bodies: dict[str, TaskBody]) -> KernelState:
-    """StartOS: from every task suspended and every alarm disarmed, make the
-    ActivateTask call of each autostart task and the SetRelAlarm call of each
-    autostart alarm, then dispatch.
+    """StartOS: compile the program, then, from every task suspended and
+    every alarm disarmed, make the ActivateTask call of each autostart task
+    and the SetRelAlarm call of each autostart alarm, then dispatch.
 
     Autostart alarms are thus armed relative to counter zero, and an offset
     of zero raises its expiry signal immediately.  A call that fails (only
@@ -54,14 +60,15 @@ def boot(config: KernelConfig, bodies: dict[str, TaskBody]) -> KernelState:
         raise BootError(f"tasks without bodies: {', '.join(missing)}")
     if not any(task.autostart for task in config.tasks.values()):
         raise BootError("no autostart task; nothing would ever run")
-    tasks = tuple(TaskCell(
-        id=task.id, state=SUSPENDED, static_priority=task.priority,
-        current_priority=task.priority, max_activations=task.max_activations,
-        pending_activations=0, set_events=frozenset(), waiting_for=None,
-        held_resources=(), pc=0, residue=0) for task in config.tasks.values())
-    state = KernelState(config=config, bodies=bodies, tasks=tasks,
-                        alarms=tuple(AlarmCell(alarm, None, 0)
-                                     for alarm in config.alarms))
+    program = Program(config, bodies)
+    tasks = tuple(TaskCell(task_id, SUSPENDED, priority, 0, NO_EVENTS, None,
+                           (), 0, 0)
+                  for task_id, priority in zip(program.task_ids,
+                                               program.priority))
+    alarms = tuple(AlarmCell(alarm_id, None, 0)
+                   for alarm_id in program.alarm_ids)
+    state = KernelState(program, tasks, (), None, NO_SIGNALS, 0, (), alarms,
+                        BOOT_LABEL, NORMAL)
     calls = [("ActivateTask", task.id) for task in config.tasks.values()
              if task.autostart]
     calls += [("SetRelAlarm", alarm.id, alarm.autostart_offset or 0,
@@ -72,7 +79,11 @@ def boot(config: KernelConfig, bodies: dict[str, TaskBody]) -> KernelState:
         if status != E_OK:
             raise BootError(f"StartOS: {name}({', '.join(map(str, args))}) "
                             f"returns {status}")
-    return replace(handle_schedule_signal(state), last_label=BOOT_LABEL)
+    state = handle_schedule_signal(state)
+    return KernelState(program, state.tasks, state.ready, state.running,
+                       state.signals, state.counter_value,
+                       state.working_alarms, state.alarms, BOOT_LABEL,
+                       state.status)
 
 
 # ---------------------------------------------------------------------------
@@ -80,42 +91,59 @@ def boot(config: KernelConfig, bodies: dict[str, TaskBody]) -> KernelState:
 # ---------------------------------------------------------------------------
 
 
-def _fresh_cell(cell: TaskCell, state: str, **changes) -> TaskCell:
+def _scheduling(signals: frozenset) -> frozenset:
+    """``signals`` with the scheduling signal raised."""
+    return signals | SCHEDULING if signals else SCHEDULING
+
+
+def _with_signals(state: KernelState, signals: frozenset) -> KernelState:
+    return KernelState(state.program, state.tasks, state.ready, state.running,
+                       signals, state.counter_value, state.working_alarms,
+                       state.alarms, state.last_label, state.status)
+
+
+def _fresh_cell(state: KernelState, index: int, cell: TaskCell,
+                task_state: str, pending: int) -> TaskCell:
     """Reset a cell for a new activation: full body, no events, base priority."""
-    return replace(cell, state=state, set_events=frozenset(),
-                   waiting_for=None, current_priority=cell.static_priority,
-                   pc=0, residue=0, **changes)
+    return TaskCell(cell.id, task_state, state.program.priority[index],
+                    pending, NO_EVENTS, None, cell.held_resources, 0, 0)
 
 
-def _make_ready(state: KernelState, cell: TaskCell) -> KernelState:
+def _make_ready(state: KernelState, index: int,
+                cell: TaskCell) -> KernelState:
     """Store a READY cell, queue it last at its priority, ask to reschedule."""
-    state = state.with_task(cell)
-    return replace(state,
-                   ready=enqueue(state.ready, cell.current_priority, cell.id),
-                   signals=state.signals | {SCHEDULE_SIGNAL})
+    return KernelState(state.program, with_cell(state.tasks, index, cell),
+                       enqueue(state.ready, cell.current_priority, cell.id),
+                       state.running, _scheduling(state.signals),
+                       state.counter_value, state.working_alarms,
+                       state.alarms, state.last_label, state.status)
 
 
-def _end_activation(state: KernelState, task: str) -> KernelState:
-    """Suspend the running ``task`` with a fresh cell and ask to reschedule."""
-    state = state.with_task(_fresh_cell(state.task_cell(task), SUSPENDED))
-    return replace(state, running=None,
-                   signals=state.signals | {SCHEDULE_SIGNAL})
+def _end_activation(state: KernelState, index: int, pending: int,
+                    signals: frozenset) -> KernelState:
+    """Suspend the running task (at ``index``) with a fresh cell holding
+    ``pending`` recorded activations; ``signals`` are the successor's."""
+    cell = _fresh_cell(state, index, state.tasks[index], SUSPENDED, pending)
+    return KernelState(state.program, with_cell(state.tasks, index, cell),
+                       state.ready, None, signals, state.counter_value,
+                       state.working_alarms, state.alarms, state.last_label,
+                       state.status)
 
 
-def _owns_event(state: KernelState, task: str, event: str) -> bool:
-    """Is ``task`` an extended task that declares ``event``?"""
-    task_def = state.config.tasks[task]
-    return task_def.is_extended and event in task_def.events
+def _owns_event(state: KernelState, index: int, event: str) -> bool:
+    """Is the task at ``index`` an extended task that declares ``event``?"""
+    return event in state.program.events[index]
 
 
-def activation_status(cell: TaskCell) -> str:
-    """Would one more activation request be accepted for this cell?
+def activation_status(cell: TaskCell, limit: int) -> str:
+    """Would one more activation request be accepted for this cell, given
+    the task's activation limit?
 
     The live instance (any non-suspended state) and recorded pending requests
-    together may not exceed the task's activation limit.
+    together may not exceed the limit.
     """
     live = 0 if cell.state == SUSPENDED else 1
-    if live + cell.pending_activations + 1 <= cell.max_activations:
+    if live + cell.pending_activations + 1 <= limit:
         return E_OK
     return E_OS_LIMIT
 
@@ -129,16 +157,16 @@ def activate_task(state: KernelState, caller: str | None,
                   target: str) -> tuple[KernelState, str]:
     """Make ``target`` ready now or record the request (alarm actions and
     boot pass no caller)."""
-    cell = state.task_cell(target)
-    status = activation_status(cell)
+    index = state.program.task_index[target]
+    cell = state.tasks[index]
+    status = activation_status(cell, state.program.max_activations[index])
     if status != E_OK:
         return state, status
     if cell.state == SUSPENDED and cell.pending_activations == 0:
-        state = _make_ready(state, _fresh_cell(cell, READY))
-    else:
-        state = state.with_task(replace(
-            cell, pending_activations=cell.pending_activations + 1))
-    return state, E_OK
+        return _make_ready(state, index,
+                           _fresh_cell(state, index, cell, READY, 0)), E_OK
+    return state.with_task(cell._replace(
+        pending_activations=cell.pending_activations + 1)), E_OK
 
 
 def terminate_task(state: KernelState,
@@ -147,9 +175,12 @@ def terminate_task(state: KernelState,
 
     With resources still held the call fails and the task keeps running.
     """
-    if state.task_cell(caller).held_resources:
+    index = state.program.task_index[caller]
+    cell = state.tasks[index]
+    if cell.held_resources:
         return state, E_OS_RESOURCE
-    return _end_activation(state, caller), E_OK
+    return _end_activation(state, index, cell.pending_activations,
+                           _scheduling(state.signals)), E_OK
 
 
 def chain_task(state: KernelState, caller: str,
@@ -160,24 +191,29 @@ def chain_task(state: KernelState, caller: str,
     scheduling signal.  If the activation would exceed the target's limit the
     whole call fails and the caller keeps running.
     """
-    cell = state.task_cell(caller)
+    program = state.program
+    index = program.task_index[caller]
+    cell = state.tasks[index]
     if cell.held_resources:
         return state, E_OS_RESOURCE
     if target == caller:
-        if cell.pending_activations + 1 > cell.max_activations:
+        if cell.pending_activations + 1 > program.max_activations[index]:
             return state, E_OS_LIMIT
-        fresh = _fresh_cell(cell, SUSPENDED,
-                            pending_activations=cell.pending_activations + 1)
-        return replace(state.with_task(fresh), running=None), E_OK
-    if activation_status(state.task_cell(target)) != E_OK:
+        return _end_activation(state, index, cell.pending_activations + 1,
+                               state.signals), E_OK
+    target_index = program.task_index[target]
+    if activation_status(state.tasks[target_index],
+                         program.max_activations[target_index]) != E_OK:
         return state, E_OS_LIMIT
     state, _ = activate_task(state, caller, target)
-    return _end_activation(state, caller), E_OK
+    return _end_activation(state, index,
+                           state.tasks[index].pending_activations,
+                           _scheduling(state.signals)), E_OK
 
 
 def schedule(state: KernelState, caller: str) -> tuple[KernelState, str]:
     """Voluntary scheduling point; lets higher-priority ready tasks in."""
-    return replace(state, signals=state.signals | {SCHEDULE_SIGNAL}), E_OK
+    return _with_signals(state, _scheduling(state.signals)), E_OK
 
 
 # ---------------------------------------------------------------------------
@@ -189,27 +225,27 @@ def set_event(state: KernelState, caller: str | None, target: str,
               event: str) -> tuple[KernelState, str]:
     """Deliver an event to ``target``, waking it if it waits for the event
     (alarm actions pass no caller)."""
-    if not _owns_event(state, target, event):
+    index = state.program.task_index[target]
+    if not _owns_event(state, index, event):
         return state, E_OS_ACCESS
-    cell = state.task_cell(target)
+    cell = state.tasks[index]
     if cell.state == SUSPENDED:
         return state, E_OS_STATE
-    cell = replace(cell, set_events=cell.set_events | {event})
+    events = cell.set_events | {event}
     if cell.state == WAITING and cell.waiting_for == event:
-        state = _make_ready(state, replace(cell, state=READY,
-                                           waiting_for=None))
-    else:
-        state = state.with_task(cell)
-    return state, E_OK
+        return _make_ready(state, index, cell._replace(
+            state=READY, set_events=events, waiting_for=None)), E_OK
+    return state.with_task(cell._replace(set_events=events)), E_OK
 
 
 def clear_event(state: KernelState, caller: str,
                 event: str) -> tuple[KernelState, str]:
-    if not _owns_event(state, caller, event):
+    index = state.program.task_index[caller]
+    if not _owns_event(state, index, event):
         return state, E_OS_ACCESS
-    cell = state.task_cell(caller)
-    return state.with_task(replace(cell, set_events=cell.set_events
-                                   - {event})), E_OK
+    cell = state.tasks[index]
+    return state.with_task(cell._replace(
+        set_events=cell.set_events - {event} or NO_EVENTS)), E_OK
 
 
 def wait_event(state: KernelState, caller: str,
@@ -220,16 +256,19 @@ def wait_event(state: KernelState, caller: str,
     blocks and its program counter stays on the call: the call is re-issued
     (and charged again) when the task resumes, which is when it consumes.
     """
-    if not _owns_event(state, caller, event):
+    index = state.program.task_index[caller]
+    if not _owns_event(state, index, event):
         return state, E_OS_ACCESS
-    cell = state.task_cell(caller)
+    cell = state.tasks[index]
     if cell.held_resources:
         return state, E_OS_RESOURCE
     if event in cell.set_events:
         return state, E_OK
-    state = state.with_task(replace(cell, state=WAITING, waiting_for=event))
-    return replace(state, running=None,
-                   signals=state.signals | {SCHEDULE_SIGNAL}), E_OK
+    cell = cell._replace(state=WAITING, waiting_for=event)
+    return KernelState(state.program, with_cell(state.tasks, index, cell),
+                       state.ready, None, _scheduling(state.signals),
+                       state.counter_value, state.working_alarms,
+                       state.alarms, state.last_label, state.status), E_OK
 
 
 # ---------------------------------------------------------------------------
@@ -240,31 +279,34 @@ def wait_event(state: KernelState, caller: str,
 def get_resource(state: KernelState, caller: str,
                  resource: str) -> tuple[KernelState, str]:
     """Occupy a resource and raise the caller to its ceiling priority."""
-    task_def = state.config.tasks[caller]
+    program = state.program
+    index = program.task_index[caller]
     held_anywhere = any(resource in c.held_resources for c in state.tasks)
-    if resource not in task_def.resources or held_anywhere:
+    if resource not in program.resources[index] or held_anywhere:
         return state, E_OS_ACCESS
-    cell = state.task_cell(caller)
-    ceiling = state.config.ceiling(resource)
-    cell = replace(cell, held_resources=cell.held_resources + (resource,),
-                   current_priority=max(cell.current_priority, ceiling))
+    cell = state.tasks[index]
+    cell = cell._replace(held_resources=cell.held_resources + (resource,),
+                         current_priority=max(cell.current_priority,
+                                              program.ceiling[resource]))
     return state.with_task(cell), E_OK
 
 
 def release_resource(state: KernelState, caller: str,
                      resource: str) -> tuple[KernelState, str]:
     """Release the most recently taken resource and drop back in priority."""
-    cell = state.task_cell(caller)
+    program = state.program
+    index = program.task_index[caller]
+    cell = state.tasks[index]
     if not cell.held_resources or cell.held_resources[-1] != resource:
         return state, E_OS_NOFUNC
     held = cell.held_resources[:-1]
-    priority = max([cell.static_priority]
-                   + [state.config.ceiling(r) for r in held])
-    cell = replace(cell, held_resources=held, current_priority=priority)
-    state = state.with_task(cell)
+    priority = max([program.priority[index]]
+                   + [program.ceiling[r] for r in held])
+    state = state.with_task(cell._replace(held_resources=held,
+                                          current_priority=priority))
     top = peek_highest(state.ready)
     if top is not None and top[0] > priority:
-        state = replace(state, signals=state.signals | {SCHEDULE_SIGNAL})
+        state = _with_signals(state, _scheduling(state.signals))
     return state, E_OK
 
 
@@ -290,13 +332,6 @@ EFFECTS = {
 }
 
 
-# The service call each alarm action makes, with the action's task and event
-# as its arguments.  AlarmCallback stands for an application routine outside
-# the kernel: it has no effect and returns E_OK.
-ACTION_SERVICES = {"activatetask": "ActivateTask", "setevent": "SetEvent",
-                   "alarmcallback": "AlarmCallback"}
-
-
 def call_service(state: KernelState, caller: str, name: str, *args,
                  detail: str | None = None) -> KernelState:
     """Apply the service's effect, then its epilogue (label, consume, tick)."""
@@ -312,8 +347,11 @@ def call_service(state: KernelState, caller: str, name: str, *args,
 
 def pending_expiries(state: KernelState) -> tuple[str, ...]:
     """Armed alarms whose expiry signal is pending, in arming order."""
+    signals = state.signals
+    if not signals:
+        return ()
     return tuple(a for a in state.working_alarms
-                 if alarmed_signal(a) in state.signals)
+                 if alarmed_signal(a) in signals)
 
 
 def handle_expiries(state: KernelState,
@@ -324,40 +362,44 @@ def handle_expiries(state: KernelState,
     Cyclic alarms advance their alarm time by the cycle even when the action
     fails; one-shot alarms disarm.
     """
-    modulus = state.max_allowed_value + 1
+    program = state.program
     calls: list[Call] = []
-    signals = set(state.signals)
+    state = _with_signals(state, state.signals.difference(
+        [alarmed_signal(alarm_id) for alarm_id in order]) or NO_SIGNALS)
     for alarm_id in order:
-        signals.discard(alarmed_signal(alarm_id))
-    state = replace(state, signals=frozenset(signals))
-    for alarm_id in order:
-        action = state.config.alarms[alarm_id].action
-        service = ACTION_SERVICES[action.kind]
-        args = tuple(a for a in (action.task, action.event) if a is not None)
+        index = program.alarm_index[alarm_id]
+        service, args = program.alarm_action[index]
         status = E_OK
         if service in EFFECTS:
             state, status = EFFECTS[service](state, None, *args)
         calls.append(Call(alarm_id, service, args, status))
-        cell = state.alarm_cell(alarm_id)
+        cell = state.alarms[index]
         if cell.cyclic:
-            state = state.with_alarm(replace(
-                cell, alarm_time=(cell.alarm_time + cell.cycle_time)
-                % modulus))
+            state = state.with_alarm(cell._replace(
+                alarm_time=(cell.alarm_time + cell.cycle_time)
+                % program.modulus))
         else:
-            state = replace(state, working_alarms=tuple(
-                a for a in state.working_alarms if a != alarm_id))
+            state = KernelState(
+                program, state.tasks, state.ready, state.running,
+                state.signals, state.counter_value,
+                tuple(a for a in state.working_alarms if a != alarm_id),
+                state.alarms, state.last_label, state.status)
     label = TransitionLabel(kind="alarm", calls=tuple(calls))
-    return replace(state, last_label=label)
+    return KernelState(program, state.tasks, state.ready, state.running,
+                       state.signals, state.counter_value,
+                       state.working_alarms, state.alarms, label,
+                       state.status)
 
 
 def multiactivation_candidate(state: KernelState) -> str | None:
     """Suspended task with recorded activations, highest priority first."""
-    best: TaskCell | None = None
-    for cell in state.tasks:
+    best = None
+    priority = state.program.priority
+    for index, cell in enumerate(state.tasks):
         if cell.state == SUSPENDED and cell.pending_activations > 0:
-            if best is None or cell.static_priority > best.static_priority:
-                best = cell
-    return best.id if best is not None else None
+            if best is None or priority[index] > priority[best]:
+                best = index
+    return state.tasks[best].id if best is not None else None
 
 
 def handle_multiactivation(state: KernelState) -> KernelState:
@@ -365,11 +407,16 @@ def handle_multiactivation(state: KernelState) -> KernelState:
     target = multiactivation_candidate(state)
     if target is None:
         raise ValueError("no pending activation to release")
-    cell = state.task_cell(target)
-    state = _make_ready(state, _fresh_cell(
-        cell, READY, pending_activations=cell.pending_activations - 1))
-    return replace(state, last_label=TransitionLabel(
-        kind="signal", detail=f"multiactivation:{target}"))
+    index = state.program.task_index[target]
+    cell = state.tasks[index]
+    state = _make_ready(state, index, _fresh_cell(
+        state, index, cell, READY, cell.pending_activations - 1))
+    return KernelState(state.program, state.tasks, state.ready,
+                       state.running, state.signals, state.counter_value,
+                       state.working_alarms, state.alarms,
+                       TransitionLabel(kind="signal",
+                                       detail=f"multiactivation:{target}"),
+                       state.status)
 
 
 def handle_schedule_signal(state: KernelState) -> KernelState:
@@ -378,34 +425,40 @@ def handle_schedule_signal(state: KernelState) -> KernelState:
     A full-preemptive running task is displaced only by a strictly higher
     current priority; the displaced task re-enters its queue at the head.
     """
-    state = replace(state, signals=state.signals - {SCHEDULE_SIGNAL})
-    top = peek_highest(state.ready)
-    if state.running is None:
+    program = state.program
+    tasks, ready, running = state.tasks, state.ready, state.running
+    top = peek_highest(ready)
+    if running is None:
         if top is None:
             detail = "idle"
         else:
-            _, task_id, ready = pop_highest(state.ready)
-            state = replace(state.with_task(replace(
-                state.task_cell(task_id), state=RUNNING)),
-                ready=ready, running=task_id)
-            detail = f"dispatch:{task_id}"
+            _, running, ready = pop_highest(ready)
+            index = program.task_index[running]
+            tasks = with_cell(tasks, index,
+                              tasks[index]._replace(state=RUNNING))
+            detail = f"dispatch:{running}"
     else:
-        running_cell = state.task_cell(state.running)
-        policy = state.config.tasks[state.running].schedule
-        if (policy == FULL and top is not None
+        index = program.task_index[running]
+        running_cell = tasks[index]
+        if (program.schedule[index] == FULL and top is not None
                 and top[0] > running_cell.current_priority):
-            _, task_id, ready = pop_highest(state.ready)
-            ready = enqueue(ready, running_cell.current_priority,
-                            state.running, at_head=True)
-            state = state.with_task(replace(running_cell, state=READY))
-            state = state.with_task(replace(state.task_cell(task_id),
-                                            state=RUNNING))
-            state = replace(state, ready=ready, running=task_id)
-            detail = f"preempt:{running_cell.id}>{task_id}"
+            _, task_id, ready = pop_highest(ready)
+            ready = enqueue(ready, running_cell.current_priority, running,
+                            at_head=True)
+            tasks = with_cell(tasks, index,
+                              running_cell._replace(state=READY))
+            index = program.task_index[task_id]
+            tasks = with_cell(tasks, index,
+                              tasks[index]._replace(state=RUNNING))
+            detail = f"preempt:{running}>{task_id}"
+            running = task_id
         else:
             detail = "keep"
-    return replace(state, last_label=TransitionLabel(kind="signal",
-                                                     detail=detail))
+    return KernelState(program, tasks, ready, running,
+                       state.signals - SCHEDULING or NO_SIGNALS,
+                       state.counter_value, state.working_alarms, state.alarms,
+                       TransitionLabel(kind="signal", detail=detail),
+                       state.status)
 
 
 # ---------------------------------------------------------------------------

@@ -667,11 +667,15 @@ def _simplify(aut: BuchiAutomaton) -> BuchiAutomaton:
 
 
 class KernelGraphView:
-    """Adapter exposing a reachability graph to the product construction."""
+    """Adapter exposing a reachability graph to the product construction.
+
+    Each proposition's values are kept in one list indexed by node id, and
+    each is computed at most once per node.
+    """
 
     def __init__(self, graph):
         self.graph = graph
-        self._cache: dict[tuple[int, Prop], bool] = {}
+        self._values: dict[Prop, list[bool | None]] = {}
 
     @property
     def initial(self):
@@ -685,11 +689,12 @@ class KernelGraphView:
         return self.graph.successors_of(node)
 
     def prop_value(self, node, prop: Prop) -> bool:
-        key = (node, prop)
-        value = self._cache.get(key)
+        values = self._values.get(prop)
+        if values is None:
+            values = self._values[prop] = [None] * len(self.graph.nodes)
+        value = values[node]
         if value is None:
-            value = eval_prop(prop, self.graph.state(node))
-            self._cache[key] = value
+            value = values[node] = eval_prop(prop, self.graph.nodes[node])
         return value
 
 

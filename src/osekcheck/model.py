@@ -1,25 +1,34 @@
-"""Immutable kernel state, transition labels and the canonical snapshot.
+"""The compiled program, immutable kernel states, transition labels and the
+canonical snapshot.
 
-The state mirrors a configuration-style cell layout: one cell per task, a
-priority-ordered ready structure, the running task, a pending-signal set, the
-system counter, the list of armed alarms and the label of the transition that
-produced the state.  A label records the service calls the transition made as
-``Call`` records: a task's one call, or one per alarm in an expiry batch,
-whose action is an ActivateTask, SetEvent or AlarmCallback call by the alarm.
-States are frozen dataclasses; every transition builds a new state, and two
-states are the same state exactly when they are equal (the configuration,
-task bodies and time-advance amounts are not compared).
-``canonical_snapshot`` renders the cells as stable text for printed traces.
+A ``Program`` holds what a run never changes, compiled once per boot from
+the configuration and the task bodies: the task and alarm numbering, each
+task's static priority, activation limit, schedule policy, events and
+resources, the resource ceilings, the system counter's modulus and minimum
+cycle, each alarm's action as a service call, and the flattened code with
+its snapshot text.  The state holds only the dynamic cells, addressed by
+task and alarm index: one cell per task, a priority-ordered ready structure,
+the running task, a pending-signal set, the system counter, the list of
+armed alarms and the label of the transition that produced the state.  A
+label records the service calls the transition made as ``Call`` records: a
+task's one call, or one per alarm in an expiry batch, whose action is an
+ActivateTask, SetEvent or AlarmCallback call by the alarm.  States and cells
+are slotted records that are never changed; every transition builds a new
+state, and two states are the same state exactly when they are equal (the
+program and time-advance amounts are not compared).  A state computes its
+hash once.  ``canonical_snapshot`` renders the cells, with the static
+columns and code text of the program, as stable text for printed traces.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .oil_config import KernelConfig
-from .task_lang import Statement, TaskBody, TimeInterval, compact_statement
+from .task_lang import (CodeEntry, Statement, TaskBody, TimeInterval,
+                        compact_statement)
 
 # ---------------------------------------------------------------------------
 # constants
@@ -59,15 +68,17 @@ def error_status(code: str) -> str:
 # ---------------------------------------------------------------------------
 # cells
 # ---------------------------------------------------------------------------
+# Cells are named tuples: slotted, and built, compared and hashed in C.  A
+# successor shares every cell its transition did not change with its parent.
 
 
-@dataclass(frozen=True)
-class TaskCell:
+class TaskCell(NamedTuple):
+    """A task's dynamic cell; its static priority and activation limit are
+    columns of the program."""
+
     id: str
     state: str
-    static_priority: int
     current_priority: int
-    max_activations: int
     pending_activations: int
     set_events: frozenset[str]
     waiting_for: str | None
@@ -76,8 +87,7 @@ class TaskCell:
     residue: int  # ticks left of the TimeInterval at pc; 0 until it starts
 
 
-@dataclass(frozen=True)
-class AlarmCell:
+class AlarmCell(NamedTuple):
     id: str
     alarm_time: int | None  # None until first armed
     cycle_time: int
@@ -85,6 +95,11 @@ class AlarmCell:
     @property
     def cyclic(self) -> bool:
         return self.cycle_time != 0
+
+
+def with_cell(cells: tuple, index: int, cell) -> tuple:
+    """``cells`` with the cell at ``index`` replaced by ``cell``."""
+    return cells[:index] + (cell,) + cells[index + 1:]
 
 
 # ---------------------------------------------------------------------------
@@ -163,71 +178,187 @@ def label_text(label: TransitionLabel) -> str:
 
 
 # ---------------------------------------------------------------------------
+# the program: what a run never changes
+# ---------------------------------------------------------------------------
+
+# The service call each alarm action makes, with the action's task and event
+# as its arguments.  AlarmCallback stands for an application routine outside
+# the kernel: it has no effect and returns E_OK.
+ACTION_SERVICES = {"activatetask": "ActivateTask", "setevent": "SetEvent",
+                   "alarmcallback": "AlarmCallback"}
+
+
+class Program:
+    """The configuration and the task bodies compiled once per boot.
+
+    Tasks and alarms are numbered in declaration order; every per-task and
+    per-alarm column below is a tuple indexed by that number, as are the
+    cells of the states that share this program.  ``code_text[i][pc]`` is
+    the snapshot spelling of task ``i``'s program from ``pc`` on (``"-"`` at
+    the end of its body).
+    """
+
+    __slots__ = ("config", "task_ids", "task_index", "alarm_ids",
+                 "alarm_index", "priority", "max_activations", "schedule",
+                 "events", "resources", "ceiling", "modulus", "min_cycle",
+                 "alarm_action", "code", "code_text")
+
+    def __init__(self, config: KernelConfig, bodies: dict[str, TaskBody]):
+        tasks = tuple(config.tasks.values())
+        counter = config.system_counter
+        self.config = config
+        self.task_ids = tuple(task.id for task in tasks)
+        self.task_index = {task_id: i for i, task_id in
+                           enumerate(self.task_ids)}
+        self.alarm_ids = tuple(config.alarms)
+        self.alarm_index = {alarm_id: i for i, alarm_id in
+                            enumerate(self.alarm_ids)}
+        self.priority = tuple(task.priority for task in tasks)
+        self.max_activations = tuple(task.max_activations for task in tasks)
+        self.schedule = tuple(task.schedule for task in tasks)
+        # a basic task declares no events, so it owns none
+        self.events = tuple(task.events for task in tasks)
+        self.resources = tuple(task.resources for task in tasks)
+        # a resource's ceiling: the highest priority of the tasks using it
+        self.ceiling: dict[str, int] = {}
+        for task in tasks:
+            for resource in task.resources:
+                self.ceiling[resource] = max(
+                    self.ceiling.get(resource, task.priority), task.priority)
+        self.modulus = counter.max_allowed_value + 1
+        self.min_cycle = counter.min_cycle
+        self.alarm_action = tuple(
+            (ACTION_SERVICES[alarm.action.kind],
+             tuple(a for a in (alarm.action.task, alarm.action.event)
+                   if a is not None))
+            for alarm in config.alarms.values())
+        self.code = tuple(bodies[task_id].code for task_id in self.task_ids)
+        self.code_text = tuple(
+            tuple(_code_text(code, pc, 0) for pc in range(len(code) + 1))
+            for code in self.code)
+
+
+def _code_text(code: tuple[CodeEntry, ...], pc: int, residue: int) -> str:
+    if pc == len(code):
+        return "-"
+    stmt, _, rest = code[pc]
+    head = (f"TimeInterval={residue}" if residue
+            else compact_statement(stmt))
+    return f"{head};{rest}" if rest else head
+
+
+# ---------------------------------------------------------------------------
 # kernel state
 # ---------------------------------------------------------------------------
 
 ReadyQueues = tuple[tuple[int, tuple[str, ...]], ...]
 
 
-@dataclass(frozen=True)
 class KernelState:
-    config: KernelConfig = field(compare=False)
-    bodies: dict[str, TaskBody] = field(compare=False)
-    tasks: tuple[TaskCell, ...] = ()
-    ready: ReadyQueues = ()
-    running: str | None = None
-    signals: frozenset = frozenset()
-    counter_value: int = 0
-    working_alarms: tuple[str, ...] = ()
-    alarms: tuple[AlarmCell, ...] = ()
-    last_label: TransitionLabel = BOOT_LABEL
-    status: str = NORMAL
+    """One kernel state: the dynamic cells, and the program they run.
+
+    A state is never changed once built; every transition builds a new one.
+    Task and alarm cells sit at their program index.  Two states are equal
+    when all cells but ``program`` are equal (time-advance amounts in the
+    label are not compared either), and a state computes its hash once, on
+    first use.
+    """
+
+    __slots__ = ("program", "tasks", "ready", "running", "signals",
+                 "counter_value", "working_alarms", "alarms", "last_label",
+                 "status", "_hash")
+
+    def __init__(self, program: Program, tasks: tuple[TaskCell, ...],
+                 ready: ReadyQueues, running: str | None, signals: frozenset,
+                 counter_value: int, working_alarms: tuple[str, ...],
+                 alarms: tuple[AlarmCell, ...], last_label: TransitionLabel,
+                 status: str):
+        self.program = program
+        self.tasks = tasks
+        self.ready = ready
+        self.running = running
+        self.signals = signals
+        self.counter_value = counter_value
+        self.working_alarms = working_alarms
+        self.alarms = alarms
+        self.last_label = last_label
+        self.status = status
+        self._hash = None
+
+    def __eq__(self, other) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not KernelState:
+            return NotImplemented
+        return (self.counter_value == other.counter_value
+                and self.status == other.status
+                and self.running == other.running
+                and self.signals == other.signals
+                and self.ready == other.ready
+                and self.working_alarms == other.working_alarms
+                and self.last_label == other.last_label
+                and self.tasks == other.tasks
+                and self.alarms == other.alarms)
+
+    def __hash__(self) -> int:
+        if self._hash is None:
+            self._hash = hash((self.tasks, self.ready, self.running,
+                               self.signals, self.counter_value,
+                               self.working_alarms, self.alarms,
+                               self.last_label, self.status))
+        return self._hash
+
+    def __repr__(self) -> str:
+        return (f"KernelState(counter_value={self.counter_value}, "
+                f"status={self.status!r}, running={self.running!r}, "
+                f"label={canonical_label(self.last_label)!r})")
 
     # -- cell access -------------------------------------------------------
 
     def task_cell(self, task_id: str) -> TaskCell:
-        for cell in self.tasks:
-            if cell.id == task_id:
-                return cell
-        raise KeyError(task_id)
+        return self.tasks[self.program.task_index[task_id]]
 
     def alarm_cell(self, alarm_id: str) -> AlarmCell:
-        for cell in self.alarms:
-            if cell.id == alarm_id:
-                return cell
-        raise KeyError(alarm_id)
+        return self.alarms[self.program.alarm_index[alarm_id]]
 
     def with_task(self, cell: TaskCell) -> "KernelState":
-        tasks = tuple(cell if c.id == cell.id else c for c in self.tasks)
-        return replace(self, tasks=tasks)
+        tasks = with_cell(self.tasks, self.program.task_index[cell.id], cell)
+        return KernelState(self.program, tasks, self.ready, self.running,
+                           self.signals, self.counter_value,
+                           self.working_alarms, self.alarms, self.last_label,
+                           self.status)
+
+    def with_alarm(self, cell: AlarmCell) -> "KernelState":
+        alarms = with_cell(self.alarms, self.program.alarm_index[cell.id],
+                           cell)
+        return KernelState(self.program, self.tasks, self.ready,
+                           self.running, self.signals, self.counter_value,
+                           self.working_alarms, alarms, self.last_label,
+                           self.status)
 
     def front(self, task_id: str) -> Statement | None:
         """The task's next statement (None at the end of its body); a split
         TimeInterval reads as the ticks it has left."""
-        cell = self.task_cell(task_id)
-        code = self.bodies[task_id].code
+        index = self.program.task_index[task_id]
+        cell = self.tasks[index]
         if cell.residue:
             return TimeInterval(cell.residue)
+        code = self.program.code[index]
         return code[cell.pc].statement if cell.pc < len(code) else None
 
     def past_front(self, task_id: str) -> "KernelState":
         """Move the task past its front statement; the end stays the end."""
-        cell = self.task_cell(task_id)
-        code = self.bodies[task_id].code
+        index = self.program.task_index[task_id]
+        cell = self.tasks[index]
+        code = self.program.code[index]
         pc = code[cell.pc].next if cell.pc < len(code) else cell.pc
-        return self.with_task(replace(cell, pc=pc, residue=0))
-
-    def with_alarm(self, cell: AlarmCell) -> "KernelState":
-        alarms = tuple(cell if c.id == cell.id else c for c in self.alarms)
-        return replace(self, alarms=alarms)
-
-    @property
-    def max_allowed_value(self) -> int:
-        return self.config.system_counter.max_allowed_value
-
-    @property
-    def min_cycle(self) -> int:
-        return self.config.system_counter.min_cycle
+        cell = TaskCell(cell.id, cell.state, cell.current_priority,
+                        cell.pending_activations, cell.set_events,
+                        cell.waiting_for, cell.held_resources, pc, 0)
+        return KernelState(self.program, with_cell(self.tasks, index, cell),
+                           self.ready, self.running, self.signals,
+                           self.counter_value, self.working_alarms,
+                           self.alarms, self.last_label, self.status)
 
 
 def is_deadlocked(state: KernelState) -> bool:
@@ -237,8 +368,10 @@ def is_deadlocked(state: KernelState) -> bool:
 
 def stutterize(state: KernelState, status: str | None = None) -> KernelState:
     """Terminal fixpoint twin of ``state``: same cells, stutter label."""
-    return replace(state, status=status if status is not None else state.status,
-                   last_label=STUTTER_LABEL)
+    return KernelState(state.program, state.tasks, state.ready, state.running,
+                       state.signals, state.counter_value,
+                       state.working_alarms, state.alarms, STUTTER_LABEL,
+                       status if status is not None else state.status)
 
 
 # ---------------------------------------------------------------------------
@@ -248,14 +381,13 @@ def stutterize(state: KernelState, status: str | None = None) -> KernelState:
 
 def enqueue(ready: ReadyQueues, priority: int, task_id: str,
             at_head: bool = False) -> ReadyQueues:
-    queues = {prio: list(q) for prio, q in ready}
-    queue = queues.setdefault(priority, [])
-    if at_head:
-        queue.insert(0, task_id)
-    else:
-        queue.append(task_id)
-    return tuple((prio, tuple(queues[prio]))
-                 for prio in sorted(queues, reverse=True) if queues[prio])
+    for index, (prio, queue) in enumerate(ready):
+        if prio == priority:
+            queue = (task_id,) + queue if at_head else queue + (task_id,)
+            return ready[:index] + ((prio, queue),) + ready[index + 1:]
+        if prio < priority:
+            return ready[:index] + ((priority, (task_id,)),) + ready[index:]
+    return ready + ((priority, (task_id,)),)
 
 
 def peek_highest(ready: ReadyQueues) -> tuple[int, str] | None:
@@ -266,12 +398,12 @@ def peek_highest(ready: ReadyQueues) -> tuple[int, str] | None:
 
 
 def pop_highest(ready: ReadyQueues) -> tuple[int, str, ReadyQueues]:
-    top = peek_highest(ready)
-    if top is None:
+    if not ready:
         raise ValueError("ready structure is empty")
-    prio, task_id = top
-    queues = [(p, q[1:] if p == prio else q) for p, q in ready]
-    return prio, task_id, tuple((p, q) for p, q in queues if q)
+    (prio, queue), rest = ready[0], ready[1:]
+    if len(queue) > 1:
+        rest = ((prio, queue[1:]),) + rest
+    return prio, queue[0], rest
 
 
 # ---------------------------------------------------------------------------
@@ -279,17 +411,10 @@ def pop_highest(ready: ReadyQueues) -> tuple[int, str, ReadyQueues]:
 # ---------------------------------------------------------------------------
 
 
-def _program_text(body: TaskBody, cell: TaskCell) -> str:
-    if cell.pc == len(body.code):
-        return "-"
-    stmt, _, rest = body.code[cell.pc]
-    head = (f"TimeInterval={cell.residue}" if cell.residue
-            else compact_statement(stmt))
-    return f"{head};{rest}" if rest else head
-
-
 def canonical_snapshot(state: KernelState) -> str:
-    """Deterministic textual form of every semantic cell."""
+    """Deterministic textual form of every semantic cell, with the static
+    columns and program text of each task read from the program."""
+    program = state.program
     lines = [
         f"counter={state.counter_value}",
         f"status={state.status}",
@@ -307,15 +432,17 @@ def canonical_snapshot(state: KernelState) -> str:
         lines.append("ready=-")
     lines.append("working=" + ("|".join(state.working_alarms) or "-"))
     lines.append("label=" + canonical_label(state.last_label))
-    for cell in state.tasks:
+    for index, cell in enumerate(state.tasks):
         events = "|".join(sorted(cell.set_events)) or "-"
         resources = "|".join(cell.held_resources) or "-"
+        text = (_code_text(program.code[index], cell.pc, cell.residue)
+                if cell.residue else program.code_text[index][cell.pc])
         lines.append(
-            f"task={cell.id} st={cell.state} sp={cell.static_priority} "
-            f"cp={cell.current_priority} act={cell.max_activations}/"
+            f"task={cell.id} st={cell.state} sp={program.priority[index]} "
+            f"cp={cell.current_priority} "
+            f"act={program.max_activations[index]}/"
             f"{cell.pending_activations} ev={events} "
-            f"w={cell.waiting_for or '-'} res={resources} "
-            f"pgm={_program_text(state.bodies[cell.id], cell)}")
+            f"w={cell.waiting_for or '-'} res={resources} pgm={text}")
     for cell in state.alarms:
         at = "-" if cell.alarm_time is None else str(cell.alarm_time)
         lines.append(f"alarm={cell.id} at={at} ct={cell.cycle_time}")

@@ -98,19 +98,6 @@ _TYPE_WORDS = {"int", "char", "long", "short", "unsigned", "signed",
                "float", "double", "bool", "void"}
 
 
-def estimate_time_interval(statement_count: int, statements_per_tick: int) -> int:
-    """Abstract a block of straight-line code into whole ticks.
-
-    The block is charged one tick per ``statements_per_tick`` statements,
-    rounding down, but never less than one tick.
-    """
-    if statement_count < 0:
-        raise ValueError("statement_count must be nonnegative")
-    if statements_per_tick < 1:
-        raise ValueError("statements_per_tick must be positive")
-    return max(1, statement_count // statements_per_tick)
-
-
 # ---------------------------------------------------------------------------
 # parsing
 # ---------------------------------------------------------------------------

@@ -14,15 +14,15 @@ return the successor state and the status, and the epilogue does the rest.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 from .model import (E_OK, E_OS_NOFUNC, E_OS_STATE, E_OS_VALUE, SUSPENDED,
                     WAITING, Call, KernelState, TransitionLabel,
-                    alarmed_signal)
+                    alarmed_signal, with_cell)
 
 JUMP = "jump"
 UNIT = "unit"
 IDLE_MODES = (JUMP, UNIT)
+
+LOOP_LABEL = TransitionLabel(kind="time", amount=1, reason="loop")
 
 # ---------------------------------------------------------------------------
 # counter primitives
@@ -31,7 +31,7 @@ IDLE_MODES = (JUMP, UNIT)
 
 def expiry_distance(state: KernelState, alarm_id: str) -> int:
     """Ticks until the alarm expires, in [1, MAXALLOWEDVALUE + 1]."""
-    modulus = state.max_allowed_value + 1
+    modulus = state.program.modulus
     cell = state.alarm_cell(alarm_id)
     distance = (cell.alarm_time - state.counter_value) % modulus
     return distance if distance > 0 else modulus
@@ -55,14 +55,17 @@ def _advance(state: KernelState, amount: int,
 
     Callers guarantee that no armed alarm expires strictly inside the span.
     """
-    modulus = state.max_allowed_value + 1
-    value = (state.counter_value + amount) % modulus
-    signals = set(state.signals)
-    for alarm_id in state.working_alarms:
-        if state.alarm_cell(alarm_id).alarm_time == value:
-            signals.add(alarmed_signal(alarm_id))
-    return replace(state, counter_value=value, signals=frozenset(signals),
-                   last_label=label)
+    program = state.program
+    value = (state.counter_value + amount) % program.modulus
+    signals = state.signals
+    landing = [alarmed_signal(alarm_id) for alarm_id in state.working_alarms
+               if state.alarms[program.alarm_index[alarm_id]].alarm_time
+               == value]
+    if landing:
+        signals = signals.union(landing)
+    return KernelState(program, state.tasks, state.ready, state.running,
+                       signals, value, state.working_alarms, state.alarms,
+                       label, state.status)
 
 
 # ---------------------------------------------------------------------------
@@ -107,8 +110,8 @@ def exec_time_interval(state: KernelState, caller: str,
     nearest = next_expiry(state)
     advance = ticks if nearest is None else min(ticks, nearest[0])
     if advance < ticks:
-        state = state.with_task(replace(state.task_cell(caller),
-                                        residue=ticks - advance))
+        state = state.with_task(state.task_cell(caller)._replace(
+            residue=ticks - advance))
     else:
         state = state.past_front(caller)
     return _advance(state, advance, TransitionLabel(
@@ -121,8 +124,7 @@ def exec_loop_entry(state: KernelState, caller: str) -> KernelState:
     Only the first entry is charged; closing an iteration and starting the
     next is free.
     """
-    return _advance(state.past_front(caller), 1,
-                    TransitionLabel(kind="time", amount=1, reason="loop"))
+    return _advance(state.past_front(caller), 1, LOOP_LABEL)
 
 
 def idle_advance(state: KernelState, mode: str = JUMP) -> KernelState:
@@ -147,7 +149,21 @@ def idle_advance(state: KernelState, mode: str = JUMP) -> KernelState:
 def _cycle_ok(state: KernelState, cycle: int) -> bool:
     if cycle == 0:
         return True
-    return state.min_cycle <= cycle <= state.max_allowed_value
+    return state.program.min_cycle <= cycle < state.program.modulus
+
+
+def _arm(state: KernelState, alarm_id: str, alarm_time: int, cycle: int,
+         signals: frozenset) -> KernelState:
+    """Set the alarm's time and cycle and append it to the working alarms;
+    ``signals`` are the successor's."""
+    index = state.program.alarm_index[alarm_id]
+    alarms = with_cell(state.alarms, index,
+                       state.alarms[index]._replace(alarm_time=alarm_time,
+                                                    cycle_time=cycle))
+    return KernelState(state.program, state.tasks, state.ready,
+                       state.running, signals, state.counter_value,
+                       state.working_alarms + (alarm_id,), alarms,
+                       state.last_label, state.status)
 
 
 def set_rel_alarm(state: KernelState, caller: str, alarm_id: str,
@@ -159,18 +175,14 @@ def set_rel_alarm(state: KernelState, caller: str, alarm_id: str,
     """
     if alarm_id in state.working_alarms:
         return state, E_OS_STATE
-    if increment > state.max_allowed_value or not _cycle_ok(state, cycle):
+    modulus = state.program.modulus
+    if increment >= modulus or not _cycle_ok(state, cycle):
         return state, E_OS_VALUE
-    modulus = state.max_allowed_value + 1
-    alarm_time = (state.counter_value + increment) % modulus
-    cell = replace(state.alarm_cell(alarm_id), alarm_time=alarm_time,
-                   cycle_time=cycle)
-    state = state.with_alarm(cell)
-    state = replace(state, working_alarms=state.working_alarms + (alarm_id,))
+    signals = state.signals
     if increment == 0:
-        state = replace(state, signals=state.signals
-                        | {alarmed_signal(alarm_id)})
-    return state, E_OK
+        signals = signals | {alarmed_signal(alarm_id)}
+    return _arm(state, alarm_id, (state.counter_value + increment) % modulus,
+                cycle, signals), E_OK
 
 
 def set_abs_alarm(state: KernelState, caller: str, alarm_id: str,
@@ -182,13 +194,9 @@ def set_abs_alarm(state: KernelState, caller: str, alarm_id: str,
     """
     if alarm_id in state.working_alarms:
         return state, E_OS_STATE
-    if start > state.max_allowed_value or not _cycle_ok(state, cycle):
+    if start >= state.program.modulus or not _cycle_ok(state, cycle):
         return state, E_OS_VALUE
-    cell = replace(state.alarm_cell(alarm_id), alarm_time=start,
-                   cycle_time=cycle)
-    state = state.with_alarm(cell)
-    return replace(state, working_alarms=state.working_alarms
-                   + (alarm_id,)), E_OK
+    return _arm(state, alarm_id, start, cycle, state.signals), E_OK
 
 
 def cancel_alarm(state: KernelState, caller: str,
@@ -198,4 +206,7 @@ def cancel_alarm(state: KernelState, caller: str,
     if alarm_id not in state.working_alarms:
         return state, E_OS_NOFUNC
     working = tuple(a for a in state.working_alarms if a != alarm_id)
-    return replace(state, working_alarms=working), E_OK
+    return KernelState(state.program, state.tasks, state.ready,
+                       state.running, state.signals, state.counter_value,
+                       working, state.alarms, state.last_label,
+                       state.status), E_OK

@@ -338,11 +338,21 @@ def random_app(rng: random.Random) -> tuple[str, str]:
 # ==== state invariants =====================================================
 
 
+def changed(state: KernelState, **fields) -> KernelState:
+    """A copy of ``state`` with the named fields changed."""
+    values = {name: getattr(state, name) for name in (
+        "program", "tasks", "ready", "running", "signals", "counter_value",
+        "working_alarms", "alarms", "last_label", "status")}
+    return KernelState(**(values | fields))
+
+
+
 def check_invariants(state: KernelState) -> list[str]:
     """Structural soundness conditions that every reachable state satisfies;
     returns a list of violation descriptions (empty = healthy)."""
     bad: list[str] = []
-    config = state.config
+    program = state.program
+    config = program.config
     mav = config.system_counter.max_allowed_value
     if not (0 <= state.counter_value <= mav):
         bad.append(f"counter {state.counter_value} outside [0, {mav}]")
@@ -370,8 +380,13 @@ def check_invariants(state: KernelState) -> list[str]:
     if set(queued) != ready_cells:
         bad.append(f"ready cells {ready_cells} != queued {set(queued)}")
 
+    if [c.id for c in state.tasks] != list(config.tasks):
+        bad.append("task cells out of declaration order")
+    if [a.id for a in state.alarms] != list(config.alarms):
+        bad.append("alarm cells out of declaration order")
+
     held: dict[str, str] = {}
-    for cell in state.tasks:
+    for index, cell in enumerate(state.tasks):
         task_def = config.tasks[cell.id]
         live = 0 if cell.state == SUSPENDED else 1
         if cell.pending_activations < 0:
@@ -398,7 +413,7 @@ def check_invariants(state: KernelState) -> list[str]:
         if cell.current_priority != expected:
             bad.append(f"{cell.id}: current priority "
                        f"{cell.current_priority}, expected {expected}")
-        code = state.bodies[cell.id].code
+        code = program.code[index]
         if not 0 <= cell.pc <= len(code):
             bad.append(f"{cell.id}: pc {cell.pc} outside [0, {len(code)}]")
         elif cell.residue and not (

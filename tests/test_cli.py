@@ -11,6 +11,7 @@ import pytest
 
 from conftest import (EMS_LTL, EMS_OIL, EMS_PROPS, EMS_REPAIRED_OIL,
                       EMS_REPORT, EMS_TSK)
+from helpers import ACTIONS_OIL, ACTIONS_TSK, MINI_OIL, MINI_TSK
 from osekcheck import explorer
 from osekcheck.cli import main
 
@@ -206,6 +207,27 @@ class TestFailures:
         assert out == ""
         assert err.splitlines()[-1] == \
             "error: state budget exhausted: exploration exceeded 5 states"
+
+
+# ==== invocations share no state ===========================================
+
+
+@pytest.mark.parametrize("command", ["run", "conform"])
+def test_no_state_outlives_an_invocation(capsys, tmp_path, command):
+    """A, B, A in one process: A prints the same bytes both times, so no
+    memo (keyed on ``id()`` or kept at module level) carries over."""
+    apps = {}
+    for name, oil, tsk in (("mini", MINI_OIL, MINI_TSK),
+                           ("actions", ACTIONS_OIL, ACTIONS_TSK)):
+        (tmp_path / f"{name}.oil").write_text(oil)
+        (tmp_path / f"{name}.tsk").write_text(tsk)
+        apps[name] = app_argv(command, tmp_path / f"{name}.oil",
+                              tmp_path / f"{name}.tsk", None)
+    first = run_cli(capsys, *apps["mini"])
+    other = run_cli(capsys, *apps["actions"])
+    again = run_cli(capsys, *apps["mini"])
+    assert first == again
+    assert other != first
 
 
 # ==== shared input handling ================================================

@@ -10,8 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import (GOLDEN_SCENARIOS, LOOP_OIL, LOOP_TSK, check_invariants,
-                     make_app, random_app, run_deterministic)
+from helpers import (GOLDEN_SCENARIOS, LOOP_OIL, LOOP_TSK, changed,
+                     check_invariants, make_app, random_app,
+                     run_deterministic)
 from osekcheck import explorer, kernel_core, timing
 from osekcheck.model import (ALLIDLE, DEADLOCK, NORMAL, canonical_label,
                              canonical_snapshot, state_hash)
@@ -90,7 +91,7 @@ class TestStep:
     def test_non_normal_state_stutters(self):
         config, bodies = mini_app()
         state = kernel_core.boot(config, bodies)
-        frozen = replace(state, status="error:E_OS_LIMIT")
+        frozen = changed(state, status="error:E_OS_LIMIT")
         twin = explorer.step(frozen)
         assert twin.status == "error:E_OS_LIMIT"
         assert twin.last_label.reason == "stutter"
@@ -145,13 +146,13 @@ class TestTraces:
     def test_replay_rejects_tampering(self):
         trace = self.build_trace()
         bad_states = trace.states[:-1] + (
-            replace(trace.states[-1], counter_value=31),)
+            changed(trace.states[-1], counter_value=31),)
         with pytest.raises(explorer.ReplayMismatch):
             explorer.replay(explorer.Trace(bad_states, trace.choices))
 
     def test_mismatch_shows_both_snapshots(self):
         trace = self.build_trace()
-        tampered = replace(trace.states[-1], counter_value=31)
+        tampered = changed(trace.states[-1], counter_value=31)
         with pytest.raises(explorer.ReplayMismatch) as excinfo:
             explorer.replay(explorer.Trace(trace.states[:-1] + (tampered,),
                                            trace.choices))
@@ -301,7 +302,7 @@ class TestStateIdentity:
         state = kernel_core.boot(config, bodies)
         while state.last_label.kind != "time":
             state = explorer.step(state)
-        longer = replace(state, last_label=replace(
+        longer = changed(state, last_label=replace(
             state.last_label, amount=state.last_label.amount + 1))
         assert longer == state and hash(longer) == hash(state)
         assert canonical_snapshot(longer) == canonical_snapshot(state)

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import check_invariants, make_app
+from helpers import changed, check_invariants, make_app
 from osekcheck import kernel_core, explorer
 from osekcheck.model import (E_OK, E_OS_ACCESS, E_OS_LIMIT, E_OS_NOFUNC,
                              E_OS_RESOURCE, E_OS_STATE, READY, RUNNING,
@@ -204,7 +204,8 @@ class TestTerminateTask:
         assert after.running is None
         assert SCHEDULE_SIGNAL in after.signals
         assert (cell.pc, cell.residue) == (0, 0)
-        assert after.front("Main") == state.bodies["Main"].statements[0]
+        code = state.program.code[state.program.task_index["Main"]]
+        assert after.front("Main") == code[0].statement
         healthy(after)
 
     def test_terminate_with_held_resource_fails(self, state):
@@ -221,7 +222,7 @@ class TestTerminateTask:
         after = explorer.step(state, strict=True)
         assert relaxed.last_label.calls[0].status == E_OS_RESOURCE
         assert after.status == error_status(E_OS_RESOURCE)
-        assert replace(after, status=relaxed.status) == relaxed
+        assert changed(after, status=relaxed.status) == relaxed
 
     @pytest.mark.parametrize("body, status, task_state", [
         ("Schedule();", E_OK, SUSPENDED),
@@ -382,7 +383,7 @@ class TestEvents:
         state = kernel_core.call_service(state, "Main", "TerminateTask")
         state = kernel_core.handle_schedule_signal(state)
         oil_state = state  # Ext runs but holds nothing; fake a hold
-        cell = replace(oil_state.task_cell("Ext"), held_resources=("R",))
+        cell = oil_state.task_cell("Ext")._replace(held_resources=("R",))
         held = oil_state.with_task(cell)
         after = kernel_core.call_service(held, "Ext", "WaitEvent", "E")
         assert after.last_label.calls[0].status == E_OS_RESOURCE
@@ -456,12 +457,11 @@ class TestExpiries:
         signals = set(state.signals)
         working = state.working_alarms
         for alarm_id in alarm_ids:
-            state = state.with_alarm(replace(state.alarm_cell(alarm_id),
-                                             alarm_time=state.counter_value,
-                                             cycle_time=0))
+            state = state.with_alarm(state.alarm_cell(alarm_id)._replace(
+                alarm_time=state.counter_value, cycle_time=0))
             working = working + (alarm_id,)
             signals.add(alarmed_signal(alarm_id))
-        return replace(state, working_alarms=working,
+        return changed(state, working_alarms=working,
                        signals=frozenset(signals))
 
     def test_activation_firing(self, state):
@@ -475,8 +475,8 @@ class TestExpiries:
 
     def test_cyclic_alarm_rearms(self, state):
         state = self.arm_fire(state, "AA")
-        state = state.with_alarm(replace(state.alarm_cell("AA"),
-                                         cycle_time=8))
+        state = state.with_alarm(state.alarm_cell("AA")._replace(
+            cycle_time=8))
         after = kernel_core.handle_expiries(state, ("AA",))
         assert "AA" in after.working_alarms
         assert after.alarm_cell("AA").alarm_time == \
@@ -485,8 +485,8 @@ class TestExpiries:
     def test_cyclic_rearm_even_on_failure(self, state):
         state = kernel_core.call_service(state, "Main", "ActivateTask", "Hi")
         state = self.arm_fire(state, "AA")
-        state = state.with_alarm(replace(state.alarm_cell("AA"),
-                                         cycle_time=8))
+        state = state.with_alarm(state.alarm_cell("AA")._replace(
+            cycle_time=8))
         after = kernel_core.handle_expiries(state, ("AA",))
         assert after.last_label.calls[0].status == E_OS_LIMIT
         assert "AA" in after.working_alarms
@@ -603,7 +603,7 @@ class TestScheduleSignal:
                                              "ActivateTask", target)
         state = kernel_core.call_service(state, "Main", "GetResource", "R")
         ranked = sorted(order,
-                        key=lambda t: -state.config.tasks[t].priority)
+                        key=lambda t: -config.tasks[t].priority)
         dispatched = []
         state = kernel_core.call_service(state, "Main", "ReleaseResource", "R")
         state = kernel_core.call_service(state, "Main", "TerminateTask")

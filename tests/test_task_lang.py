@@ -11,8 +11,7 @@ from hypothesis import strategies as st
 from helpers import make_app, random_app
 from osekcheck.oil_config import OilError, SemanticError, parse_oil
 from osekcheck.task_lang import (CallService, TimeInterval, WhileTrue,
-                                 estimate_time_interval, parse_task_file,
-                                 unparse_task_file)
+                                 parse_task_file, unparse_task_file)
 
 OIL = """
 COUNTER C { MAXALLOWEDVALUE = 15; MINCYCLE = 1; SYSTEM = TRUE; };
@@ -194,29 +193,6 @@ TASK A { TerminateTask(); }
 TASK X { while (true) { } }
 """)
         assert "EmptyLoop" in body_codes(err)
-
-
-# ==== interval estimation ==================================================
-
-
-class TestEstimate:
-    def test_rounds_down_with_floor_one(self):
-        assert estimate_time_interval(25, 10) == 2
-        assert estimate_time_interval(10, 10) == 1
-        assert estimate_time_interval(3, 10) == 1
-        assert estimate_time_interval(0, 10) == 1
-
-    def test_rejects_bad_inputs(self):
-        with pytest.raises(ValueError):
-            estimate_time_interval(-1, 10)
-        with pytest.raises(ValueError):
-            estimate_time_interval(5, 0)
-
-    @given(st.integers(0, 10**6), st.integers(1, 10**3))
-    def test_always_at_least_one_tick(self, count, per):
-        ticks = estimate_time_interval(count, per)
-        assert ticks >= 1
-        assert ticks * per <= max(count, per)
 
 
 # ==== round-trip ===========================================================

@@ -2,13 +2,11 @@
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import make_app
+from helpers import changed, make_app
 from osekcheck import explorer, kernel_core, timing
 from osekcheck.model import (E_OK, E_OS_NOFUNC, E_OS_STATE, E_OS_VALUE,
                              NORMAL, TransitionLabel, alarmed_signal,
@@ -41,9 +39,10 @@ TICK = TransitionLabel(kind="time", amount=1, reason="idle")
 
 
 def arm(state, alarm_id, at, cycle=0):
-    state = state.with_alarm(replace(state.alarm_cell(alarm_id),
-                                     alarm_time=at, cycle_time=cycle))
-    return replace(state, working_alarms=state.working_alarms + (alarm_id,))
+    state = state.with_alarm(state.alarm_cell(alarm_id)._replace(
+        alarm_time=at, cycle_time=cycle))
+    return changed(state,
+                   working_alarms=state.working_alarms + (alarm_id,))
 
 
 # ==== counter and expiry arithmetic ========================================
@@ -51,8 +50,7 @@ def arm(state, alarm_id, at, cycle=0):
 
 class TestCounter:
     def test_tick_wraps(self, state):
-        wrapped = timing._advance(replace(state, counter_value=15), 1,
-                                  TICK)
+        wrapped = timing._advance(changed(state, counter_value=15), 1, TICK)
         assert wrapped.counter_value == 0
 
     def test_tick_raises_expiry_signal_on_landing(self, state):
@@ -94,7 +92,7 @@ class TestCounter:
         config, bodies = make_app(oil, tsk)
         boot = kernel_core.boot(config, bodies)
         at, rv = at_raw % (mav + 1), rv_raw % (mav + 1)
-        probe = arm(replace(boot, counter_value=rv), "AL", at)
+        probe = arm(changed(boot, counter_value=rv), "AL", at)
         distance = timing.expiry_distance(probe, "AL")
         walker, steps = probe, 0
         while True:
@@ -160,7 +158,7 @@ class TestSetRelAlarm:
                                                    "SetRelAlarm", "AL", 5, 0)
         assert strict.status == error_status(E_OS_STATE)
         assert relaxed.status == NORMAL
-        assert replace(strict, status=NORMAL) == relaxed
+        assert changed(strict, status=NORMAL) == relaxed
 
 
 # ==== absolute alarms ======================================================
@@ -168,7 +166,7 @@ class TestSetRelAlarm:
 
 class TestSetAbsAlarm:
     def test_arms_at_literal_counter_value(self, state):
-        state = replace(state, counter_value=9)
+        state = changed(state, counter_value=9)
         after = kernel_core.call_service(state, "Init",
                                          "SetAbsAlarm", "AL", 3, 0)
         assert after.alarm_cell("AL").alarm_time == 3

@@ -2,21 +2,32 @@
 
 Each tool's core is run once on the smallest canned app and once on the app
 whose batches fire every alarm action.  The tools themselves take minutes,
-so they are only run by hand, to compare two checkouts.
+so they are only run by hand, to compare two checkouts; a slice of
+``graph_digest``'s output is frozen in ``frozen_graphs.txt`` and checked
+here.
 """
 
 from __future__ import annotations
 
+import random
 import sys
 from pathlib import Path
 
-from helpers import ACTIONS_OIL, ACTIONS_TSK, MINI_OIL, MINI_TSK, make_app
+from helpers import (ACTIONS_OIL, ACTIONS_TSK, LOOP_OIL, LOOP_TSK, MINI_OIL,
+                     MINI_TSK, make_app, random_app)
 from osekcheck import explorer, timing
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
 
 import cli_digest  # noqa: E402
 import graph_digest  # noqa: E402
+
+# ``graph_digest`` lines of the loop-shape app, the alarm-action app and
+# random_app seeds 0-99, in both idle modes and both error semantics,
+# recorded while states were frozen dataclasses that carried the
+# configuration and the bodies; they pin the snapshots, edges and parents of
+# every node against that implementation.
+FROZEN_GRAPHS = Path(__file__).with_name("frozen_graphs.txt")
 
 
 def test_graph_line_counts_the_graph():
@@ -66,3 +77,26 @@ def test_digest_of_the_actions_app(tmp_path):
     assert int(stdout_bytes) > 0
     assert int(stderr_bytes) == 0
     assert written.startswith("deadlock-0.trace=")
+
+
+def frozen_app(name: str):
+    if name == "loops":
+        return make_app(LOOP_OIL, LOOP_TSK)
+    if name == "actions":
+        return make_app(ACTIONS_OIL, ACTIONS_TSK)
+    seed = int(name.removeprefix("random_app:"))
+    return make_app(*random_app(random.Random(seed)))
+
+
+def test_graphs_are_frozen():
+    apps = {}
+    changed = []
+    for line in FROZEN_GRAPHS.read_text().splitlines():
+        name, idle_mode, strict, expected = line.split(" ", 3)
+        if name not in apps:
+            apps[name] = frozen_app(name)
+        actual = graph_digest.graph_line(*apps[name], idle_mode,
+                                         strict == "strict=1")
+        if actual != expected:
+            changed.append(f"{name} {idle_mode} {strict}: {actual}")
+    assert changed == []
