@@ -100,6 +100,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     config, bodies = _load_app(args.config, args.tasks)
     state = kernel_core.boot(config, bodies)
     states = [state]
+    first_index = {state: 0}
     outcome = None
     for _ in range(args.bound):
         if state.status != NORMAL:
@@ -112,6 +113,16 @@ def cmd_run(args: argparse.Namespace) -> int:
             break
         state = result
         states.append(state)
+        first = first_index.setdefault(state, len(states) - 1)
+        if first < len(states) - 1:
+            # A strict step reads only the compared cells, so the run goes
+            # round the cycle states[first + 1:] until the bound; the state
+            # just stepped keeps its own label amount for the next rounds.
+            period = len(states) - 1 - first
+            while len(states) <= args.bound:
+                states.append(states[-period])
+            state = states[-1]
+            break
     trace = explorer.Trace(tuple(states), (None,) * (len(states) - 1),
                            strict=True, idle_mode=args.idle_tick_mode)
     _emit_trace(trace, args.trace_format, _out_dir(args), "run")

@@ -179,9 +179,18 @@ def replay(trace: Trace) -> None:
 
 
 def render_trace(trace: Trace, fmt: str = "text") -> str:
-    """Render a trace: per-step lines plus a snapshot section."""
-    snapshots = [canonical_snapshot(state) for state in trace.states]
-    hashes = [snapshot_hash(text)[:12] for text in snapshots]
+    """Render a trace: per-step lines plus a snapshot section.
+
+    Equal states have equal snapshots (neither shows time amounts), so each
+    distinct state is snapshotted and hashed once; the step lines still show
+    each step's own label.
+    """
+    snapshots: dict[KernelState, tuple[str, str]] = {}
+    for state in trace.states:
+        if state not in snapshots:
+            text = canonical_snapshot(state)
+            snapshots[state] = (text, snapshot_hash(text)[:12])
+    hashes = [snapshots[state][1] for state in trace.states]
     lines = [f"# trace steps={len(trace.states) - 1} "
              f"strict={'yes' if trace.strict else 'no'} "
              f"idle={trace.idle_mode}"]
@@ -201,10 +210,11 @@ def render_trace(trace: Trace, fmt: str = "text") -> str:
         lines.append(f"# lasso: closes back to step {trace.lasso_start} "
                      f"via [{choice_text(trace.choices[-1])}]")
     lines.append("# snapshots")
-    for index, text in enumerate(snapshots):
+    for index, state in enumerate(trace.states):
         lines.append(f"--- state {index} {hashes[index]}")
-        lines.append(text)
-    return "\n".join(lines) + "\n"
+        lines.append(snapshots[state][0])
+    lines.append("")
+    return "\n".join(lines)
 
 
 # ---------------------------------------------------------------------------
@@ -230,10 +240,9 @@ class SearchResult:
 @dataclass
 class StateGraph:
     """Deduplicated reachability graph over nodes ``0..n-1``, numbered in
-    breadth-first discovery order; ``ids`` maps each state to its node."""
+    breadth-first discovery order."""
 
     initial: int
-    ids: dict[KernelState, int]
     nodes: dict[int, KernelState]
     edges: dict[int, tuple[tuple[Choice | None, int], ...]]
     parents: dict[int, tuple[int, Choice | None]]
@@ -281,12 +290,16 @@ class StateGraph:
         return out
 
 
-def _explore(init: KernelState, expand, *, bound: int, strict: bool,
+def _explore(init, expand, state_of=None, *, bound: int, strict: bool,
              idle_mode: str) -> StateGraph:
-    """Layer-synchronous breadth-first exploration up to ``bound`` steps;
-    ``expand(state)`` lists (choice, target state) pairs."""
-    ids: dict[KernelState, int] = {init: 0}
-    nodes: dict[int, KernelState] = {0: init}
+    """Layer-synchronous breadth-first exploration up to ``bound`` steps.
+
+    Nodes are keyed: ``expand(key)`` lists (choice, target key) pairs, and
+    ``state_of(key)`` is a key's state; without ``state_of`` the keys are
+    the states themselves.  ``init`` is the initial node's key.
+    """
+    ids = {init: 0}
+    keys = [init]
     edges: dict[int, tuple[tuple[Choice | None, int], ...]] = {}
     parents: dict[int, tuple[int, Choice | None]] = {}
     depths: dict[int, int] = {0: 0}
@@ -300,13 +313,13 @@ def _explore(init: KernelState, expand, *, bound: int, strict: bool,
         next_frontier: list[int] = []
         for source in frontier:
             out: list[tuple[Choice | None, int]] = []
-            for choice, target_state in expand(nodes[source]):
-                target = ids.setdefault(target_state, len(nodes))
-                if target == len(nodes):
-                    nodes[target] = target_state
+            for choice, key in expand(keys[source]):
+                target = ids.setdefault(key, len(keys))
+                if target == len(keys):
+                    keys.append(key)
                     parents[target] = (source, choice)
                     depths[target] = depth + 1
-                    if len(nodes) > MAX_STATES:
+                    if len(keys) > MAX_STATES:
                         raise ResourceLimit(
                             f"exploration exceeded {MAX_STATES} states")
                     next_frontier.append(target)
@@ -316,8 +329,9 @@ def _explore(init: KernelState, expand, *, bound: int, strict: bool,
         depth += 1
     for node in frontier:
         edges.setdefault(node, ())
-    return StateGraph(0, ids, nodes, edges, parents, depths, truncated,
-                      strict, idle_mode)
+    nodes = dict(enumerate(keys if state_of is None else map(state_of, keys)))
+    return StateGraph(0, nodes, edges, parents, depths, truncated, strict,
+                      idle_mode)
 
 
 def build_graph(config: KernelConfig, bodies: dict[str, TaskBody], *,
@@ -344,7 +358,10 @@ def build_graphs(config: KernelConfig, bodies: dict[str, TaskBody],
     The state space is explored once.  A normal strict state is reached only
     through transitions that did not fail, so it is a continue-on-error node
     at no greater depth, and its strict successors are that node's edge
-    targets, frozen where the transition failed.
+    targets, frozen where the transition failed.  The strict exploration
+    keys such a node by its continue-on-error node id.  A frozen state and
+    its stutter twin are keyed by value: a frozen state is one per node,
+    but two nodes with equal cells that failed alike share a stutter twin.
     """
     wanted = set(semantics)
     if wanted != {False, True}:
@@ -352,14 +369,22 @@ def build_graphs(config: KernelConfig, bodies: dict[str, TaskBody],
                                     strict=strict, idle_mode=idle_mode)
                 for strict in wanted}
     relaxed = build_graph(config, bodies, bound=bound, idle_mode=idle_mode)
+    nodes = relaxed.nodes
 
-    def expand(state: KernelState):
-        if state.status != NORMAL:
-            return [(None, stutterize(state))]
-        return [(choice, _freeze(relaxed.nodes[target])) for choice, target
-                in relaxed.edges[relaxed.ids[state]]]
+    def expand(key):
+        if key.__class__ is not int:
+            return [(None, stutterize(key))]
+        out = []
+        for choice, target in relaxed.edges[key]:
+            state = nodes[target]
+            frozen = _freeze(state)
+            out.append((choice, target if frozen is state else frozen))
+        return out
 
-    strict = _explore(relaxed.nodes[relaxed.initial], expand, bound=bound,
+    def state_of(key) -> KernelState:
+        return nodes[key] if key.__class__ is int else key
+
+    strict = _explore(relaxed.initial, expand, state_of, bound=bound,
                       strict=True, idle_mode=idle_mode)
     return {False: relaxed, True: strict}
 

@@ -506,10 +506,6 @@ class BuchiAutomaton:
         return len(self.states)
 
 
-def guard_satisfied(guard: Guard, value_of) -> bool:
-    return all(value_of(prop) == positive for prop, positive in guard)
-
-
 def to_buchi(formula: Formula) -> BuchiAutomaton:
     """Automaton accepting exactly the infinite words violating ``formula``."""
     table, root = _intern(formula)
@@ -723,6 +719,7 @@ def model_check(view, formula: Formula) -> LtlResult:
         return LtlResult("holds")
 
     succ_cache: dict[tuple, tuple] = {}
+    prop_value = view.prop_value
 
     def product_successors(pnode):
         cached = succ_cache.get(pnode)
@@ -732,8 +729,10 @@ def model_check(view, formula: Formula) -> LtlResult:
         ba_edges = aut.init_edges if astate == _INIT else aut.edges[astate]
         out = []
         for edge in ba_edges:
-            if guard_satisfied(edge.guard,
-                               lambda p: view.prop_value(gnode, p)):
+            for prop, positive in edge.guard:
+                if prop_value(gnode, prop) != positive:
+                    break
+            else:
                 for choice, gnext in view.successors(gnode):
                     out.append(((gnext, edge.dst), choice))
         result = tuple(out)
@@ -938,7 +937,8 @@ def automaton_accepts_lasso(aut: BuchiAutomaton, prefix: tuple, cycle: tuple,
         pos, astate = pnode
         ba_edges = aut.init_edges if astate == _INIT else aut.edges[astate]
         for edge in ba_edges:
-            if guard_satisfied(edge.guard, lambda p: prop_value(elem(pos), p)):
+            if all(prop_value(elem(pos), prop) == positive
+                   for prop, positive in edge.guard):
                 yield (nxt(pos), edge.dst), None
 
     def accepting(pnode) -> bool:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -11,9 +12,12 @@ import pytest
 
 from conftest import (EMS_LTL, EMS_OIL, EMS_PROPS, EMS_REPAIRED_OIL,
                       EMS_REPORT, EMS_TSK)
-from helpers import ACTIONS_OIL, ACTIONS_TSK, MINI_OIL, MINI_TSK
-from osekcheck import explorer
+from helpers import ACTIONS_OIL, ACTIONS_TSK, MINI_OIL, MINI_TSK, random_app
+from osekcheck import explorer, kernel_core, timing
 from osekcheck.cli import main
+from osekcheck.model import NORMAL
+from osekcheck.oil_config import parse_oil
+from osekcheck.task_lang import parse_task_file
 
 
 def run_cli(capsys, *argv) -> tuple[int, str, str]:
@@ -59,6 +63,49 @@ class TestRun:
         first = lines[1].split()
         assert first[0] == "0" and first[2] == "boot"
         assert len(first[3]) == 12
+
+
+def assert_run_prints_stepped_trace(capsys, oil, tsk, bound, idle_mode):
+    """``run`` prints the trace of ``bound`` strict steps, for runs that
+    never rest."""
+    config = parse_oil(Path(oil).read_text())
+    state = kernel_core.boot(config, parse_task_file(Path(tsk).read_text(),
+                                                     config))
+    states = [state]
+    for _ in range(bound):
+        state = explorer.step(state, strict=True, idle_mode=idle_mode)
+        states.append(state)
+    assert state.status == NORMAL
+    trace = explorer.Trace(tuple(states), (None,) * bound, strict=True,
+                           idle_mode=idle_mode)
+    for fmt in ("text", "machine"):
+        code, out, _ = run_cli(capsys, "run", oil, tsk, "--bound", bound,
+                               "--idle-tick-mode", idle_mode,
+                               "--trace-format", fmt)
+        assert code == 3
+        assert out == (f"{explorer.render_trace(trace, fmt)}\n"
+                       f"result: step bound {bound} exhausted after {bound} "
+                       f"steps (counter={state.counter_value})\n")
+
+
+# ems_repaired's run first repeats a state at step 4876 (state 12 again), so
+# its cycle is 4864 steps long: 4876 and 9740 end on the cycle, 7001 in it.
+@pytest.mark.parametrize("bound", [4876, 7001, 9740])
+@pytest.mark.parametrize("idle_mode", timing.IDLE_MODES)
+def test_run_round_its_cycle_prints_every_step(capsys, bound, idle_mode):
+    assert_run_prints_stepped_trace(capsys, EMS_REPAIRED_OIL, EMS_TSK, bound,
+                                    idle_mode)
+
+
+# random_app seed 270 idles 2 ticks into state 5 and, at step 19, 1 tick
+# into a state equal to it: each round of the cycle shows its own amounts.
+@pytest.mark.parametrize("bound", [18, 19, 20, 33, 47, 100])
+def test_run_repeat_keeps_its_label_amount(capsys, tmp_path, bound):
+    oil, tsk = random_app(random.Random(270))
+    (tmp_path / "a.oil").write_text(oil)
+    (tmp_path / "a.tsk").write_text(tsk)
+    assert_run_prints_stepped_trace(capsys, tmp_path / "a.oil",
+                                    tmp_path / "a.tsk", bound, timing.JUMP)
 
 
 # ==== search-final =========================================================

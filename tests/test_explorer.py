@@ -15,7 +15,7 @@ from helpers import (GOLDEN_SCENARIOS, LOOP_OIL, LOOP_TSK, changed,
                      run_deterministic)
 from osekcheck import explorer, kernel_core, timing
 from osekcheck.model import (ALLIDLE, DEADLOCK, NORMAL, canonical_label,
-                             canonical_snapshot, state_hash)
+                             canonical_snapshot, label_text, state_hash)
 
 MINI_OIL = """
 COUNTER C { MAXALLOWEDVALUE = 31; MINCYCLE = 1; SYSTEM = TRUE; };
@@ -176,6 +176,39 @@ class TestTraces:
         first = lines[1].split()
         assert first[0] == "1"
         assert len(first[-1]) == 12
+
+    @pytest.mark.parametrize("fmt", ["text", "machine"])
+    def test_repeated_states_render_as_each_on_its_own(self, fmt):
+        config, bodies = mini_app()
+        states = [kernel_core.boot(config, bodies)]
+        while states[-1].last_label.kind != "time":
+            states.append(explorer.step(states[-1]))
+        timed, repeat = states[-1], len(states)
+        longer = changed(timed, last_label=replace(
+            timed.last_label, amount=timed.last_label.amount + 1))
+        states += [longer] + states[1:]
+        trace = explorer.Trace(tuple(states), (None,) * (len(states) - 1))
+        lines = [f"# trace steps={len(states) - 1} strict=no idle=jump"]
+        for index, state in enumerate(states):
+            short = state_hash(state)[:12]
+            if fmt == "machine":
+                lines.append(f"{index} - {canonical_label(state.last_label)}"
+                             f" {short}")
+            else:
+                lines.append(f"step {index:4d}  [-]  "
+                             f"{label_text(state.last_label)}  "
+                             f"(counter={state.counter_value}, hash={short})")
+        lines.append("# snapshots")
+        for index, state in enumerate(states):
+            lines += [f"--- state {index} {state_hash(state)[:12]}",
+                      canonical_snapshot(state)]
+        text = explorer.render_trace(trace, fmt)
+        assert text == "\n".join(lines) + "\n"
+        if fmt == "text":
+            amount = timed.last_label.amount
+            # the header is line 0, so step N is line N + 1
+            assert f"time +{amount} " in lines[repeat]
+            assert f"time +{amount + 1} " in lines[repeat + 1]
 
 
 # ==== reachability graph ===================================================

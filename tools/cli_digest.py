@@ -12,7 +12,10 @@ empty body), the alarm-action app of ``tests/helpers`` (ACTIVATETASK,
 SETEVENT and ALARMCALLBACK expiring together) and
 ``tests/helpers.random_app`` seeds 0-999; each goes through
 ``run``, ``search-final``, ``ltlmc`` and ``conform`` in ``--trace-format``
-``text`` and ``machine``.  The corpus, harmonic, loop-shape and alarm-action
+``text`` and ``machine``; in each format ``run`` also goes with
+``--idle-tick-mode unit`` and with ``--bound 7919``, which ends part-way
+through the cycle of ``ems_repaired`` and of all but one of the random apps
+whose run goes round a cycle.  The corpus, harmonic, loop-shape and alarm-action
 apps also go through ``conform`` on property subsets that need one error
 semantics or both.
 ``search-final``, ``ltlmc`` and ``conform`` run once more with ``--out``
@@ -55,6 +58,7 @@ from osekcheck import cli  # noqa: E402
 from workloads import ALL_PASS_REPORT, RANDOM_FORMULAS  # noqa: E402
 
 CORPUS = ROOT / "corpus"
+CUT_BOUND = "7919"
 PROP_SUBSETS = ("DF", "ME\nPIF\nMAF", "DF\nSF", "DF\nPE\nMAF")
 EMS_TASKS = ("Task_10ms", "EMS_Task_10ms", "EMS_Task_100ms",
              "EMS_Adap_Task_10ms", "SystemInit")
@@ -102,6 +106,10 @@ def invocations(name, oil, tsk, ltl, report, subsets, out):
     for fmt in ("text", "machine"):
         common = ["--trace-format", fmt]
         yield f"{name} run {fmt}", ["run", oil, tsk, *common]
+        yield (f"{name} run {fmt} unit",
+               ["run", oil, tsk, *common, "--idle-tick-mode", "unit"])
+        yield (f"{name} run {fmt} --bound {CUT_BOUND}",
+               ["run", oil, tsk, *common, "--bound", CUT_BOUND])
         yield (f"{name} search-final {fmt}",
                ["search-final", oil, tsk, *common])
         yield (f"{name} ltlmc {fmt}",
