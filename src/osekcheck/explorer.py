@@ -13,7 +13,6 @@ service call or alarm action produced becomes such a fixpoint.
 
 from __future__ import annotations
 
-import itertools
 from collections.abc import Iterable
 from dataclasses import dataclass
 
@@ -130,8 +129,8 @@ def successors(state: KernelState, *, strict: bool = False,
         return [(None, stutterize(state))]
     pending = kernel_core.pending_expiries(state)
     if len(pending) > 1:
-        out = [(Choice(order), kernel_core.handle_expiries(state, order))
-               for order in itertools.permutations(pending)]
+        out = [(Choice(order), target) for order, target
+               in kernel_core.expiry_successors(state, pending)]
     else:
         out = [(None, _apply_rule(state, pending, idle_mode))]
     return [(c, _freeze(target)) for c, target in out] if strict else out

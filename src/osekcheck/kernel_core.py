@@ -13,12 +13,16 @@ goes on after a failure (strict error handling, which freezes such a state,
 is applied by the explorer).  An alarm expiry makes its action's call, an
 ActivateTask, SetEvent or AlarmCallback call by the alarm, through the same
 table (AlarmCallback has no effect and returns E_OK), and the batch's label
-records the calls.  Boot is StartOS: the ActivateTask and SetRelAlarm calls of
-the autostart tasks and alarms, then a dispatch.  Scheduler signal handling
-(expiry actions, pending-activation release, rescheduling) consumes no time.
+records the calls.  ``expiry_successors`` handles a batch in every order,
+applying each expiry once per distinct intermediate state.  Boot is StartOS:
+the ActivateTask and SetRelAlarm calls of the autostart tasks and alarms,
+then a dispatch.  Scheduler signal handling (expiry actions,
+pending-activation release, rescheduling) consumes no time.
 """
 
 from __future__ import annotations
+
+import itertools
 
 from . import timing
 from .model import (BOOT_LABEL, E_OK, E_OS_ACCESS, E_OS_LIMIT, E_OS_NOFUNC,
@@ -354,41 +358,100 @@ def pending_expiries(state: KernelState) -> tuple[str, ...]:
                  if alarmed_signal(a) in signals)
 
 
-def handle_expiries(state: KernelState,
-                    order: tuple[str, ...]) -> KernelState:
-    """Make the call of each pending expiry's action in the given order,
-    record it and rearm the alarm.
+def _expire(state: KernelState, alarm_id: str) -> tuple[KernelState, Call]:
+    """Handle one pending expiry: make the call of the alarm's action, then
+    rearm the alarm.
 
     Cyclic alarms advance their alarm time by the cycle even when the action
     fails; one-shot alarms disarm.
     """
     program = state.program
-    calls: list[Call] = []
-    state = _with_signals(state, state.signals.difference(
-        [alarmed_signal(alarm_id) for alarm_id in order]) or NO_SIGNALS)
-    for alarm_id in order:
-        index = program.alarm_index[alarm_id]
-        service, args = program.alarm_action[index]
-        status = E_OK
-        if service in EFFECTS:
-            state, status = EFFECTS[service](state, None, *args)
-        calls.append(Call(alarm_id, service, args, status))
-        cell = state.alarms[index]
-        if cell.cyclic:
-            state = state.with_alarm(cell._replace(
-                alarm_time=(cell.alarm_time + cell.cycle_time)
-                % program.modulus))
-        else:
-            state = KernelState(
-                program, state.tasks, state.ready, state.running,
-                state.signals, state.counter_value,
-                tuple(a for a in state.working_alarms if a != alarm_id),
-                state.alarms, state.last_label, state.status)
-    label = TransitionLabel(kind="alarm", calls=tuple(calls))
-    return KernelState(program, state.tasks, state.ready, state.running,
-                       state.signals, state.counter_value,
-                       state.working_alarms, state.alarms, label,
+    index = program.alarm_index[alarm_id]
+    service, args = program.alarm_action[index]
+    status = E_OK
+    if service in EFFECTS:
+        state, status = EFFECTS[service](state, None, *args)
+    cell = state.alarms[index]
+    if cell.cyclic:
+        state = state.with_alarm(cell._replace(
+            alarm_time=(cell.alarm_time + cell.cycle_time) % program.modulus))
+    else:
+        state = KernelState(
+            program, state.tasks, state.ready, state.running, state.signals,
+            state.counter_value,
+            tuple(a for a in state.working_alarms if a != alarm_id),
+            state.alarms, state.last_label, state.status)
+    return state, Call(alarm_id, service, args, status)
+
+
+def _without_expiries(state: KernelState,
+                      alarm_ids: tuple[str, ...]) -> KernelState:
+    """``state`` with the expiry signals of ``alarm_ids`` consumed."""
+    return _with_signals(state, state.signals.difference(
+        [alarmed_signal(alarm_id) for alarm_id in alarm_ids]) or NO_SIGNALS)
+
+
+def _batch_labelled(state: KernelState, calls: tuple[Call, ...]
+                    ) -> KernelState:
+    return KernelState(state.program, state.tasks, state.ready,
+                       state.running, state.signals, state.counter_value,
+                       state.working_alarms, state.alarms,
+                       TransitionLabel(kind="alarm", calls=calls),
                        state.status)
+
+
+def handle_expiries(state: KernelState,
+                    order: tuple[str, ...]) -> KernelState:
+    """Handle each pending expiry in the given order and record its call."""
+    state = _without_expiries(state, order)
+    calls = []
+    for alarm_id in order:
+        state, call = _expire(state, alarm_id)
+        calls.append(call)
+    return _batch_labelled(state, tuple(calls))
+
+
+def expiry_successors(state: KernelState, pending: tuple[str, ...]
+                      ) -> list[tuple[tuple[str, ...], KernelState]]:
+    """``(order, handle_expiries(state, order))`` for every handling order of
+    ``pending``, in ``itertools.permutations(pending)`` order.
+
+    Each order starts from the intermediate states of the prefix it shares
+    with the order before it, and each alarm's expiry is handled once per
+    distinct intermediate state: actions that commute, reached through
+    different prefixes, are applied once.  Handling an expiry always
+    rearms or disarms its alarm, so equal intermediate states have handled
+    the same alarms, and two prefixes can meet only from two expiries on;
+    the memo, which lives for one call, is kept from there.
+    """
+    expired: dict[tuple[KernelState, str], tuple[KernelState, Call]] = {}
+    out: list[tuple[tuple[str, ...], KernelState]] = []
+    reached = [_without_expiries(state, pending)]  # after each prefix
+    calls: list[Call] = []
+    previous: tuple[str, ...] = ()
+    for order in itertools.permutations(pending):
+        depth = 0
+        for before, alarm_id in zip(previous, order):
+            if before != alarm_id:
+                break
+            depth += 1
+        del reached[depth + 1:]
+        del calls[depth:]
+        state = reached[depth]
+        for alarm_id in order[depth:]:
+            if len(calls) < 2:  # this prefix alone reaches ``state``
+                state, call = _expire(state, alarm_id)
+            else:
+                key = (state, alarm_id)
+                step = expired.get(key)
+                if step is None:
+                    step = expired[key] = _expire(state, alarm_id)
+                state, call = step
+            reached.append(state)
+            calls.append(call)
+        out.append((order, _batch_labelled(state, tuple(calls))))
+        previous = order
+    return out
 
 
 def multiactivation_candidate(state: KernelState) -> str | None:

@@ -117,6 +117,50 @@ ext_ends: [] <> suspended(Ext)
 """
 
 
+# ==== six alarms expiring together =========================================
+# Alarms A1..A6 activate tasks T1..T6 at one ALARMTIME, so each batch has
+# 720 handling orders; the first batch preempts Main's TimeInterval.  By
+# default T1-T3 share priority 2 and T4-T6 priority 3, so the order of the
+# activations at each level is the order in which those tasks run.  T1
+# activates T2: that fails with E_OS_LIMIT when A1 was handled before A2
+# (T2 is still queued behind T1), which freezes the strict graph.  With six
+# distinct priorities every pair of the batch's actions commutes.
+
+def coincide_oil(priorities: tuple[int, ...] = (2, 2, 2, 3, 3, 3)) -> str:
+    """The six-alarm configuration with task ``Ti`` at ``priorities[i-1]``."""
+    lines = ["COUNTER C { MAXALLOWEDVALUE = 15; TICKSPERBASE = 1; "
+             "MINCYCLE = 1; SYSTEM = TRUE; };",
+             "TASK Main { PRIORITY = 1; SCHEDULE = FULL; ACTIVATION = 1; "
+             "AUTOSTART = TRUE; };"]
+    for i, priority in enumerate(priorities, 1):
+        lines.append(f"TASK T{i} {{ PRIORITY = {priority}; SCHEDULE = FULL; "
+                     "ACTIVATION = 1; AUTOSTART = FALSE; };")
+    for i in range(1, len(priorities) + 1):
+        lines.append(f"ALARM A{i} {{ COUNTER = C; ACTION = ACTIVATETASK "
+                     f"{{ TASK = T{i}; }}; AUTOSTART = TRUE "
+                     "{ ALARMTIME = 2; CYCLETIME = 8; }; };")
+    return "\n".join(lines) + "\n"
+
+
+COINCIDE_OIL = coincide_oil()
+
+COINCIDE_TSK = """
+TASK Main { TimeInterval = 3; TerminateTask(); }
+TASK T1 { ActivateTask(T2); TerminateTask(); }
+TASK T2 { TerminateTask(); }
+TASK T3 { TerminateTask(); }
+TASK T4 { TerminateTask(); }
+TASK T5 { TerminateTask(); }
+TASK T6 { TerminateTask(); }
+"""
+
+COINCIDE_LTL = """
+no_limit_error: [] !error(E_OS_LIMIT)
+t6_served: [] (ready(T6) -> <> running(T6))
+main_ends: <> suspended(Main)
+"""
+
+
 # ==== golden scenarios =====================================================
 # Expected transition-label sequences were worked out by hand with a tick
 # ledger before the engine first ran them; they are frozen here.

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import itertools
 import random
 from dataclasses import replace
 
@@ -10,8 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import (GOLDEN_SCENARIOS, LOOP_OIL, LOOP_TSK, changed,
-                     check_invariants, make_app, random_app,
+from helpers import (ACTIONS_OIL, ACTIONS_TSK, COINCIDE_OIL, COINCIDE_TSK,
+                     GOLDEN_SCENARIOS, LOOP_OIL, LOOP_TSK, changed,
+                     check_invariants, coincide_oil, make_app, random_app,
                      run_deterministic)
 from osekcheck import explorer, kernel_core, timing
 from osekcheck.model import (ALLIDLE, DEADLOCK, NORMAL, canonical_label,
@@ -260,6 +262,78 @@ class TestGraph:
             assert [(c, canonical_snapshot(s)) for c, s in fresh] == \
                 [(c, canonical_snapshot(graph.nodes[target]))
                  for c, target in graph.successors_of(node)]
+
+
+# ==== expiry batches =======================================================
+
+
+BATCH_APPS = {
+    "actions": (ACTIONS_OIL, ACTIONS_TSK),
+    "coincide": (COINCIDE_OIL, COINCIDE_TSK),
+    # the random apps with the most handling orders in their graphs
+    **{f"random_app:{seed}": random_app(random.Random(seed))
+       for seed in (540, 857, 784)},
+}
+
+
+def batch_states(config, bodies) -> list:
+    """Every state of the continue-on-error graph with two or more pending
+    expiries (every normal state of the strict graph is one of its nodes)."""
+    graph = explorer.build_graph(config, bodies)
+    return [state for state in graph.nodes.values()
+            if state.status == NORMAL
+            and len(kernel_core.pending_expiries(state)) > 1]
+
+
+class TestExpiryBatches:
+    """The depth-first batch search gives what handling each order by
+    itself gave: the same choices in the same order, equal states and
+    equal labels."""
+
+    @pytest.mark.parametrize("strict", [False, True])
+    @pytest.mark.parametrize("app", list(BATCH_APPS))
+    def test_every_order_as_if_handled_alone(self, app, strict):
+        config, bodies = make_app(*BATCH_APPS[app])
+        states = batch_states(config, bodies)
+        assert states
+        for state in states:
+            pending = kernel_core.pending_expiries(state)
+            expected = []
+            for order in itertools.permutations(pending):
+                target = kernel_core.handle_expiries(state, order)
+                expected.append((explorer.Choice(order),
+                                 explorer._freeze(target) if strict
+                                 else target))
+            actual = explorer.successors(state, strict=strict)
+            assert [c for c, _ in actual] == [c for c, _ in expected]
+            for (choice, got), (_, want) in zip(actual, expected):
+                assert got == want
+                assert canonical_label(got.last_label) == \
+                    canonical_label(want.last_label)
+                assert explorer.step(state, choice, strict=strict) == want
+
+    def test_commuting_actions_are_applied_once(self, monkeypatch):
+        # six distinct priorities: every pair of the batch's activations
+        # commutes, so the 720 orders pass through one intermediate state
+        # per subset of the alarms handled, and from each of the 2**6
+        # subsets every remaining alarm is handled once: 6 * 2**5 calls
+        config, bodies = make_app(coincide_oil((2, 3, 4, 5, 6, 7)),
+                                  COINCIDE_TSK)
+        state = kernel_core.boot(config, bodies)
+        while len(kernel_core.pending_expiries(state)) < 6:
+            state = explorer.step(state)
+            assert state.status == NORMAL
+        activate = kernel_core.EFFECTS["ActivateTask"]
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return activate(*args)
+
+        monkeypatch.setitem(kernel_core.EFFECTS, "ActivateTask", counted)
+        out = explorer.successors(state)
+        assert len(out) == 720
+        assert len(calls) <= 6 * 2 ** 5  # handled alone: 6 * 720
 
 
 # ==== nodes are state values ==============================================

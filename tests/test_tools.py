@@ -13,8 +13,9 @@ import random
 import sys
 from pathlib import Path
 
-from helpers import (ACTIONS_OIL, ACTIONS_TSK, LOOP_OIL, LOOP_TSK, MINI_OIL,
-                     MINI_TSK, make_app, random_app)
+from helpers import (ACTIONS_OIL, ACTIONS_TSK, COINCIDE_OIL, COINCIDE_TSK,
+                     LOOP_OIL, LOOP_TSK, MINI_OIL, MINI_TSK, make_app,
+                     random_app)
 from osekcheck import explorer, timing
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
@@ -26,7 +27,8 @@ import graph_digest  # noqa: E402
 # random_app seeds 0-99, in both idle modes and both error semantics,
 # recorded while states were frozen dataclasses that carried the
 # configuration and the bodies; they pin the snapshots, edges and parents of
-# every node against that implementation.
+# every node against that implementation.  The six-alarm app's lines were
+# recorded while every handling order of a batch was handled on its own.
 FROZEN_GRAPHS = Path(__file__).with_name("frozen_graphs.txt")
 
 
@@ -84,6 +86,8 @@ def frozen_app(name: str):
         return make_app(LOOP_OIL, LOOP_TSK)
     if name == "actions":
         return make_app(ACTIONS_OIL, ACTIONS_TSK)
+    if name == "coincide":
+        return make_app(COINCIDE_OIL, COINCIDE_TSK)
     seed = int(name.removeprefix("random_app:"))
     return make_app(*random_app(random.Random(seed)))
 

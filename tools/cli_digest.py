@@ -9,15 +9,16 @@ corpus configurations, the harmonic-alarm app of ``perfbench/harmonic.py``
 (seed 1), the loop-shape app of ``tests/helpers`` (nested loops, a split
 TimeInterval inside a loop, code after a loop and after TerminateTask, an
 empty body), the alarm-action app of ``tests/helpers`` (ACTIVATETASK,
-SETEVENT and ALARMCALLBACK expiring together) and
+SETEVENT and ALARMCALLBACK expiring together), the six-alarm app of
+``tests/helpers`` (720 handling orders per batch) and
 ``tests/helpers.random_app`` seeds 0-999; each goes through
 ``run``, ``search-final``, ``ltlmc`` and ``conform`` in ``--trace-format``
 ``text`` and ``machine``; in each format ``run`` also goes with
 ``--idle-tick-mode unit`` and with ``--bound 7919``, which ends part-way
 through the cycle of ``ems_repaired`` and of all but one of the random apps
-whose run goes round a cycle.  The corpus, harmonic, loop-shape and alarm-action
-apps also go through ``conform`` on property subsets that need one error
-semantics or both.
+whose run goes round a cycle.  The corpus, harmonic, loop-shape,
+alarm-action and six-alarm apps also go through ``conform`` on property
+subsets that need one error semantics or both.
 ``search-final``, ``ltlmc`` and ``conform`` run once more with ``--out``
 into the scratch directory, and every file written there (trace files and
 ``report.txt``) is digested by name and content next to the output.
@@ -53,7 +54,8 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 
 import harmonic  # noqa: E402
 from helpers import (ACTIONS_LTL, ACTIONS_OIL, ACTIONS_TSK,  # noqa: E402
-                     LOOP_LTL, LOOP_OIL, LOOP_TSK, random_app)
+                     COINCIDE_LTL, COINCIDE_OIL, COINCIDE_TSK, LOOP_LTL,
+                     LOOP_OIL, LOOP_TSK, random_app)
 from osekcheck import cli  # noqa: E402
 from workloads import ALL_PASS_REPORT, RANDOM_FORMULAS  # noqa: E402
 
@@ -160,6 +162,9 @@ def main() -> int:
         apps.append(("actions", write("actions.oil", ACTIONS_OIL),
                      write("actions.tsk", ACTIONS_TSK),
                      write("actions.ltl", ACTIONS_LTL), report, subsets))
+        apps.append(("coincide", write("coincide.oil", COINCIDE_OIL),
+                     write("coincide.tsk", COINCIDE_TSK),
+                     write("coincide.ltl", COINCIDE_LTL), report, subsets))
         stress = write("stress.ltl", STRESS_FORMULAS)
         for fmt in ("text", "machine"):
             argv = ["ltlmc", str(CORPUS / "ems_repaired.oil"),
