@@ -11,7 +11,6 @@ fail, the application itself is at fault.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 from . import explorer, ltl, timing
@@ -187,48 +186,41 @@ def _edge_activates(label: TransitionLabel, alarm_id: str) -> bool:
 
 def _check_periodic_execution(graph: explorer.StateGraph) -> PropertyResult:
     """Monitor composition: count completions of the activated task between
-    consecutive successful expiry activations of each alarm."""
+    consecutive successful expiry activations of each alarm.  A bad edge
+    leads the monitor to ``("bad", reason)``, and the witness is a shortest
+    path to it."""
     monitored = [a for a in graph.program.config.alarms.values()
                  if a.action.kind == "activatetask"]
     for alarm in monitored:
         task = alarm.action.task
-        start = (graph.initial, "pre")
-        parents: dict = {start: None}
-        queue = deque([start])
-        while queue:
-            current = queue.popleft()
-            node, count = current
+
+        def monitor_successors(pnode):
+            node, count = pnode
             for choice, target in graph.successors_of(node):
                 label = graph.state(target).last_label
                 nxt = count
-                bad = None
                 if _edge_activates(label, alarm.id):
-                    if count == 0:
-                        bad = (f"alarm {alarm.id}: window closed with no "
-                               f"completion of {task}")
                     nxt = 0
+                    if count == 0:
+                        nxt = ("bad", f"alarm {alarm.id}: window closed "
+                                      f"with no completion of {task}")
                 elif _edge_completes(label, task) and count != "pre":
                     nxt = count + 1
                     if nxt > 1:
-                        bad = (f"alarm {alarm.id}: {task} completed twice "
-                               "within one activation window")
-                succ = (target, nxt)
-                if bad is not None:
-                    # walk the (parent, choice) links back, as trace_to does
-                    path, choices = [target], [choice]
-                    while current != start:
-                        path.append(current[0])
-                        current, choice = parents[current]
-                        choices.append(choice)
-                    path.append(graph.initial)
-                    witness = explorer.Trace(
-                        tuple(graph.state(n) for n in reversed(path)),
-                        tuple(reversed(choices)), strict=graph.strict,
-                        idle_mode=graph.idle_mode)
-                    return PropertyResult("PE", "fail", witness, bad)
-                if succ not in parents:
-                    parents[succ] = (current, choice)
-                    queue.append(succ)
+                        nxt = ("bad", f"alarm {alarm.id}: {task} completed "
+                                      "twice within one activation window")
+                yield (target, nxt), choice
+
+        found = ltl.shortest_path((graph.initial, "pre"), monitor_successors,
+                                  lambda pnode: type(pnode[1]) is tuple)
+        if found is not None:
+            nodes, choices = found
+            _, (_, reason) = nodes[-1]
+            witness = explorer.Trace(
+                tuple(graph.state(node) for node, _ in nodes),
+                tuple(choices), strict=graph.strict,
+                idle_mode=graph.idle_mode)
+            return PropertyResult("PE", "fail", witness, reason)
     verdict = "bounded_pass" if graph.truncated else "pass"
     return PropertyResult("PE", verdict, None,
                           f"{len(monitored)} alarm(s) monitored")

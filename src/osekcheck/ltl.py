@@ -8,9 +8,14 @@ then drops the states with no path to an accepting cycle, and states with
 equal outgoing edges and acceptance are merged.  Numbering and guards follow
 the formula's structure, never hashing, so the automaton is the same under
 every ``PYTHONHASHSEED``.  The automaton is composed with the reachability
-graph, and a nested depth-first search looks for a reachable accepting
-cycle.  A found cycle is returned as a lasso and refutes the formula;
-absence of cycles proves it on the explored graph.
+graph, and Couvreur's on-the-fly emptiness check, one depth-first search
+over the product's strongly connected components, looks for a reachable
+cycle through an accepting state.  Absence of such a cycle proves the
+formula on the explored graph.  A found one refutes it, and its witness is
+a lasso of two breadth-first shortest paths: from the initial state to the
+nearest accepting state of the first accepting component found, and from
+that state back to itself (after Gastin, Moro and Zeitoun).  The lasso is
+shortest through that state, not over the whole product.
 
 Atomic propositions are evaluated on a single state and its entry label, so
 the product needs no extra bookkeeping.
@@ -19,6 +24,7 @@ the product needs no extra bookkeeping.
 from __future__ import annotations
 
 import re
+from collections import deque
 from dataclasses import dataclass
 
 from .model import (E_OK, ERROR_CODES, Call, KernelState, alarmed_signal,
@@ -145,10 +151,6 @@ def _wrap(f: Formula, chain: type | None = None) -> str:
             or type(f) is chain):
         return str(f)
     return f"({f})"
-
-
-def unparse_formula(f: Formula) -> str:
-    return str(f)
 
 
 class LtlError(Exception):
@@ -501,10 +503,6 @@ class BuchiAutomaton:
     edges: dict[int, tuple[BuchiEdge, ...]]
     accepting: frozenset
 
-    @property
-    def state_count(self) -> int:
-        return len(self.states)
-
 
 def to_buchi(formula: Formula) -> BuchiAutomaton:
     """Automaton accepting exactly the infinite words violating ``formula``."""
@@ -695,7 +693,7 @@ class KernelGraphView:
 
 
 # ---------------------------------------------------------------------------
-# product and nested depth-first search
+# product, emptiness check and shortest witnesses
 # ---------------------------------------------------------------------------
 
 
@@ -742,93 +740,93 @@ def model_check(view, formula: Formula) -> LtlResult:
     def accepting(pnode) -> bool:
         return pnode[1] in aut.accepting
 
-    found = _nested_dfs((view.initial, _INIT), product_successors, accepting)
-    if found is None:
+    root = (view.initial, _INIT)
+    seeds = _accepting_component(root, product_successors, accepting)
+    if seeds is None:
         return LtlResult("bounded_holds" if view.truncated else "holds")
-    prefix, prefix_choices, cycle, cycle_choices = found
+    prefix, prefix_choices = shortest_path(root, product_successors,
+                                           seeds.__contains__)
+    seed = prefix[-1]
+    cycle, cycle_choices = shortest_path(seed, product_successors,
+                                         seed.__eq__)
     return LtlResult("violated",
                      tuple(p[0] for p in prefix), tuple(prefix_choices),
-                     tuple(p[0] for p in cycle), tuple(cycle_choices))
+                     tuple(p[0] for p in cycle[:-1]), tuple(cycle_choices))
 
 
-def _nested_dfs(root, succ, accepting):
-    """Iterative nested depth-first search for a reachable accepting cycle.
+def _accepting_component(root, succ, accepting) -> set | None:
+    """Couvreur's emptiness check: is an accepting cycle reachable?
 
-    Returns ``(prefix_nodes, prefix_choices, cycle_nodes, cycle_choices)``
-    with the cycle starting at the accepting seed and the last choice closing
-    it, or None when no accepting cycle exists.
+    One depth-first search keeps the nodes of unfinished components on a
+    stack, and a stack of component roots, each with a bit telling whether
+    its component holds an accepting node.  An edge into a node of an
+    unfinished component closes a cycle and merges every component above
+    that node's into it.  The search stops at the first merge whose
+    component holds an accepting node and returns that component's
+    accepting nodes; it returns None when no reachable cycle holds one.
     """
-    blue: set = set()
-    red: set = set()
-
-    # Stack frames: [node, choice_into_node, iterator over successors].
-    stack: list[list] = [[root, None, iter(succ(root))]]
-    blue.add(root)
-    on_path = {root: 0}  # node -> index in stack
-
-    while stack:
-        frame = stack[-1]
-        advanced = False
-        for child, choice in frame[2]:
-            if child not in blue:
-                blue.add(child)
-                stack.append([child, choice, iter(succ(child))])
-                on_path[child] = len(stack) - 1
-                advanced = True
+    index = {root: 0}  # position on ``active``; -1 once its component is done
+    active = [root]
+    roots = [(0, accepting(root))]
+    work = [(root, iter(succ(root)))]
+    while work:
+        node, children = work[-1]
+        for child, _ in children:
+            position = index.get(child)
+            if position is None:
+                index[child] = len(active)
+                roots.append((len(active), accepting(child)))
+                active.append(child)
+                work.append((child, iter(succ(child))))
                 break
-        if advanced:
-            continue
-        # post-order: pop and, if accepting, run the inner search
-        node, in_choice, _ = stack.pop()
-        del on_path[node]
-        if accepting(node):
-            hit = _red_search(node, succ, red, on_path)
-            if hit is not None:
-                red_nodes, red_choices, target = hit
-                prefix_nodes = [f[0] for f in stack] + [node]
-                prefix_choices = [f[1] for f in stack[1:]] + [in_choice]
-                cycle_nodes = list(red_nodes)
-                cycle_choices = list(red_choices)
-                if target != node:
-                    # close through the outer path: target .. stack top, seed
-                    index = on_path[target]
-                    cycle_nodes.append(target)
-                    for f in stack[index + 1:]:
-                        cycle_nodes.append(f[0])
-                        cycle_choices.append(f[1])
-                    cycle_choices.append(in_choice)
-                return (tuple(prefix_nodes), tuple(prefix_choices),
-                        tuple(cycle_nodes), tuple(cycle_choices))
+            if position < 0:
+                continue
+            # a merge that finds no accepting node leaves the top root's bit
+            # clear, so it is not written back
+            top, found = roots[-1]
+            while top > position:
+                roots.pop()
+                top, more = roots[-1]
+                found = found or more
+            if found:
+                return {w for w in active[top:] if accepting(w)}
+        else:
+            work.pop()
+            position = index[node]
+            if roots[-1][0] == position:
+                roots.pop()
+                for w in active[position:]:
+                    index[w] = -1
+                del active[position:]
     return None
 
 
-def _red_search(seed, succ, red, on_path):
-    """Inner search: can ``seed`` reach itself or a node on the outer path?
+def shortest_path(start, succ, goal):
+    """Breadth-first search for a shortest path of at least one edge from
+    ``start`` to a node for which ``goal`` holds.
 
-    Returns ``(nodes, choices, target)`` where nodes runs from seed to the
-    predecessor of ``target`` and choices has one entry per edge including
-    the final edge into ``target``.
+    ``succ(node)`` yields ``(child, choice)`` pairs; a goal is recognised as
+    soon as an edge reaches it, and children are expanded in order.  Returns
+    ``(nodes, choices)``, ``nodes`` running from ``start`` to the goal with
+    one choice per edge, or None when no goal is reachable.
     """
-    parent: dict = {}
-    red.add(seed)
-    stack = [seed]
-    while stack:
-        node = stack.pop()
+    parents = {start: None}
+    queue = deque([start])
+    while queue:
+        node = queue.popleft()
         for child, choice in succ(node):
-            if child == seed or child in on_path:
-                nodes = [node]
-                choices = [choice]
-                while nodes[-1] != seed:
-                    pnode, pchoice = parent[nodes[-1]]
-                    nodes.append(pnode)
-                    choices.append(pchoice)
+            if goal(child):
+                nodes, choices = [child, node], [choice]
+                while parents[node] is not None:
+                    node, choice = parents[node]
+                    nodes.append(node)
+                    choices.append(choice)
                 nodes.reverse()
                 choices.reverse()
-                return nodes, choices, child
-            if child not in red:
-                red.add(child)
-                parent[child] = (node, choice)
-                stack.append(child)
+                return nodes, choices
+            if child not in parents:
+                parents[child] = (node, choice)
+                queue.append(child)
     return None
 
 
@@ -944,10 +942,8 @@ def automaton_accepts_lasso(aut: BuchiAutomaton, prefix: tuple, cycle: tuple,
     def accepting(pnode) -> bool:
         return pnode[1] in aut.accepting
 
-    def succ_list(pnode):
-        return tuple(successors(pnode))
-
-    return _nested_dfs((0, _INIT), succ_list, accepting) is not None
+    return _accepting_component((0, _INIT), successors,
+                                accepting) is not None
 
 
 # ---------------------------------------------------------------------------

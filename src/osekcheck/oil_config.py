@@ -129,12 +129,6 @@ class KernelConfig:
             "error", "NoSystemCounter",
             "configuration does not designate a unique system counter")])
 
-    def ceiling(self, resource_id: str) -> int:
-        """Ceiling priority: highest static priority among accessing tasks."""
-        prios = [t.priority for t in self.tasks.values()
-                 if resource_id in t.resources]
-        return max(prios, default=0)
-
 
 # ---------------------------------------------------------------------------
 # tokenizer and cursor, shared by the configuration, task and formula parsers

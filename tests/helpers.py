@@ -452,7 +452,7 @@ def check_invariants(state: KernelState) -> list[str]:
                            f"{cell.id}")
             held[resource] = cell.id
         floor = task_def.priority
-        ceilings = [config.ceiling(r) for r in cell.held_resources]
+        ceilings = [program.ceiling[r] for r in cell.held_resources]
         expected = max([floor] + ceilings)
         if cell.current_priority != expected:
             bad.append(f"{cell.id}: current priority "

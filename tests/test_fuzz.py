@@ -152,6 +152,6 @@ def test_formula_text(text):
     except LtlError:
         return
     for _, parsed in formulas:
-        ltl.unparse_formula(parsed)
+        str(parsed)
         ltl._intern(parsed)
         list(ltl.iter_props(parsed))

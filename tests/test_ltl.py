@@ -6,6 +6,7 @@ import os
 import random
 import subprocess
 import sys
+from collections import deque
 from dataclasses import replace
 from pathlib import Path
 
@@ -19,8 +20,7 @@ from osekcheck import explorer, ltl
 from osekcheck.ltl import (And, Future, Globally, Implies, LtlError, Next,
                            Not, Or, Prop, Until, eval_on_lasso, model_check,
                            parse_formula_file, parse_ltl, to_buchi,
-                           unparse_formula, automaton_accepts_lasso,
-                           validate_formula)
+                           automaton_accepts_lasso, validate_formula)
 
 
 # ==== parsing ==============================================================
@@ -99,14 +99,14 @@ class TestParser:
             "[] (p -> <> q)", "!p U (q && r)", "X X p", "(p U q) U r",
             "true U p", "[] <> p -> <> [] q")]
         for f in formulas + [random_formula(rng, 5) for _ in range(1000)]:
-            assert parse_ltl(unparse_formula(f)) == f
+            assert parse_ltl(str(f)) == f
 
     @pytest.mark.parametrize("op", ["&", "|", "->", "U"])
     def test_unparse_round_trip_on_long_chains(self, op):
         # a chain needs no parentheses on its associative side; with them,
         # 100 operands unparsed to text nested deeper than the parser allows
         f = parse_ltl(f" {op} ".join(f"p{i}" for i in range(100)))
-        assert parse_ltl(unparse_formula(f)) == f
+        assert parse_ltl(str(f)) == f
 
 
 class TestValidation:
@@ -159,11 +159,11 @@ response : [] (p -> <> q)
 class TestBuchi:
     def test_violations_of_globally_need_two_states(self):
         aut = to_buchi(parse_ltl("[] p"))
-        assert aut.state_count == 2
+        assert len(aut.states) == 2
 
     def test_violations_of_future_need_one_state(self):
         aut = to_buchi(parse_ltl("<> p"))
-        assert aut.state_count == 1
+        assert len(aut.states) == 1
 
     def test_tautology_has_empty_violation_language(self):
         aut = to_buchi(parse_ltl("true"))
@@ -310,7 +310,7 @@ class TestTableau:
         level = [Prop("counter_eq", (value,)) for value in range(256)]
         while len(level) > 1:
             level = [Or(a, b) for a, b in zip(level[::2], level[1::2])]
-        assert to_buchi(Future(level[0])).state_count == 1
+        assert len(to_buchi(Future(level[0])).states) == 1
 
 
 # ==== model checking on synthetic graphs ===================================
@@ -405,6 +405,63 @@ class TestModelCheck:
                 assert automaton_accepts_lasso(
                     to_buchi(formula), result.prefix[:-1], result.cycle,
                     view.prop_value)
+
+    def test_witness_enters_the_cycle_at_its_nearest_state(self):
+        # 0 -> 1 -> 2 -> 3 -> 4 -> 1, p false everywhere: the lasso of [] p
+        # reaches the cycle in one step instead of going round it first
+        view = FakeView({0: (1,), 1: (2,), 2: (3,), 3: (4,), 4: (1,)},
+                        {n: {"p": False, "q": False} for n in range(5)})
+        result = model_check(view, parse_ltl("[] p"))
+        assert result.prefix == (0, 1)
+        assert result.cycle == (1, 2, 3, 4)
+        assert len(result.cycle_choices) == len(result.cycle)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 10**9))
+    def test_witness_paths_are_shortest(self, seed):
+        """The prefix is as long as the distance from the initial product
+        state to the nearest accepting state of the component the emptiness
+        check returns, and the cycle as short as any around that state."""
+        view = random_fake_view(random.Random(seed))
+        for text, _ in ORACLE_PATTERNS:
+            formula = parse_ltl(text)
+            result = model_check(view, formula)
+            if result.verdict != "violated":
+                continue
+            aut = to_buchi(formula)
+            root = (view.initial, ltl._INIT)
+
+            def succ(pnode):
+                node, state = pnode
+                edges = aut.init_edges if state == ltl._INIT \
+                    else aut.edges[state]
+                return tuple(((dst, edge.dst), None) for edge in edges
+                             if all(view.prop_value(node, prop) == positive
+                                    for prop, positive in edge.guard)
+                             for _, dst in view.successors(node))
+
+            def distances(start):
+                dist, queue = {start: 0}, deque([start])
+                while queue:
+                    pnode = queue.popleft()
+                    for child, _ in succ(pnode):
+                        if child not in dist:
+                            dist[child] = dist[pnode] + 1
+                            queue.append(child)
+                return dist
+
+            def girth(pnode):
+                dist = distances(pnode)
+                return min(dist[u] + 1 for u in dist
+                           if any(c == pnode for c, _ in succ(u)))
+
+            seeds = ltl._accepting_component(
+                root, succ, lambda pnode: pnode[1] in aut.accepting)
+            dist = distances(root)
+            steps = len(result.prefix) - 1
+            assert steps == min(dist[s] for s in seeds), text
+            assert any(dist[s] == steps and girth(s) == len(result.cycle)
+                       for s in seeds if s[0] == result.prefix[-1]), text
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 10**9))

@@ -10,8 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import random_app
+from osekcheck.model import Program
 from osekcheck.oil_config import (ParseError, SemanticError, parse_oil,
                                   pretty_print)
+from osekcheck.task_lang import parse_task_file
 
 BASE = """
 COUNTER C { MAXALLOWEDVALUE = 15; TICKSPERBASE = 1; MINCYCLE = 2; SYSTEM = TRUE; };
@@ -130,8 +132,10 @@ class TestObjects:
         RESOURCE R { RESOURCEPROPERTY = STANDARD; };
         TASK H { PRIORITY = 9; RESOURCE = R; };
         """.replace("TASK B { PRIORITY = 1; };", ""))
+        bodies = parse_task_file("".join(
+            f"TASK {t} {{ TerminateTask(); }}" for t in config.tasks), config)
         # ceiling is the highest priority among tasks declaring the resource
-        assert config.ceiling("R") == 9
+        assert Program(config, bodies).ceiling["R"] == 9
 
     def test_alarm_actions(self):
         config = parse_oil(BASE + """

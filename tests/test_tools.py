@@ -51,11 +51,12 @@ def test_digest_covers_exit_code_output_and_written_files(tmp_path):
     line = cli_digest.digest(["search-final", str(tmp_path / "mini.oil"),
                               str(tmp_path / "mini.tsk"), "--out", str(out)],
                              tmp_path)
-    code, _, stdout_bytes, _, stderr_bytes, written, _ = line.split()
+    code, _, stdout_bytes, _, stderr_bytes, written, _, answer = line.split()
     assert code == "0"
     assert int(stdout_bytes) > 0
     assert int(stderr_bytes) == 0
     assert written.startswith("final-0.trace=")
+    assert answer.startswith("verdicts=")
     assert not out.exists()
 
 

@@ -2,7 +2,10 @@
 
 Two checkouts whose digests are equal print the same bytes on stdout and
 stderr (warnings and ``error:`` lines, with their line numbers) and exit
-with the same codes.  File paths in the output are replaced by ``<root>``
+with the same codes.  Each line ends with ``verdicts=<digest>``, the digest
+of the stdout lines that state the answer (``perfbench/verdicts.py``), so
+two checkouts whose traces differ can still be shown to give the same
+verdicts.  File paths in the output are replaced by ``<root>``
 (the checkout) and ``<work>`` (the scratch directory of generated apps), so
 checkouts in different directories compare equal.  The apps are both
 corpus configurations, the harmonic-alarm app of ``perfbench/harmonic.py``
@@ -53,6 +56,7 @@ sys.path.insert(0, str(ROOT / "tests"))
 sys.path.insert(0, str(ROOT / "perfbench"))
 
 import harmonic  # noqa: E402
+import verdicts  # noqa: E402
 from helpers import (ACTIONS_LTL, ACTIONS_OIL, ACTIONS_TSK,  # noqa: E402
                      COINCIDE_LTL, COINCIDE_OIL, COINCIDE_TSK, LOOP_LTL,
                      LOOP_OIL, LOOP_TSK, random_app)
@@ -76,15 +80,19 @@ STRESS_FORMULAS = "\n".join(
        "wait(Adap_Event, EMS_Adap_Task_10ms) | error(E_OS_LIMIT))"]) + "\n"
 
 
+def _portable(text: str, work: Path) -> str:
+    return text.replace(str(work), "<work>").replace(str(ROOT), "<root>")
+
+
 def _hash(text: str, work: Path) -> str:
-    data = (text.replace(str(work), "<work>")
-            .replace(str(ROOT), "<root>").encode())
+    data = _portable(text, work).encode()
     return f"{hashlib.sha256(data).hexdigest()[:16]} {len(data)}"
 
 
 def digest(argv: list[str], work: Path) -> str:
     """Exit code, stdout and stderr digests, then one ``name=digest`` per
-    file the command wrote under ``work/out`` (which is removed after)."""
+    file the command wrote under ``work/out`` (which is removed after),
+    then ``verdicts=`` and the digest of stdout's verdict lines."""
     out, err = io.StringIO(), io.StringIO()
     try:
         with redirect_stdout(out), redirect_stderr(err):
@@ -101,7 +109,9 @@ def digest(argv: list[str], work: Path) -> str:
             line += (f" {path.relative_to(files)}="
                      f"{_hash(path.read_text(), work)}")
         shutil.rmtree(files)
-    return line
+    answer = verdicts.verdict_lines(argv[0],
+                                    _portable(out.getvalue(), work))
+    return f"{line} verdicts={verdicts.digest(answer)}"
 
 
 def invocations(name, oil, tsk, ltl, report, subsets, out):
