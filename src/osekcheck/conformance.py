@@ -49,12 +49,9 @@ class AdjudicationError(Exception):
 def lasso_to_trace(graph: explorer.StateGraph,
                    result: ltl.LtlResult) -> explorer.Trace:
     """Turn a model-checker lasso over graph nodes into a replayable trace."""
-    nodes = list(result.prefix) + list(result.cycle[1:])
-    choices = list(result.prefix_choices) + list(result.cycle_choices)
-    states = tuple(graph.state(h) for h in nodes)
-    return explorer.Trace(states, tuple(choices),
-                          lasso_start=len(result.prefix) - 1,
-                          strict=graph.strict, idle_mode=graph.idle_mode)
+    return graph.trace(result.prefix + result.cycle[1:],
+                       result.prefix_choices + result.cycle_choices,
+                       len(result.prefix) - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -216,10 +213,7 @@ def _check_periodic_execution(graph: explorer.StateGraph) -> PropertyResult:
         if found is not None:
             nodes, choices = found
             _, (_, reason) = nodes[-1]
-            witness = explorer.Trace(
-                tuple(graph.state(node) for node, _ in nodes),
-                tuple(choices), strict=graph.strict,
-                idle_mode=graph.idle_mode)
+            witness = graph.trace([node for node, _ in nodes], choices)
             return PropertyResult("PE", "fail", witness, reason)
     verdict = "bounded_pass" if graph.truncated else "pass"
     return PropertyResult("PE", verdict, None,

@@ -86,8 +86,9 @@ def _apply_rule(state: KernelState, order: tuple[str, ...],
         return stutterize(state)
     if order:
         return kernel_core.handle_expiries(state, order)
-    if kernel_core.multiactivation_candidate(state) is not None:
-        return kernel_core.handle_multiactivation(state)
+    target = kernel_core.multiactivation_candidate(state)
+    if target is not None:
+        return kernel_core.handle_multiactivation(state, target)
     if SCHEDULE_SIGNAL in state.signals:
         return kernel_core.handle_schedule_signal(state)
     if state.running is not None:
@@ -155,10 +156,6 @@ class Trace:
     strict: bool = False
     idle_mode: str = timing.JUMP
 
-    @property
-    def final(self) -> KernelState:
-        return self.states[-1]
-
 
 def replay(trace: Trace) -> None:
     """Re-execute a trace step by step; raises ReplayMismatch on divergence."""
@@ -225,7 +222,6 @@ def render_trace(trace: Trace, fmt: str = "text") -> str:
 class TerminalRecord:
     state: KernelState
     trace: Trace
-    kind: str  # ALLIDLE | DEADLOCK
 
 
 @dataclass
@@ -260,6 +256,13 @@ class StateGraph:
     def successors_of(self, node: int) -> tuple[tuple[Choice | None, int], ...]:
         return self.edges[node]
 
+    def trace(self, nodes: Iterable[int], choices: Iterable[Choice | None],
+              lasso_start: int | None = None) -> Trace:
+        """The witness through ``nodes`` under this graph's semantics: every
+        witness trace is made here."""
+        return Trace(tuple(self.nodes[h] for h in nodes), tuple(choices),
+                     lasso_start, self.strict, self.idle_mode)
+
     def trace_to(self, node: int) -> Trace:
         """Shortest breadth-first trace from the initial state."""
         path: list[int] = [node]
@@ -268,10 +271,7 @@ class StateGraph:
             parent, choice = self.parents[path[-1]]
             choices.append(choice)
             path.append(parent)
-        path.reverse()
-        choices.reverse()
-        return Trace(tuple(self.nodes[h] for h in path), tuple(choices),
-                     strict=self.strict, idle_mode=self.idle_mode)
+        return self.trace(reversed(path), reversed(choices))
 
     def terminal_nodes(self) -> list[int]:
         """Dead-end entry nodes: non-normal states first reached from a
@@ -408,12 +408,7 @@ def search_graph(graph: StateGraph) -> SearchResult:
     deadlocks: list[TerminalRecord] = []
     for node in graph.terminal_nodes():
         state = graph.nodes[node]
-        record = TerminalRecord(state, graph.trace_to(node),
-                                ALLIDLE if state.status == ALLIDLE
-                                else DEADLOCK)
-        if record.kind == ALLIDLE:
-            finals.append(record)
-        else:
-            deadlocks.append(record)
+        (finals if state.status == ALLIDLE else deadlocks).append(
+            TerminalRecord(state, graph.trace_to(node)))
     return SearchResult(tuple(finals), tuple(deadlocks), len(graph.nodes),
                         graph.truncated)

@@ -465,11 +465,9 @@ def multiactivation_candidate(state: KernelState) -> str | None:
     return state.tasks[best].id if best is not None else None
 
 
-def handle_multiactivation(state: KernelState) -> KernelState:
-    """Turn one recorded activation into a ready task instance."""
-    target = multiactivation_candidate(state)
-    if target is None:
-        raise ValueError("no pending activation to release")
+def handle_multiactivation(state: KernelState, target: str) -> KernelState:
+    """Turn one recorded activation of ``target``, the
+    ``multiactivation_candidate``, into a ready task instance."""
     index = state.program.task_index[target]
     cell = state.tasks[index]
     state = _make_ready(state, index, _fresh_cell(

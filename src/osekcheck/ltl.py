@@ -3,19 +3,20 @@
 Formulas are checked with the automata-theoretic recipe.  The negation is
 translated into a Buchi automaton: its subformulas in negation normal form
 are numbered once, a GPVW tableau expands them, each until-subformula gives
-an acceptance set, and counting degeneralization makes one.  One Tarjan pass
-then drops the states with no path to an accepting cycle, and states with
-equal outgoing edges and acceptance are merged.  Numbering and guards follow
-the formula's structure, never hashing, so the automaton is the same under
-every ``PYTHONHASHSEED``.  The automaton is composed with the reachability
-graph, and Couvreur's on-the-fly emptiness check, one depth-first search
-over the product's strongly connected components, looks for a reachable
-cycle through an accepting state.  Absence of such a cycle proves the
-formula on the explored graph.  A found one refutes it, and its witness is
-a lasso of two breadth-first shortest paths: from the initial state to the
-nearest accepting state of the first accepting component found, and from
-that state back to itself (after Gastin, Moro and Zeitoun).  The lasso is
-shortest through that state, not over the whole product.
+an acceptance set, and counting degeneralization makes one.  The emptiness
+check below, run from each automaton state, drops the states with no path to
+an accepting cycle, and states with equal outgoing edges and acceptance are
+merged.  Numbering and guards follow the formula's structure, never hashing,
+so the automaton is the same under every ``PYTHONHASHSEED``.  The automaton
+is composed with the reachability graph, and Couvreur's on-the-fly emptiness
+check, one depth-first search over the product's strongly connected
+components, looks for a reachable cycle through an accepting state.
+Absence of such a cycle proves the formula on the explored graph.  A found
+one refutes it, and its witness is a lasso of two breadth-first shortest
+paths: from the initial state to the nearest accepting state of the first
+accepting component found, and from that state back to itself (after
+Gastin, Moro and Zeitoun).  The lasso is shortest through that state, not
+over the whole product.
 
 Atomic propositions are evaluated on a single state and its entry label, so
 the product needs no extra bookkeeping.
@@ -560,63 +561,24 @@ def to_buchi(formula: Formula) -> BuchiAutomaton:
                                     accepting))
 
 
-def _live_states(states, edges, accepting) -> set:
-    """States with a path to an accepting cycle, in one iterative Tarjan
-    pass.  A component is completed after every component it reaches, so it
-    is live when it holds an accepting state and a cycle (two or more states
-    or a self-loop), or has an edge into a live component."""
-    index: dict = {}
-    low: dict = {}
-    stack: list = []
-    live: set = set()
-    done = len(states)  # index of a state in a completed component
-    for root in states:
-        if root in index:
-            continue
-        index[root] = low[root] = len(index)
-        stack.append(root)
-        work = [(root, iter(edges[root]))]
-        while work:
-            v, children = work[-1]
-            for edge in children:
-                w = edge.dst
-                if w not in index:
-                    index[w] = low[w] = len(index)
-                    stack.append(w)
-                    work.append((w, iter(edges[w])))
-                    break
-                low[v] = min(low[v], index[w])
-            else:
-                work.pop()
-                if work:
-                    u = work[-1][0]
-                    low[u] = min(low[u], low[v])
-                if low[v] < index[v]:
-                    continue
-                component = [stack.pop()]
-                while component[-1] != v:
-                    component.append(stack.pop())
-                out = {e.dst for w in component for e in edges[w]}
-                if not live.isdisjoint(out) or (
-                        not accepting.isdisjoint(component)
-                        and (len(component) > 1 or v in out)):
-                    live.update(component)
-                for w in component:
-                    index[w] = done
-    return live
-
-
 def _simplify(aut: BuchiAutomaton) -> BuchiAutomaton:
     """Keep the states that can reach an accepting cycle, then merge
     equivalent ones.
 
+    The emptiness check, run from each state, decides which states are kept:
+    one search per state, so quadratic in the automaton's size at worst.
     Every state must be reachable from an initial edge, as ``to_buchi``'s
     breadth-first construction ensures.  Merging two states keeps every
     state reachable and able to reach an accepting cycle, so one pruning
     pass suffices.  States may be any sortable values; the result numbers
-    them from 0 in sorted order.
+    them from 0 in sorted order, and its edges are keyed in that order.
     """
-    states = _live_states(aut.states, aut.edges, aut.accepting)
+    def succ(state):
+        return ((edge.dst, None) for edge in aut.edges[state])
+
+    states = {s for s in aut.states
+              if _accepting_component(s, succ, aut.accepting.__contains__)
+              is not None}
     init_edges = [e for e in aut.init_edges if e.dst in states]
     edges = {s: [e for e in aut.edges[s] if e.dst in states] for s in states}
     accepting = aut.accepting & states
@@ -647,11 +609,11 @@ def _simplify(aut: BuchiAutomaton) -> BuchiAutomaton:
 
     renamed = {s: i for i, s in enumerate(sorted(states))}
     return BuchiAutomaton(
-        states=tuple(sorted(renamed.values())),
+        states=tuple(renamed.values()),
         init_edges=tuple(BuchiEdge(e.guard, renamed[e.dst])
                          for e in init_edges),
-        edges={renamed[s]: tuple(BuchiEdge(e.guard, renamed[e.dst])
-                                 for e in edges[s]) for s in states},
+        edges={i: tuple(BuchiEdge(e.guard, renamed[e.dst])
+                        for e in edges[s]) for s, i in renamed.items()},
         accepting=frozenset(renamed[s] for s in accepting))
 
 
@@ -912,38 +874,6 @@ def eval_on_lasso(formula: Formula, prefix: tuple, cycle: tuple,
         return value
 
     return ev(formula, 0)
-
-
-def automaton_accepts_lasso(aut: BuchiAutomaton, prefix: tuple, cycle: tuple,
-                            prop_value) -> bool:
-    """Does the automaton accept ``prefix . cycle^omega``?
-
-    Decided by composing the word (as a one-cycle graph) with the automaton
-    and looking for a reachable accepting cycle.
-    """
-    if not cycle:
-        raise ValueError("cycle must be nonempty")
-    plen, total = len(prefix), len(prefix) + len(cycle)
-
-    def elem(i: int):
-        return prefix[i] if i < plen else cycle[i - plen]
-
-    def nxt(i: int) -> int:
-        return i + 1 if i + 1 < total else plen
-
-    def successors(pnode):
-        pos, astate = pnode
-        ba_edges = aut.init_edges if astate == _INIT else aut.edges[astate]
-        for edge in ba_edges:
-            if all(prop_value(elem(pos), prop) == positive
-                   for prop, positive in edge.guard):
-                yield (nxt(pos), edge.dst), None
-
-    def accepting(pnode) -> bool:
-        return pnode[1] in aut.accepting
-
-    return _accepting_component((0, _INIT), successors,
-                                accepting) is not None
 
 
 # ---------------------------------------------------------------------------

@@ -687,57 +687,3 @@ def parse_oil(source: str) -> KernelConfig:
     all_warnings = tuple(warnings) + tuple(d for d in diags
                                            if d.severity == "warning")
     return replace(config, warnings=all_warnings)
-
-
-def pretty_print(config: KernelConfig) -> str:
-    """Render a configuration back to canonical OIL-like text."""
-    lines: list[str] = []
-
-    def block(kind: str, ident: str, attrs: list[str]) -> None:
-        lines.append(f"{kind} {ident} {{")
-        lines.extend(f"    {a}" for a in attrs)
-        lines.append("};")
-        lines.append("")
-
-    for c in config.counters.values():
-        attrs = [f"MAXALLOWEDVALUE = {c.max_allowed_value};",
-                 f"TICKSPERBASE = {c.ticks_per_base};",
-                 f"MINCYCLE = {c.min_cycle};"]
-        if c.is_system:
-            attrs.append("SYSTEM = TRUE;")
-        block("COUNTER", c.id, attrs)
-    for ev in config.events:
-        block("EVENT", ev, ["MASK = AUTO;"])
-    for r in config.resources.values():
-        block("RESOURCE", r.id, ["RESOURCEPROPERTY = STANDARD;"])
-    for t in config.tasks.values():
-        attrs = [f"PRIORITY = {t.priority};",
-                 f"SCHEDULE = {t.schedule};",
-                 f"AUTOSTART = {'TRUE' if t.autostart else 'FALSE'};",
-                 f"ACTIVATION = {t.max_activations};"]
-        attrs.extend(f"EVENT = {e};" for e in sorted(t.events))
-        attrs.extend(f"RESOURCE = {r};" for r in sorted(t.resources))
-        block("TASK", t.id, attrs)
-    for a in config.alarms.values():
-        attrs = [f"COUNTER = {a.counter};"]
-        act = a.action
-        if act.kind == "activatetask":
-            attrs.append(f"ACTION = ACTIVATETASK {{ TASK = {act.task}; }};")
-        elif act.kind == "setevent":
-            attrs.append(
-                f"ACTION = SETEVENT {{ TASK = {act.task}; EVENT = {act.event}; }};")
-        else:
-            attrs.append(
-                "ACTION = ALARMCALLBACK "
-                f"{{ ALARMCALLBACKNAME = {act.callback}; }};")
-        if a.autostart:
-            attrs.append(
-                f"AUTOSTART = TRUE {{ ALARMTIME = {a.autostart_offset}; "
-                f"CYCLETIME = {a.autostart_cycle or 0}; }};")
-        else:
-            attrs.append("AUTOSTART = FALSE;")
-        block("ALARM", a.id, attrs)
-    text = "\n".join(lines).rstrip() + "\n"
-    if config.name == "system":  # the name of a configuration without CPU
-        return text
-    return f"CPU {config.name} {{\n{text}}};\n"

@@ -326,26 +326,6 @@ def parse_task_file(source: str, config: KernelConfig,
     return bodies
 
 
-def unparse_statement(stmt: Statement, indent: int = 1) -> str:
-    pad = "    " * indent
-    if isinstance(stmt, CallService):
-        args = ", ".join(str(a) for a in stmt.args)
-        return f"{pad}{stmt.name}({args});"
-    if isinstance(stmt, TimeInterval):
-        return f"{pad}TimeInterval = {stmt.ticks};"
-    inner = "\n".join(unparse_statement(s, indent + 1) for s in stmt.body)
-    return f"{pad}while(true){{\n{inner}\n{pad}}}"
-
-
-def unparse_task_file(bodies: dict[str, TaskBody]) -> str:
-    """Render task bodies back to parseable text."""
-    chunks = []
-    for body in bodies.values():
-        stmts = "\n".join(unparse_statement(s) for s in body.statements)
-        chunks.append(f"TASK {body.task_id} {{\n{stmts}\n}};")
-    return "\n\n".join(chunks) + "\n"
-
-
 def compact_statement(stmt: Statement) -> str:
     """Single-line spelling used by state snapshots."""
     if isinstance(stmt, CallService):

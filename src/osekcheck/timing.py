@@ -37,15 +37,10 @@ def expiry_distance(state: KernelState, alarm_id: str) -> int:
     return distance if distance > 0 else modulus
 
 
-def next_expiry(state: KernelState) -> tuple[int, tuple[str, ...]] | None:
-    """Earliest expiry distance and the alarms that land on it."""
-    if not state.working_alarms:
-        return None
-    distances = {a: expiry_distance(state, a) for a in state.working_alarms}
-    nearest = min(distances.values())
-    landing = tuple(a for a in state.working_alarms
-                    if distances[a] == nearest)
-    return nearest, landing
+def next_expiry(state: KernelState) -> int | None:
+    """Ticks to the earliest expiry; None when no alarm is armed."""
+    return min((expiry_distance(state, a) for a in state.working_alarms),
+               default=None)
 
 
 def _advance(state: KernelState, amount: int,
@@ -108,7 +103,7 @@ def exec_time_interval(state: KernelState, caller: str,
     before computation resumes.
     """
     nearest = next_expiry(state)
-    advance = ticks if nearest is None else min(ticks, nearest[0])
+    advance = ticks if nearest is None else min(ticks, nearest)
     if advance < ticks:
         state = state.with_task(state.task_cell(caller)._replace(
             residue=ticks - advance))
@@ -136,7 +131,7 @@ def idle_advance(state: KernelState, mode: str = JUMP) -> KernelState:
     nearest = next_expiry(state)
     if nearest is None:
         raise ValueError("idle_advance requires an armed alarm")
-    amount = 1 if mode == UNIT else nearest[0]
+    amount = 1 if mode == UNIT else nearest
     return _advance(state, amount, TransitionLabel(kind="time", amount=amount,
                                                    reason="idle"))
 

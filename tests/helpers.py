@@ -1,5 +1,6 @@
 """Shared fixtures: app builders, random app generation, state invariants,
-and brute-force temporal-logic oracles for cross-checking the model checker.
+brute-force temporal-logic oracles for cross-checking the model checker, and
+the text renderers that round-trip tests parse back.
 """
 
 from __future__ import annotations
@@ -11,7 +12,8 @@ from osekcheck import explorer, ltl
 from osekcheck.model import (ALLIDLE, DEADLOCK, NORMAL, READY, RUNNING,
                              SUSPENDED, WAITING, KernelState)
 from osekcheck.oil_config import KernelConfig, parse_oil
-from osekcheck.task_lang import TaskBody, TimeInterval, parse_task_file
+from osekcheck.task_lang import (CallService, Statement, TaskBody,
+                                 TimeInterval, parse_task_file)
 
 
 def make_app(oil_text: str, tsk_text: str):
@@ -589,3 +591,112 @@ ORACLE_PATTERNS = (
     ("p U q", lambda v: holds_until(v, "p", "q")),
     ("[] (p -> <> q)", lambda v: holds_response(v, "p", "q")),
 )
+
+
+def automaton_accepts_lasso(aut: ltl.BuchiAutomaton, prefix: tuple,
+                            cycle: tuple, prop_value) -> bool:
+    """Does the automaton accept ``prefix . cycle^omega``?
+
+    Decided by composing the word (as a one-cycle graph) with the automaton
+    and looking for a reachable accepting cycle.
+    """
+    if not cycle:
+        raise ValueError("cycle must be nonempty")
+    plen, total = len(prefix), len(prefix) + len(cycle)
+
+    def elem(i: int):
+        return prefix[i] if i < plen else cycle[i - plen]
+
+    def nxt(i: int) -> int:
+        return i + 1 if i + 1 < total else plen
+
+    def successors(pnode):
+        pos, astate = pnode
+        ba_edges = aut.init_edges if astate == ltl._INIT else aut.edges[astate]
+        for edge in ba_edges:
+            if all(prop_value(elem(pos), prop) == positive
+                   for prop, positive in edge.guard):
+                yield (nxt(pos), edge.dst), None
+
+    def accepting(pnode) -> bool:
+        return pnode[1] in aut.accepting
+
+    return ltl._accepting_component((0, ltl._INIT), successors,
+                                    accepting) is not None
+
+
+# ==== text renderers for round-trip tests ==================================
+
+
+def pretty_print(config: KernelConfig) -> str:
+    """Render a configuration back to canonical OIL-like text."""
+    lines: list[str] = []
+
+    def block(kind: str, ident: str, attrs: list[str]) -> None:
+        lines.append(f"{kind} {ident} {{")
+        lines.extend(f"    {a}" for a in attrs)
+        lines.append("};")
+        lines.append("")
+
+    for c in config.counters.values():
+        attrs = [f"MAXALLOWEDVALUE = {c.max_allowed_value};",
+                 f"TICKSPERBASE = {c.ticks_per_base};",
+                 f"MINCYCLE = {c.min_cycle};"]
+        if c.is_system:
+            attrs.append("SYSTEM = TRUE;")
+        block("COUNTER", c.id, attrs)
+    for ev in config.events:
+        block("EVENT", ev, ["MASK = AUTO;"])
+    for r in config.resources.values():
+        block("RESOURCE", r.id, ["RESOURCEPROPERTY = STANDARD;"])
+    for t in config.tasks.values():
+        attrs = [f"PRIORITY = {t.priority};",
+                 f"SCHEDULE = {t.schedule};",
+                 f"AUTOSTART = {'TRUE' if t.autostart else 'FALSE'};",
+                 f"ACTIVATION = {t.max_activations};"]
+        attrs.extend(f"EVENT = {e};" for e in sorted(t.events))
+        attrs.extend(f"RESOURCE = {r};" for r in sorted(t.resources))
+        block("TASK", t.id, attrs)
+    for a in config.alarms.values():
+        attrs = [f"COUNTER = {a.counter};"]
+        act = a.action
+        if act.kind == "activatetask":
+            attrs.append(f"ACTION = ACTIVATETASK {{ TASK = {act.task}; }};")
+        elif act.kind == "setevent":
+            attrs.append(f"ACTION = SETEVENT {{ TASK = {act.task}; "
+                         f"EVENT = {act.event}; }};")
+        else:
+            attrs.append(
+                "ACTION = ALARMCALLBACK "
+                f"{{ ALARMCALLBACKNAME = {act.callback}; }};")
+        if a.autostart:
+            attrs.append(
+                f"AUTOSTART = TRUE {{ ALARMTIME = {a.autostart_offset}; "
+                f"CYCLETIME = {a.autostart_cycle or 0}; }};")
+        else:
+            attrs.append("AUTOSTART = FALSE;")
+        block("ALARM", a.id, attrs)
+    text = "\n".join(lines).rstrip() + "\n"
+    if config.name == "system":  # the name of a configuration without CPU
+        return text
+    return f"CPU {config.name} {{\n{text}}};\n"
+
+
+def unparse_statement(stmt: Statement, indent: int = 1) -> str:
+    pad = "    " * indent
+    if isinstance(stmt, CallService):
+        args = ", ".join(str(a) for a in stmt.args)
+        return f"{pad}{stmt.name}({args});"
+    if isinstance(stmt, TimeInterval):
+        return f"{pad}TimeInterval = {stmt.ticks};"
+    inner = "\n".join(unparse_statement(s, indent + 1) for s in stmt.body)
+    return f"{pad}while(true){{\n{inner}\n{pad}}}"
+
+
+def unparse_task_file(bodies: dict[str, TaskBody]) -> str:
+    """Render task bodies back to parseable text."""
+    chunks = []
+    for body in bodies.values():
+        stmts = "\n".join(unparse_statement(s) for s in body.statements)
+        chunks.append(f"TASK {body.task_id} {{\n{stmts}\n}};")
+    return "\n\n".join(chunks) + "\n"

@@ -13,9 +13,9 @@ from contextlib import contextmanager
 import pytest
 
 from conftest import EMS_REPORT
-from helpers import (GOLDEN_SCENARIOS, ORACLE_PATTERNS, check_invariants,
-                     make_app, random_app, random_fake_view,
-                     run_deterministic)
+from helpers import (GOLDEN_SCENARIOS, ORACLE_PATTERNS,
+                     automaton_accepts_lasso, check_invariants, make_app,
+                     random_app, random_fake_view, run_deterministic)
 from osekcheck import conformance, explorer, ltl, timing
 from osekcheck.model import canonical_label, canonical_snapshot
 
@@ -160,7 +160,7 @@ def test_model_checker_agrees_with_brute_force(capsys):
                     assert not ltl.eval_on_lasso(
                         formula, result.prefix[:-1], result.cycle,
                         view.prop_value), (seed, text)
-                    assert ltl.automaton_accepts_lasso(
+                    assert automaton_accepts_lasso(
                         ltl.to_buchi(formula), result.prefix[:-1],
                         result.cycle, view.prop_value), (seed, text)
         for text, counts in mix.items():

@@ -20,11 +20,11 @@ from itertools import cycle
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import random_app
+from helpers import pretty_print, random_app, unparse_task_file
 from osekcheck import ltl
 from osekcheck.ltl import LtlError, parse_formula_file
-from osekcheck.oil_config import OilError, parse_oil, pretty_print
-from osekcheck.task_lang import parse_task_file, unparse_task_file
+from osekcheck.oil_config import OilError, parse_oil
+from osekcheck.task_lang import parse_task_file
 
 NOISE = ["³", "٣", "𝟙", "½", "0x", "0xZ", "0x1f", "010", "1e3", "-1", "\n",
          "/*", "*/", "// note\n", "/* note */", "#", ":", "\t", " "]

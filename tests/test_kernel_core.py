@@ -180,7 +180,7 @@ class TestMultiActivationRelease:
         state = self.prepare(state)
         assert state.task_cell("Twin").pending_activations == 1
         assert kernel_core.multiactivation_candidate(state) == "Twin"
-        released = kernel_core.handle_multiactivation(state)
+        released = kernel_core.handle_multiactivation(state, "Twin")
         cell = released.task_cell("Twin")
         assert cell.state == READY
         assert cell.pending_activations == 0
@@ -188,7 +188,7 @@ class TestMultiActivationRelease:
 
     def test_release_is_a_separate_step(self, state):
         state = self.prepare(state)
-        released = kernel_core.handle_multiactivation(state)
+        released = kernel_core.handle_multiactivation(state, "Twin")
         assert released.counter_value == state.counter_value
         assert released.last_label.detail == "multiactivation:Twin"
 
@@ -589,7 +589,7 @@ class TestScheduleSignal:
         state = kernel_core.handle_schedule_signal(state)
         assert state.running == "Twin"
         state = kernel_core.call_service(state, "Twin", "TerminateTask")
-        state = kernel_core.handle_multiactivation(state)
+        state = kernel_core.handle_multiactivation(state, "Twin")
         state = kernel_core.handle_schedule_signal(state)
         assert state.running == "Twin"
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import os
 import random
 import subprocess
@@ -15,12 +16,39 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import EMS_LTL
-from helpers import FakeView, ORACLE_PATTERNS, make_app, random_fake_view
+from helpers import (FakeView, ORACLE_PATTERNS, automaton_accepts_lasso,
+                     make_app, random_fake_view)
 from osekcheck import explorer, ltl
 from osekcheck.ltl import (And, Future, Globally, Implies, LtlError, Next,
                            Not, Or, Prop, Until, eval_on_lasso, model_check,
                            parse_formula_file, parse_ltl, to_buchi,
-                           automaton_accepts_lasso, validate_formula)
+                           validate_formula)
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
+
+import cli_digest  # noqa: E402
+
+# The first 16 hex digits of the sha256 of each automaton's repr, with its
+# edges and accepting states sorted so that the digest does not depend on
+# the order in which a set or dict was filled.  The formulas are those of
+# the corpus, of the random_sweep benchmark and of the translation stress
+# file of tools/cli_digest.py.
+FROZEN_AUTOMATA = {
+    "ems:no_overflow": "48fc2d0026679b68",
+    "ems:no_deadlock": "4667c9e58d1b85e7",
+    "ems:adap_served": "dfc2d8436d04f3a6",
+    "random:no_limit": "48fc2d0026679b68",
+    "random:no_deadlock": "4667c9e58d1b85e7",
+    "random:first_recurs": "c9ce1714e6aaf3f1",
+    "random:first_served": "05504f072ba50694",
+    "stress:until2": "124fa84010c232da",
+    "stress:until3": "0c2255849191acd6",
+    "stress:until4": "890c416cbc14a543",
+    "stress:until5": "9216a4322d13ff8c",
+    "stress:until6": "693c1a6e86dd6dd7",
+    "stress:chain100": "3d28aec58b927708",
+    "stress:every_op": "e12118e37cc28394",
+}
 
 
 # ==== parsing ==============================================================
@@ -216,6 +244,40 @@ class TestBuchi:
             env=dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=str(src))
         ).stdout for seed in ("0", "1", "2", "3")}
         assert len(outputs) == 1
+
+    def test_every_state_reaches_an_accepting_cycle(self):
+        """The pruning keeps no dead state: by brute-force reachability,
+        every state reaches an accepting state that reaches itself again."""
+        for seed in range(300):
+            aut = to_buchi(random_formula(random.Random(seed), 5))
+
+            def reach(state):  # the states one or more edges away
+                seen, stack = set(), [state]
+                while stack:
+                    for edge in aut.edges[stack.pop()]:
+                        if edge.dst not in seen:
+                            seen.add(edge.dst)
+                            stack.append(edge.dst)
+                return seen
+
+            cyclic = {a for a in aut.accepting if a in reach(a)}
+            for state in aut.states:
+                assert state in cyclic or reach(state) & cyclic, (seed, state)
+
+    def test_automata_are_frozen(self):
+        files = {"ems": EMS_LTL.read_text(),
+                 "random": cli_digest.RANDOM_FORMULAS,
+                 "stress": cli_digest.STRESS_FORMULAS}
+        digests = {}
+        for prefix, text in files.items():
+            for name, formula in parse_formula_file(text):
+                aut = to_buchi(formula)
+                canonical = repr((aut.states, aut.init_edges,
+                                  sorted(aut.edges.items()),
+                                  sorted(aut.accepting)))
+                digests[f"{prefix}:{name}"] = hashlib.sha256(
+                    canonical.encode()).hexdigest()[:16]
+        assert digests == FROZEN_AUTOMATA
 
 
 def _recursive_tableau(table, root):

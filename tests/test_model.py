@@ -99,7 +99,7 @@ SHAPES = {
     "idle-signal": (lambda s: schedule(call(s, "TerminateTask")),
                     "sig:idle", "scheduler: idle"),
     "multiactivation": (lambda s: kernel_core.handle_multiactivation(
-                            call(s, "ChainTask", "Main")),
+                            call(s, "ChainTask", "Main"), "Main"),
                         "sig:multiactivation:Main",
                         "scheduler: multiactivation:Main"),
     "interval": (run, "time:interval", "time +2 (interval)"),

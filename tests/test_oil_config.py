@@ -9,10 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_app
+from helpers import pretty_print, random_app
 from osekcheck.model import Program
-from osekcheck.oil_config import (ParseError, SemanticError, parse_oil,
-                                  pretty_print)
+from osekcheck.oil_config import ParseError, SemanticError, parse_oil
 from osekcheck.task_lang import parse_task_file
 
 BASE = """

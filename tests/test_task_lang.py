@@ -8,10 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import make_app, random_app
+from helpers import make_app, random_app, unparse_task_file
 from osekcheck.oil_config import OilError, SemanticError, parse_oil
 from osekcheck.task_lang import (CallService, TimeInterval, WhileTrue,
-                                 parse_task_file, unparse_task_file)
+                                 parse_task_file)
 
 OIL = """
 COUNTER C { MAXALLOWEDVALUE = 15; MINCYCLE = 1; SYSTEM = TRUE; };

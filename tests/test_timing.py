@@ -70,11 +70,11 @@ class TestCounter:
 
     def test_next_expiry_picks_nearest(self, state):
         state = arm(arm(state, "AL", 9), "AL2", 4)
-        assert timing.next_expiry(state) == (4, ("AL2",))
+        assert timing.next_expiry(state) == 4
 
     def test_next_expiry_groups_simultaneous(self, state):
         state = arm(arm(state, "AL", 4), "AL2", 4)
-        assert timing.next_expiry(state) == (4, ("AL", "AL2"))
+        assert timing.next_expiry(state) == 4
 
     def test_next_expiry_none_without_alarms(self, state):
         assert timing.next_expiry(state) is None
