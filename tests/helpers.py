@@ -163,6 +163,37 @@ main_ends: <> suspended(Main)
 """
 
 
+# ==== an alarm set to an absolute time ====================================
+# Main arms Abs for counter 6 with SetAbsAlarm, works two ticks and cancels
+# it, round and round; Rel activates Tick every five ticks.  Where Abs
+# expires depends on where the counter stands, not only on how far each
+# armed alarm is from it, so this app is checked on concrete states.  Abs
+# and Rel both activate Tick, which overflows when they expire close
+# together.
+
+ABS_OIL = """
+COUNTER C { MAXALLOWEDVALUE = 7; TICKSPERBASE = 1; MINCYCLE = 1; SYSTEM = TRUE; };
+TASK Main { PRIORITY = 1; SCHEDULE = FULL; ACTIVATION = 1; AUTOSTART = TRUE; };
+TASK Tick { PRIORITY = 2; SCHEDULE = FULL; ACTIVATION = 1; AUTOSTART = FALSE; };
+ALARM Abs { COUNTER = C; ACTION = ACTIVATETASK { TASK = Tick; }; };
+ALARM Rel { COUNTER = C; ACTION = ACTIVATETASK { TASK = Tick; };
+            AUTOSTART = TRUE { ALARMTIME = 3; CYCLETIME = 5; }; };
+"""
+
+ABS_TSK = """
+TASK Main {
+    while (true) { SetAbsAlarm(Abs, 6, 0); TimeInterval = 2; CancelAlarm(Abs); }
+}
+TASK Tick { TimeInterval = 1; TerminateTask(); }
+"""
+
+ABS_LTL = """
+no_limit: [] !error(E_OS_LIMIT)
+tick_served: [] (ready(Tick) -> <> running(Tick))
+main_recurs: [] <> running(Main)
+"""
+
+
 # ==== golden scenarios =====================================================
 # Expected transition-label sequences were worked out by hand with a tick
 # ledger before the engine first ran them; they are frozen here.

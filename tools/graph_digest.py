@@ -7,8 +7,9 @@ check for refactors of the state or the explorer.  Each line covers one app
 in one idle mode (``jump``, ``unit``) and one error semantics (continue,
 strict).  The apps are both corpus configurations, the harmonic-alarm app of
 ``perfbench/harmonic.py`` (seed 1), the loop-shape app, the alarm-action
-app (ACTIVATETASK, SETEVENT and ALARMCALLBACK expiring together) and the
-six-alarm app (720 handling orders per batch) of ``tests/helpers``, and
+app (ACTIVATETASK, SETEVENT and ALARMCALLBACK expiring together), the
+six-alarm app (720 handling orders per batch) and the absolute-alarm app (a
+body that calls SetAbsAlarm) of ``tests/helpers``, and
 ``tests/helpers.random_app`` seeds 0-999.  The
 script runs with ``PYTHONHASHSEED=0`` (re-executing itself if needed),
 because the harmonic generator's identifier order follows set iteration
@@ -34,8 +35,8 @@ sys.path.insert(0, str(ROOT / "tests"))
 sys.path.insert(0, str(ROOT / "perfbench"))
 
 import harmonic  # noqa: E402
-from helpers import (ACTIONS_OIL, ACTIONS_TSK,  # noqa: E402
-                     COINCIDE_OIL, COINCIDE_TSK, LOOP_OIL, LOOP_TSK,
+from helpers import (ABS_OIL, ABS_TSK, ACTIONS_OIL,  # noqa: E402
+                     ACTIONS_TSK, COINCIDE_OIL, COINCIDE_TSK, LOOP_OIL, LOOP_TSK,
                      make_app, random_app)
 from osekcheck import explorer, timing  # noqa: E402
 from osekcheck.model import canonical_snapshot  # noqa: E402
@@ -77,6 +78,7 @@ def main() -> int:
     apps.append(("loops", LOOP_OIL, LOOP_TSK))
     apps.append(("actions", ACTIONS_OIL, ACTIONS_TSK))
     apps.append(("coincide", COINCIDE_OIL, COINCIDE_TSK))
+    apps.append(("abs", ABS_OIL, ABS_TSK))
     apps += [(f"random_app:{seed}", *random_app(random.Random(seed)))
              for seed in range(low, high + 1)]
     for name, oil, tsk in apps:
