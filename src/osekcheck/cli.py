@@ -185,7 +185,8 @@ def cmd_ltlmc(args: argparse.Namespace) -> int:
         return EXIT_INPUT
     graphs = explorer.build_graphs(
         config, bodies, {ltl.mentions_deadlock(f) for _, f in formulas},
-        bound=args.bound, idle_mode=args.idle_tick_mode)
+        bound=args.bound, idle_mode=args.idle_tick_mode,
+        rotate=ltl.rotation_sound(bodies, (f for _, f in formulas)))
     out = _out_dir(args)
     any_violated = False
     any_bounded = False

@@ -49,8 +49,7 @@ class AdjudicationError(Exception):
 def lasso_to_trace(graph: explorer.StateGraph,
                    result: ltl.LtlResult) -> explorer.Trace:
     """Turn a model-checker lasso over graph nodes into a replayable trace."""
-    return graph.trace(result.prefix + result.cycle[1:],
-                       result.prefix_choices + result.cycle_choices,
+    return graph.trace(result.prefix_choices + result.cycle_choices,
                        len(result.prefix) - 1)
 
 
@@ -213,8 +212,7 @@ def _check_periodic_execution(graph: explorer.StateGraph) -> PropertyResult:
         if found is not None:
             nodes, choices = found
             _, (_, reason) = nodes[-1]
-            witness = graph.trace([node for node, _ in nodes], choices)
-            return PropertyResult("PE", "fail", witness, reason)
+            return PropertyResult("PE", "fail", graph.trace(choices), reason)
     verdict = "bounded_pass" if graph.truncated else "pass"
     return PropertyResult("PE", verdict, None,
                           f"{len(monitored)} alarm(s) monitored")
@@ -233,7 +231,8 @@ def verify_all(config: KernelConfig, bodies: dict[str, TaskBody], *,
 
     Deadlock freedom reads the strict graph (a service error is a dead end);
     the other properties observe error labels on the default
-    continue-on-error graph.
+    continue-on-error graph.  The graphs are keyed up to counter rotation
+    unless a body calls SetAbsAlarm.
     """
     selected = tuple(properties) if properties is not None else PROPERTY_ORDER
     unknown = [p for p in selected if p not in PROPERTY_ORDER]
@@ -241,7 +240,8 @@ def verify_all(config: KernelConfig, bodies: dict[str, TaskBody], *,
         raise AdjudicationError(f"unknown properties: {', '.join(unknown)}")
     graphs = explorer.build_graphs(config, bodies,
                                    {pid == "DF" for pid in selected},
-                                   bound=bound, idle_mode=idle_mode)
+                                   bound=bound, idle_mode=idle_mode,
+                                   rotate=ltl.rotation_sound(bodies))
     scanned = [pid for pid in selected if pid in _STATE_PREDICATES]
     state_results = _check_states(graphs[False], scanned) if scanned else {}
     results: dict[str, PropertyResult] = {}

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from . import kernel_core, timing
 from .model import (ALLIDLE, DEADLOCK, E_OK, NORMAL, SCHEDULE_SIGNAL,
                     SUSPENDED, KernelState, Program, canonical_label,
-                    canonical_snapshot, error_status, label_text,
+                    canonical_snapshot, error_status, label_text, rotated,
                     snapshot_hash, stutterize)
 from .oil_config import KernelConfig
 from .task_lang import TaskBody
@@ -235,7 +235,12 @@ class SearchResult:
 @dataclass
 class StateGraph:
     """Deduplicated reachability graph over nodes ``0..n-1``, numbered in
-    breadth-first discovery order."""
+    breadth-first discovery order.
+
+    A node is a state, or on a graph keyed up to counter rotation the
+    state's ``rotated`` form; ``boot`` is the concrete initial state that
+    every witness starts from.
+    """
 
     initial: int
     nodes: dict[int, KernelState]
@@ -245,10 +250,11 @@ class StateGraph:
     truncated: bool
     strict: bool
     idle_mode: str
+    boot: KernelState
 
     @property
     def program(self) -> Program:
-        return self.nodes[self.initial].program
+        return self.boot.program
 
     def state(self, node: int) -> KernelState:
         return self.nodes[node]
@@ -256,22 +262,47 @@ class StateGraph:
     def successors_of(self, node: int) -> tuple[tuple[Choice | None, int], ...]:
         return self.edges[node]
 
-    def trace(self, nodes: Iterable[int], choices: Iterable[Choice | None],
+    def trace(self, choices: Iterable[Choice | None],
               lasso_start: int | None = None) -> Trace:
-        """The witness through ``nodes`` under this graph's semantics: every
-        witness trace is made here."""
-        return Trace(tuple(self.nodes[h] for h in nodes), tuple(choices),
-                     lasso_start, self.strict, self.idle_mode)
+        """The run that takes ``choices`` from the boot state under this
+        graph's semantics: every witness trace is made here.
+
+        For a lasso, ``choices[lasso_start:]`` is one round of a cycle of
+        the graph.  Whole rounds are stepped until one ends at a state that
+        an earlier round started from, and that state is the loop target.
+        Up to counter rotation a round can end elsewhere than it started,
+        on the counter or on a disarmed alarm's data, so the concrete run
+        can take several rounds to repeat.
+        """
+        choices = tuple(choices)
+        strict, idle_mode = self.strict, self.idle_mode
+        state = self.boot
+        states = [state]
+        for choice in choices[:lasso_start]:
+            state = step(state, choice, strict=strict, idle_mode=idle_mode)
+            states.append(state)
+        if lasso_start is None:
+            return Trace(tuple(states), choices, None, strict, idle_mode)
+        cycle = choices[lasso_start:]
+        starts: dict[KernelState, int] = {}
+        while state not in starts:
+            starts[state] = len(states) - 1
+            for choice in cycle:
+                state = step(state, choice, strict=strict,
+                             idle_mode=idle_mode)
+                states.append(state)
+        states.pop()
+        return Trace(tuple(states),
+                     choices[:lasso_start] + cycle * len(starts),
+                     starts[state], strict, idle_mode)
 
     def trace_to(self, node: int) -> Trace:
         """Shortest breadth-first trace from the initial state."""
-        path: list[int] = [node]
         choices: list[Choice | None] = []
-        while path[-1] != self.initial:
-            parent, choice = self.parents[path[-1]]
+        while node != self.initial:
+            node, choice = self.parents[node]
             choices.append(choice)
-            path.append(parent)
-        return self.trace(reversed(path), reversed(choices))
+        return self.trace(reversed(choices))
 
     def terminal_nodes(self) -> list[int]:
         """Dead-end entry nodes: non-normal states first reached from a
@@ -289,13 +320,14 @@ class StateGraph:
         return out
 
 
-def _explore(init, expand, state_of=None, *, bound: int, strict: bool,
-             idle_mode: str) -> StateGraph:
+def _explore(boot: KernelState, init, expand, state_of=None, *, bound: int,
+             strict: bool, idle_mode: str) -> StateGraph:
     """Layer-synchronous breadth-first exploration up to ``bound`` steps.
 
     Nodes are keyed: ``expand(key)`` lists (choice, target key) pairs, and
     ``state_of(key)`` is a key's state; without ``state_of`` the keys are
-    the states themselves.  ``init`` is the initial node's key.
+    the states themselves.  ``init`` is the initial node's key and
+    ``boot`` the concrete state it stands for.
     """
     ids = {init: 0}
     keys = [init]
@@ -330,28 +362,40 @@ def _explore(init, expand, state_of=None, *, bound: int, strict: bool,
         edges.setdefault(node, ())
     nodes = dict(enumerate(keys if state_of is None else map(state_of, keys)))
     return StateGraph(0, nodes, edges, parents, depths, truncated, strict,
-                      idle_mode)
+                      idle_mode, boot)
 
 
 def build_graph(config: KernelConfig, bodies: dict[str, TaskBody], *,
                 bound: int = 10_000, strict: bool = False,
-                idle_mode: str = timing.JUMP) -> StateGraph:
+                idle_mode: str = timing.JUMP,
+                rotate: bool = False) -> StateGraph:
     """Breadth-first exploration up to ``bound`` steps.
 
     Nodes are deduplicated by state value, so the graph is insensitive to
     the path that first reached a state.  Non-normal states receive their
-    stutter self-loop and are not expanded further.
+    stutter self-loop and are not expanded further.  With ``rotate`` the
+    nodes are states up to counter rotation (``model.rotated``), which is
+    sound unless a body calls SetAbsAlarm.
     """
     def expand(state: KernelState):
         return successors(state, strict=strict, idle_mode=idle_mode)
 
-    return _explore(kernel_core.boot(config, bodies), expand, bound=bound,
-                    strict=strict, idle_mode=idle_mode)
+    def expand_rotated(state: KernelState):
+        return [(choice, rotated(target)) for choice, target
+                in successors(state, strict=strict, idle_mode=idle_mode)]
+
+    boot = kernel_core.boot(config, bodies)
+    if rotate:
+        return _explore(boot, rotated(boot), expand_rotated, bound=bound,
+                        strict=strict, idle_mode=idle_mode)
+    return _explore(boot, boot, expand, bound=bound, strict=strict,
+                    idle_mode=idle_mode)
 
 
 def build_graphs(config: KernelConfig, bodies: dict[str, TaskBody],
                  semantics: Iterable[bool], *, bound: int = 10_000,
-                 idle_mode: str = timing.JUMP) -> dict[bool, StateGraph]:
+                 idle_mode: str = timing.JUMP,
+                 rotate: bool = False) -> dict[bool, StateGraph]:
     """One graph per requested error semantics (``True`` is strict).
 
     The state space is explored once.  A normal strict state is reached only
@@ -361,13 +405,16 @@ def build_graphs(config: KernelConfig, bodies: dict[str, TaskBody],
     keys such a node by its continue-on-error node id.  A frozen state and
     its stutter twin are keyed by value: a frozen state is one per node,
     but two nodes with equal cells that failed alike share a stutter twin.
+    With ``rotate`` both graphs are keyed up to counter rotation.
     """
     wanted = set(semantics)
     if wanted != {False, True}:
         return {strict: build_graph(config, bodies, bound=bound,
-                                    strict=strict, idle_mode=idle_mode)
+                                    strict=strict, idle_mode=idle_mode,
+                                    rotate=rotate)
                 for strict in wanted}
-    relaxed = build_graph(config, bodies, bound=bound, idle_mode=idle_mode)
+    relaxed = build_graph(config, bodies, bound=bound, idle_mode=idle_mode,
+                          rotate=rotate)
     nodes = relaxed.nodes
 
     def expand(key):
@@ -383,8 +430,8 @@ def build_graphs(config: KernelConfig, bodies: dict[str, TaskBody],
     def state_of(key) -> KernelState:
         return nodes[key] if key.__class__ is int else key
 
-    strict = _explore(relaxed.initial, expand, state_of, bound=bound,
-                      strict=True, idle_mode=idle_mode)
+    strict = _explore(relaxed.boot, relaxed.initial, expand, state_of,
+                      bound=bound, strict=True, idle_mode=idle_mode)
     return {False: relaxed, True: strict}
 
 
@@ -403,12 +450,13 @@ def search_graph(graph: StateGraph) -> SearchResult:
     intended finals; scheduler dead ends and, in strict mode, frozen service
     errors are deadlocks.  Witness traces are shortest by construction, and
     nodes are numbered in breadth-first order, so shallower ones come first.
+    A record's state is its witness's last, concrete state.
     """
     finals: list[TerminalRecord] = []
     deadlocks: list[TerminalRecord] = []
     for node in graph.terminal_nodes():
-        state = graph.nodes[node]
-        (finals if state.status == ALLIDLE else deadlocks).append(
-            TerminalRecord(state, graph.trace_to(node)))
+        trace = graph.trace_to(node)
+        (finals if graph.nodes[node].status == ALLIDLE else deadlocks).append(
+            TerminalRecord(trace.states[-1], trace))
     return SearchResult(tuple(finals), tuple(deadlocks), len(graph.nodes),
                         graph.truncated)

@@ -26,11 +26,13 @@ from __future__ import annotations
 
 import re
 from collections import deque
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .model import (E_OK, ERROR_CODES, Call, KernelState, alarmed_signal,
                     error_status, is_deadlocked)
 from .oil_config import Cursor, KernelConfig, ParseError, int_value, tokenize
+from .task_lang import CallService, TaskBody
 
 # ---------------------------------------------------------------------------
 # formula AST
@@ -308,6 +310,19 @@ def iter_props(formula: Formula):
 
 def mentions_deadlock(formula: Formula) -> bool:
     return any(p.name == "deadlocked" for p in iter_props(formula))
+
+
+def rotation_sound(bodies: dict[str, TaskBody],
+                   formulas: Iterable[Formula] = ()) -> bool:
+    """May the application be checked on states up to counter rotation
+    (``model.rotated``)?  Not when a body sets an alarm to an absolute time
+    with SetAbsAlarm, nor when a formula reads the counter's value."""
+    return not (
+        any(entry.statement.__class__ is CallService
+            and entry.statement.name == "SetAbsAlarm"
+            for body in bodies.values() for entry in body.code)
+        or any(p.name == "counter_eq"
+               for formula in formulas for p in iter_props(formula)))
 
 
 def eval_prop(prop: Prop, state: KernelState) -> bool:

@@ -16,7 +16,8 @@ ActivateTask, SetEvent or AlarmCallback call by the alarm.  States and cells
 are slotted records that are never changed; every transition builds a new
 state, and two states are the same state exactly when they are equal (the
 program and time-advance amounts are not compared).  A state computes its
-hash once.  ``canonical_snapshot`` renders the cells, with the static
+hash once.  ``rotated`` maps a state to its representative up to where the
+counter stands.  ``canonical_snapshot`` renders the cells, with the static
 columns and code text of the program, as stable text for printed traces.
 """
 
@@ -372,6 +373,39 @@ def stutterize(state: KernelState, status: str | None = None) -> KernelState:
                        state.signals, state.counter_value,
                        state.working_alarms, state.alarms, STUTTER_LABEL,
                        status if status is not None else state.status)
+
+
+def rotated(state: KernelState) -> KernelState:
+    """``state`` up to counter rotation: counter 0, each armed alarm's time
+    moved back by the counter value (modulo ``MAXALLOWEDVALUE + 1``), and
+    each disarmed alarm's time and cycle cleared.
+
+    Adding one amount to the counter and to every armed alarm time maps the
+    transition system onto itself, since the rules read the counter only
+    through an armed alarm's distance from it; ``SetAbsAlarm`` and the
+    ``counter_eq`` proposition are the exceptions.  A disarmed alarm's time
+    and cycle are never read before arming sets them again.  A state that
+    is already in this form is returned as it is.
+    """
+    counter = state.counter_value
+    modulus = state.program.modulus
+    working = state.working_alarms
+    alarms = []
+    for cell in state.alarms:
+        if cell.id in working:
+            if counter:
+                cell = AlarmCell(cell.id,
+                                 (cell.alarm_time - counter) % modulus,
+                                 cell.cycle_time)
+        elif cell.alarm_time is not None or cell.cycle_time:
+            cell = AlarmCell(cell.id, None, 0)
+        alarms.append(cell)
+    alarms = tuple(alarms)
+    if not counter and alarms == state.alarms:
+        return state
+    return KernelState(state.program, state.tasks, state.ready, state.running,
+                       state.signals, 0, working, alarms, state.last_label,
+                       state.status)
 
 
 # ---------------------------------------------------------------------------

@@ -59,8 +59,8 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 import harmonic  # noqa: E402
 import verdicts  # noqa: E402
 from helpers import (ABS_LTL, ABS_OIL, ABS_TSK, ACTIONS_LTL,  # noqa: E402
-                     ACTIONS_OIL, ACTIONS_TSK, COINCIDE_LTL, COINCIDE_OIL, COINCIDE_TSK, LOOP_LTL,
-                     LOOP_OIL, LOOP_TSK, random_app)
+                     ACTIONS_OIL, ACTIONS_TSK, COINCIDE_LTL, COINCIDE_OIL,
+                     COINCIDE_TSK, LOOP_LTL, LOOP_OIL, LOOP_TSK, random_app)
 from osekcheck import cli  # noqa: E402
 from workloads import ALL_PASS_REPORT, RANDOM_FORMULAS  # noqa: E402
 

@@ -36,8 +36,8 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 
 import harmonic  # noqa: E402
 from helpers import (ABS_OIL, ABS_TSK, ACTIONS_OIL,  # noqa: E402
-                     ACTIONS_TSK, COINCIDE_OIL, COINCIDE_TSK, LOOP_OIL, LOOP_TSK,
-                     make_app, random_app)
+                     ACTIONS_TSK, COINCIDE_OIL, COINCIDE_TSK, LOOP_OIL,
+                     LOOP_TSK, make_app, random_app)
 from osekcheck import explorer, timing  # noqa: E402
 from osekcheck.model import canonical_snapshot  # noqa: E402
 
