@@ -14,7 +14,7 @@ service call or alarm action produced becomes such a fixpoint.
 from __future__ import annotations
 
 from collections.abc import Iterable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import kernel_core, timing
 from .model import (ALLIDLE, DEADLOCK, E_OK, NORMAL, SCHEDULE_SIGNAL,
@@ -239,7 +239,8 @@ class StateGraph:
 
     A node is a state, or on a graph keyed up to counter rotation the
     state's ``rotated`` form; ``boot`` is the concrete initial state that
-    every witness starts from.
+    every witness starts from.  ``steps`` keeps each concrete step that a
+    witness took, so witnesses that share a prefix step it once.
     """
 
     initial: int
@@ -251,6 +252,8 @@ class StateGraph:
     strict: bool
     idle_mode: str
     boot: KernelState
+    steps: dict[tuple[KernelState, Choice | None], KernelState] = field(
+        default_factory=dict, repr=False)
 
     @property
     def program(self) -> Program:
@@ -274,23 +277,29 @@ class StateGraph:
         on the counter or on a disarmed alarm's data, so the concrete run
         can take several rounds to repeat.
         """
+        strict, idle_mode, steps = self.strict, self.idle_mode, self.steps
+        states = [self.boot]
+
+        def walk(choices: tuple[Choice | None, ...]) -> KernelState:
+            state = states[-1]
+            for choice in choices:
+                target = steps.get((state, choice))
+                if target is None:
+                    target = steps[state, choice] = step(
+                        state, choice, strict=strict, idle_mode=idle_mode)
+                state = target
+                states.append(state)
+            return state
+
         choices = tuple(choices)
-        strict, idle_mode = self.strict, self.idle_mode
-        state = self.boot
-        states = [state]
-        for choice in choices[:lasso_start]:
-            state = step(state, choice, strict=strict, idle_mode=idle_mode)
-            states.append(state)
+        state = walk(choices[:lasso_start])
         if lasso_start is None:
             return Trace(tuple(states), choices, None, strict, idle_mode)
         cycle = choices[lasso_start:]
         starts: dict[KernelState, int] = {}
         while state not in starts:
             starts[state] = len(states) - 1
-            for choice in cycle:
-                state = step(state, choice, strict=strict,
-                             idle_mode=idle_mode)
-                states.append(state)
+            state = walk(cycle)
         states.pop()
         return Trace(tuple(states),
                      choices[:lasso_start] + cycle * len(starts),
@@ -381,15 +390,12 @@ def build_graph(config: KernelConfig, bodies: dict[str, TaskBody], *,
         return successors(state, strict=strict, idle_mode=idle_mode)
 
     def expand_rotated(state: KernelState):
-        return [(choice, rotated(target)) for choice, target
-                in successors(state, strict=strict, idle_mode=idle_mode)]
+        return [(choice, rotated(target)) for choice, target in expand(state)]
 
     boot = kernel_core.boot(config, bodies)
-    if rotate:
-        return _explore(boot, rotated(boot), expand_rotated, bound=bound,
-                        strict=strict, idle_mode=idle_mode)
-    return _explore(boot, boot, expand, bound=bound, strict=strict,
-                    idle_mode=idle_mode)
+    return _explore(boot, rotated(boot) if rotate else boot,
+                    expand_rotated if rotate else expand, bound=bound,
+                    strict=strict, idle_mode=idle_mode)
 
 
 def build_graphs(config: KernelConfig, bodies: dict[str, TaskBody],
