@@ -253,7 +253,7 @@ class StateGraph:
     idle_mode: str
     boot: KernelState
     steps: dict[tuple[KernelState, Choice | None], KernelState] = field(
-        default_factory=dict, repr=False)
+        default_factory=dict, repr=False, compare=False)
 
     @property
     def program(self) -> Program:
@@ -462,7 +462,8 @@ def search_graph(graph: StateGraph) -> SearchResult:
     deadlocks: list[TerminalRecord] = []
     for node in graph.terminal_nodes():
         trace = graph.trace_to(node)
-        (finals if graph.nodes[node].status == ALLIDLE else deadlocks).append(
-            TerminalRecord(trace.states[-1], trace))
+        state = trace.states[-1]
+        (finals if state.status == ALLIDLE else deadlocks).append(
+            TerminalRecord(state, trace))
     return SearchResult(tuple(finals), tuple(deadlocks), len(graph.nodes),
                         graph.truncated)

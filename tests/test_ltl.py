@@ -12,7 +12,7 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import EMS_LTL
@@ -340,7 +340,14 @@ def _recursive_tableau(table, root):
         expand(left_node)
         expand(right_node)
 
-    expand(fresh({ltl._INIT}, {root}, set(), set()))
+    # about one depth-5 random formula in a thousand recurses deeper than
+    # the default limit of 1000 (seed 3853 does)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(limit, 10_000))
+    try:
+        expand(fresh({ltl._INIT}, {root}, set(), set()))
+    finally:
+        sys.setrecursionlimit(limit)
     return nodes
 
 
@@ -359,6 +366,7 @@ def random_formula(rng: random.Random, depth: int):
 class TestTableau:
     @settings(max_examples=200, deadline=None)
     @given(st.integers(0, 10**9))
+    @example(3853)
     def test_iterative_matches_recursive(self, seed):
         table, root = ltl._intern(random_formula(random.Random(seed), 5))
         expected = _recursive_tableau(table, root)

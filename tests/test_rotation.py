@@ -115,11 +115,11 @@ def assert_refuted(formula, trace):
                                                                    state))
 
 
-def check_formulas(config, bodies, rotate):
+def check_formulas(config, bodies, rotate, idle_mode=timing.JUMP):
     """The random-sweep formulas' verdicts; each lasso is checked."""
     graphs = explorer.build_graphs(
         config, bodies, {ltl.mentions_deadlock(f) for _, f in FORMULAS},
-        rotate=rotate)
+        idle_mode=idle_mode, rotate=rotate)
     verdicts = {}
     for name, formula in FORMULAS:
         graph = graphs[ltl.mentions_deadlock(formula)]
@@ -146,10 +146,11 @@ def test_lasso_closes_when_a_round_repeats_an_earlier_round():
     assert_refuted(formula, trace)
 
 
-def verify(config, bodies, monkeypatch, rotate):
+def verify(config, bodies, monkeypatch, rotate, idle_mode):
+    """The six properties' verdicts; each witness is checked."""
     with monkeypatch.context() as patch:
         patch.setattr(ltl, "rotation_sound", lambda *args: rotate)
-        results = conformance.verify_all(config, bodies)
+        results = conformance.verify_all(config, bodies, idle_mode=idle_mode)
     for result in results.values():
         if result.witness is not None:
             explorer.replay(result.witness)
@@ -162,14 +163,19 @@ def verify(config, bodies, monkeypatch, rotate):
     return {pid: result.verdict for pid, result in results.items()}
 
 
-def test_rotation_keeps_every_verdict_on_1000_random_apps(monkeypatch):
-    for seed in range(1000):
+@pytest.mark.parametrize("idle_mode, seeds", [(timing.JUMP, 1000),
+                                              (timing.UNIT, 250)])
+def test_rotation_keeps_every_verdict_on_random_apps(monkeypatch, idle_mode,
+                                                     seeds):
+    """Rotation against concrete keys: the same verdicts and truncation,
+    and every witness replays and refutes its property."""
+    for seed in range(seeds):
         config, bodies = make_app(*random_app(random.Random(seed)))
         assert ltl.rotation_sound(bodies, (f for _, f in FORMULAS))
-        assert verify(config, bodies, monkeypatch, True) == \
-            verify(config, bodies, monkeypatch, False), seed
-        assert check_formulas(config, bodies, True) == \
-            check_formulas(config, bodies, False), seed
+        assert verify(config, bodies, monkeypatch, True, idle_mode) == \
+            verify(config, bodies, monkeypatch, False, idle_mode), seed
+        assert check_formulas(config, bodies, True, idle_mode) == \
+            check_formulas(config, bodies, False, idle_mode), seed
 
 
 # ==== where the concrete key stays ==========================================
