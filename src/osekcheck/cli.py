@@ -18,7 +18,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from . import conformance, explorer, kernel_core, ltl, timing
+from . import explorer, kernel_core, timing
 from .model import ALLIDLE, DEADLOCK, NORMAL
 from .oil_config import KernelConfig, OilError, parse_oil
 from .task_lang import TaskBody, parse_task_file
@@ -172,6 +172,8 @@ def cmd_search_final(args: argparse.Namespace) -> int:
 
 
 def cmd_ltlmc(args: argparse.Namespace) -> int:
+    from . import conformance, ltl  # only the checking commands load them
+
     config, bodies = _load_app(args.config, args.tasks)
     try:
         formulas = ltl.parse_formula_file(_read(args.formula))
@@ -214,22 +216,27 @@ def cmd_ltlmc(args: argparse.Namespace) -> int:
 
 
 def cmd_conform(args: argparse.Namespace) -> int:
+    from . import conformance  # only the checking commands load it
+
     config, bodies = _load_app(args.config, args.tasks)
-    testing = conformance.parse_test_report(_read(args.test_report))
-    selected: tuple[str, ...] | None = None
-    if args.props is not None:
-        names = []
-        for raw in _read(args.props).splitlines():
-            line = raw.split("#", 1)[0].strip()
-            if line:
-                names.append(line)
-        if not names:
-            raise CliInputError(f"{args.props}: no properties listed")
-        selected = tuple(names)
-    results = conformance.verify_all(
-        config, bodies, bound=args.bound, idle_mode=args.idle_tick_mode,
-        properties=selected)
-    rows = conformance.adjudicate(results, testing)
+    try:
+        testing = conformance.parse_test_report(_read(args.test_report))
+        selected: tuple[str, ...] | None = None
+        if args.props is not None:
+            names = []
+            for raw in _read(args.props).splitlines():
+                line = raw.split("#", 1)[0].strip()
+                if line:
+                    names.append(line)
+            if not names:
+                raise CliInputError(f"{args.props}: no properties listed")
+            selected = tuple(names)
+        results = conformance.verify_all(
+            config, bodies, bound=args.bound, idle_mode=args.idle_tick_mode,
+            properties=selected)
+        rows = conformance.adjudicate(results, testing)
+    except conformance.AdjudicationError as exc:
+        raise CliInputError(str(exc)) from exc
     out = _out_dir(args)
     witness_paths: dict[str, str] = {}
     if out is not None:
@@ -308,8 +315,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_INPUT
     try:
         return args.func(args)
-    except (CliInputError, conformance.AdjudicationError,
-            kernel_core.BootError) as exc:
+    except (CliInputError, kernel_core.BootError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except explorer.ResourceLimit as exc:

@@ -11,12 +11,10 @@ fail, the application itself is at fault.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import explorer, ltl, timing
 from .model import (E_OK, E_OS_LIMIT, NORMAL, READY, RUNNING, KernelState,
                     Program, TransitionLabel)
-from .oil_config import FULL, KernelConfig
+from .oil_config import FULL, KernelConfig, Record
 from .task_lang import TaskBody
 
 PROPERTY_ORDER = ("DF", "ME", "PIF", "SF", "PE", "MAF")
@@ -25,8 +23,7 @@ _ORIGINS = {"DF": "standard", "ME": "standard", "PIF": "standard",
             "SF": "standard", "PE": "application", "MAF": "application"}
 
 
-@dataclass
-class PropertyResult:
+class PropertyResult(Record, frozen=False):
     property_id: str
     verdict: str  # "pass" | "fail" | "bounded_pass"
     witness: explorer.Trace | None = None
@@ -262,8 +259,7 @@ def verify_all(config: KernelConfig, bodies: dict[str, TaskBody], *,
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class VerdictRow:
+class VerdictRow(Record):
     property_id: str
     origin: str
     verification: str  # "pass" | "fail"

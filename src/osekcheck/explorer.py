@@ -14,14 +14,13 @@ service call or alarm action produced becomes such a fixpoint.
 from __future__ import annotations
 
 from collections.abc import Iterable
-from dataclasses import dataclass, field
 
 from . import kernel_core, timing
 from .model import (ALLIDLE, DEADLOCK, E_OK, NORMAL, SCHEDULE_SIGNAL,
                     SUSPENDED, KernelState, Program, canonical_label,
                     canonical_snapshot, error_status, label_text, rotated,
-                    snapshot_hash, stutterize)
-from .oil_config import KernelConfig
+                    stutterize)
+from .oil_config import Fresh, KernelConfig, Record
 from .task_lang import TaskBody
 
 
@@ -42,11 +41,13 @@ class ReplayMismatch(Exception):
         self.actual = actual
 
 
-@dataclass(frozen=True)
-class Choice:
+class Choice(Record):
     """Resolved nondeterminism of one step: the expiry handling order."""
 
     order: tuple[str, ...]
+
+    def __init__(self, order: tuple[str, ...]) -> None:
+        self.order = order
 
     def __str__(self) -> str:
         return "alarms:" + ",".join(self.order)
@@ -142,8 +143,7 @@ def successors(state: KernelState, *, strict: bool = False,
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Trace:
+class Trace(Record):
     """A replayable run: states plus the choices taken between them.
 
     For a lasso, ``lasso_start`` marks the state the run loops back to and
@@ -178,14 +178,14 @@ def render_trace(trace: Trace, fmt: str = "text") -> str:
     """Render a trace: per-step lines plus a snapshot section.
 
     Equal states have equal snapshots (neither shows time amounts), so each
-    distinct state is snapshotted and hashed once; the step lines still show
-    each step's own label.
+    distinct state of the trace is named by its first occurrence, whose
+    snapshot is made once for as long as that state lives; the step lines
+    still show each step's own label.
     """
     snapshots: dict[KernelState, tuple[str, str]] = {}
     for state in trace.states:
         if state not in snapshots:
-            text = canonical_snapshot(state)
-            snapshots[state] = (text, snapshot_hash(text)[:12])
+            snapshots[state] = state.snapshot()
     hashes = [snapshots[state][1] for state in trace.states]
     lines = [f"# trace steps={len(trace.states) - 1} "
              f"strict={'yes' if trace.strict else 'no'} "
@@ -218,22 +218,20 @@ def render_trace(trace: Trace, fmt: str = "text") -> str:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TerminalRecord:
+class TerminalRecord(Record):
     state: KernelState
     trace: Trace
 
 
-@dataclass
-class SearchResult:
+class SearchResult(Record, frozen=False):
     finals: tuple[TerminalRecord, ...]
     deadlocks: tuple[TerminalRecord, ...]
     visited: int
     truncated: bool
 
 
-@dataclass
-class StateGraph:
+class StateGraph(Record, frozen=False, uncompared=("steps",),
+                 hidden=("steps",)):
     """Deduplicated reachability graph over nodes ``0..n-1``, numbered in
     breadth-first discovery order.
 
@@ -252,8 +250,7 @@ class StateGraph:
     strict: bool
     idle_mode: str
     boot: KernelState
-    steps: dict[tuple[KernelState, Choice | None], KernelState] = field(
-        default_factory=dict, repr=False, compare=False)
+    steps: dict[tuple[KernelState, Choice | None], KernelState] = Fresh(dict)
 
     @property
     def program(self) -> Program:

@@ -27,11 +27,11 @@ from __future__ import annotations
 import re
 from collections import deque
 from collections.abc import Iterable
-from dataclasses import dataclass
 
 from .model import (E_OK, ERROR_CODES, Call, KernelState, alarmed_signal,
                     error_status, is_deadlocked)
-from .oil_config import Cursor, KernelConfig, ParseError, int_value, tokenize
+from .oil_config import (Cursor, KernelConfig, ParseError, Record, int_value,
+                         tokenize)
 from .task_lang import CallService, TaskBody
 
 # ---------------------------------------------------------------------------
@@ -39,20 +39,17 @@ from .task_lang import CallService, TaskBody
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TrueF:
+class TrueF(Record):
     def __str__(self) -> str:
         return "true"
 
 
-@dataclass(frozen=True)
-class FalseF:
+class FalseF(Record):
     def __str__(self) -> str:
         return "false"
 
 
-@dataclass(frozen=True)
-class Prop:
+class Prop(Record):
     name: str
     args: tuple = ()
 
@@ -62,16 +59,14 @@ class Prop:
         return f"{self.name}({', '.join(str(a) for a in self.args)})"
 
 
-@dataclass(frozen=True)
-class Not:
+class Not(Record):
     sub: "Formula"
 
     def __str__(self) -> str:
         return f"!{_wrap(self.sub)}"
 
 
-@dataclass(frozen=True)
-class And:
+class And(Record):
     left: "Formula"
     right: "Formula"
 
@@ -79,8 +74,7 @@ class And:
         return f"{_wrap(self.left, And)} & {_wrap(self.right)}"
 
 
-@dataclass(frozen=True)
-class Or:
+class Or(Record):
     left: "Formula"
     right: "Formula"
 
@@ -88,8 +82,7 @@ class Or:
         return f"{_wrap(self.left, Or)} | {_wrap(self.right)}"
 
 
-@dataclass(frozen=True)
-class Implies:
+class Implies(Record):
     left: "Formula"
     right: "Formula"
 
@@ -97,32 +90,28 @@ class Implies:
         return f"{_wrap(self.left)} -> {_wrap(self.right, Implies)}"
 
 
-@dataclass(frozen=True)
-class Next:
+class Next(Record):
     sub: "Formula"
 
     def __str__(self) -> str:
         return f"X {_wrap(self.sub)}"
 
 
-@dataclass(frozen=True)
-class Future:
+class Future(Record):
     sub: "Formula"
 
     def __str__(self) -> str:
         return f"<> {_wrap(self.sub)}"
 
 
-@dataclass(frozen=True)
-class Globally:
+class Globally(Record):
     sub: "Formula"
 
     def __str__(self) -> str:
         return f"[] {_wrap(self.sub)}"
 
 
-@dataclass(frozen=True)
-class Until:
+class Until(Record):
     left: "Formula"
     right: "Formula"
 
@@ -130,8 +119,7 @@ class Until:
         return f"{_wrap(self.left)} U {_wrap(self.right, Until)}"
 
 
-@dataclass(frozen=True)
-class Release:
+class Release(Record):
     """Dual of until; produced internally by negation normal form."""
 
     left: "Formula"
@@ -506,14 +494,12 @@ def _expand_tableau(table: list[tuple], root: int) -> list[_Node]:
 Guard = tuple  # of (Prop, bool) pairs in literal order; empty means "true"
 
 
-@dataclass(frozen=True)
-class BuchiEdge:
+class BuchiEdge(Record):
     guard: Guard
     dst: int
 
 
-@dataclass
-class BuchiAutomaton:
+class BuchiAutomaton(Record, frozen=False):
     states: tuple[int, ...]
     init_edges: tuple[BuchiEdge, ...]
     edges: dict[int, tuple[BuchiEdge, ...]]
@@ -674,8 +660,7 @@ class KernelGraphView:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class LtlResult:
+class LtlResult(Record, frozen=False):
     verdict: str  # "holds" | "violated" | "bounded_holds"
     prefix: tuple = ()
     prefix_choices: tuple = ()

@@ -24,10 +24,9 @@ columns and code text of the program, as stable text for printed traces.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .oil_config import KernelConfig
+from .oil_config import KernelConfig, Record
 from .task_lang import (CodeEntry, Statement, TaskBody, TimeInterval,
                         compact_statement)
 
@@ -118,13 +117,21 @@ class Call(NamedTuple):
     status: str
 
 
-@dataclass(frozen=True, slots=True)
-class TransitionLabel:
+class TransitionLabel(Record, uncompared=("amount",)):
     kind: str  # "boot" | "service" | "alarm" | "signal" | "time"
     calls: tuple[Call, ...] = ()  # service: the task's; alarm: one per expiry
-    amount: int = field(default=0, compare=False)
+    amount: int = 0
     reason: str | None = None  # time: "interval" | "idle" | "loop" | "stutter"
     detail: str | None = None
+
+    def __init__(self, kind: str, calls: tuple[Call, ...] = (),
+                 amount: int = 0, reason: str | None = None,
+                 detail: str | None = None) -> None:
+        self.kind = kind
+        self.calls = calls
+        self.amount = amount
+        self.reason = reason
+        self.detail = detail
 
 
 BOOT_LABEL = TransitionLabel(kind="boot")
@@ -261,13 +268,13 @@ class KernelState:
     A state is never changed once built; every transition builds a new one.
     Task and alarm cells sit at their program index.  Two states are equal
     when all cells but ``program`` are equal (time-advance amounts in the
-    label are not compared either), and a state computes its hash once, on
-    first use.
+    label are not compared either), and a state computes its hash, and its
+    snapshot when a trace shows it, once, on first use.
     """
 
     __slots__ = ("program", "tasks", "ready", "running", "signals",
                  "counter_value", "working_alarms", "alarms", "last_label",
-                 "status", "_hash")
+                 "status", "_hash", "_snapshot")
 
     def __init__(self, program: Program, tasks: tuple[TaskCell, ...],
                  ready: ReadyQueues, running: str | None, signals: frozenset,
@@ -285,6 +292,7 @@ class KernelState:
         self.last_label = last_label
         self.status = status
         self._hash = None
+        self._snapshot = None
 
     def __eq__(self, other) -> bool:
         if self is other:
@@ -313,6 +321,14 @@ class KernelState:
         return (f"KernelState(counter_value={self.counter_value}, "
                 f"status={self.status!r}, running={self.running!r}, "
                 f"label={canonical_label(self.last_label)!r})")
+
+    def snapshot(self) -> tuple[str, str]:
+        """The canonical snapshot and the first 12 hex digits of its hash,
+        the state's name in printed traces."""
+        if self._snapshot is None:
+            text = canonical_snapshot(self)
+            self._snapshot = (text, snapshot_hash(text)[:12])
+        return self._snapshot
 
     # -- cell access -------------------------------------------------------
 

@@ -10,15 +10,94 @@ hand-built configurations can be checked as well.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from operator import attrgetter
+
+# ---------------------------------------------------------------------------
+# records
+# ---------------------------------------------------------------------------
+
+
+class Fresh:
+    """A record field's default, made anew for each record by ``make()``."""
+
+    __slots__ = ("make",)
+
+    def __init__(self, make) -> None:
+        self.make = make
+
+
+class _RecordType(type):
+    """Turns a record class's annotated names into its fields and, unless
+    the class lists ``__slots__`` itself, its slots; a field's value in the
+    class body is its default.  Class keywords: ``frozen=False`` makes the
+    records unhashable, ``uncompared`` fields stay out of ``==`` and the
+    hash, and ``hidden`` ones out of the repr."""
+
+    def __new__(mcs, name, bases, ns, frozen=True, uncompared=(), hidden=()):
+        fields = tuple(ns.get("__annotations__", ()))
+        ns.setdefault("__slots__", fields)
+        ns["_fields"] = fields
+        ns["_defaults"] = {f: ns.pop(f) for f in fields if f in ns}
+        ns["_shown"] = tuple(f for f in fields if f not in hidden)
+        # _key(record) is the tuple of the compared fields; attrgetter
+        # gives a tuple for two or more names only.
+        key = tuple(f for f in fields if f not in uncompared)
+        get = attrgetter(*key) if key else lambda record: ()
+        ns["_key"] = staticmethod(
+            (lambda record: (get(record),)) if len(key) == 1 else get)
+        if not frozen:
+            ns["__hash__"] = None
+        return super().__new__(mcs, name, bases, ns)
+
+
+class Record(metaclass=_RecordType):
+    """Base of the package's records: equal when of one class with equal
+    compared fields, hashed as the tuple of those fields, and shown as
+    ``Name(field=value, ...)``.  A record is not changed once built;
+    ``_replace`` makes a changed copy."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        fields = self._fields
+        for name, value in zip(fields, args):
+            setattr(self, name, value)
+        for name in fields[len(args):]:
+            if name in kwargs:
+                value = kwargs.pop(name)
+            elif name in self._defaults:
+                value = self._defaults[name]
+                if value.__class__ is Fresh:
+                    value = value.make()
+            else:
+                raise TypeError(f"{type(self).__name__} needs {name!r}")
+            setattr(self, name, value)
+        if kwargs or len(args) > len(fields):
+            raise TypeError(f"{type(self).__name__}: unexpected arguments "
+                            f"{args[len(fields):]} {sorted(kwargs)}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key(self) == self._key(other)
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}"
+                          for name in self._shown)
+        return f"{self.__class__.__qualname__}({shown})"
+
+    def _replace(self, **changes):
+        values = {name: getattr(self, name) for name in self._fields}
+        return self.__class__(**{**values, **changes})
+
 
 # ---------------------------------------------------------------------------
 # errors and diagnostics
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+class Diagnostic(Record):
     """A single validation finding, either a hard error or a warning."""
 
     severity: str  # "error" | "warning"
@@ -58,8 +137,7 @@ FULL = "FULL"
 NON = "NON"
 
 
-@dataclass(frozen=True)
-class TaskDef:
+class TaskDef(Record):
     id: str
     priority: int
     schedule: str = FULL  # FULL | NON
@@ -74,8 +152,7 @@ class TaskDef:
         return bool(self.events)
 
 
-@dataclass(frozen=True)
-class CounterDef:
+class CounterDef(Record):
     id: str
     max_allowed_value: int
     ticks_per_base: int = 1
@@ -83,16 +160,14 @@ class CounterDef:
     is_system: bool = False
 
 
-@dataclass(frozen=True)
-class AlarmAction:
+class AlarmAction(Record):
     kind: str  # "activatetask" | "setevent" | "alarmcallback"
     task: str | None = None
     event: str | None = None
     callback: str | None = None
 
 
-@dataclass(frozen=True)
-class AlarmDef:
+class AlarmDef(Record):
     id: str
     counter: str
     action: AlarmAction
@@ -101,19 +176,17 @@ class AlarmDef:
     autostart_cycle: int | None = None
 
 
-@dataclass(frozen=True)
-class ResourceDef:
+class ResourceDef(Record):
     id: str
 
 
-@dataclass(frozen=True)
-class KernelConfig:
+class KernelConfig(Record):
     """Complete static configuration, keyed maps in declaration order."""
 
-    tasks: dict[str, TaskDef] = field(default_factory=dict)
-    counters: dict[str, CounterDef] = field(default_factory=dict)
-    alarms: dict[str, AlarmDef] = field(default_factory=dict)
-    resources: dict[str, ResourceDef] = field(default_factory=dict)
+    tasks: dict[str, TaskDef] = Fresh(dict)
+    counters: dict[str, CounterDef] = Fresh(dict)
+    alarms: dict[str, AlarmDef] = Fresh(dict)
+    resources: dict[str, ResourceDef] = Fresh(dict)
     events: tuple[str, ...] = ()
     name: str = "system"
     warnings: tuple[Diagnostic, ...] = ()
@@ -276,16 +349,14 @@ class Cursor:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Attr:
+class _Attr(Record):
     name: str
     value: str        # IDENT or INT text ("TRUE", "FULL", "127", ...)
     nested: tuple["_Attr", ...] | None
     line: int
 
 
-@dataclass(frozen=True)
-class _ObjectDecl:
+class _ObjectDecl(Record):
     kind: str
     id: str
     attrs: tuple[_Attr, ...]
@@ -686,4 +757,4 @@ def parse_oil(source: str) -> KernelConfig:
         raise SemanticError(errors)
     all_warnings = tuple(warnings) + tuple(d for d in diags
                                            if d.severity == "warning")
-    return replace(config, warnings=all_warnings)
+    return config._replace(warnings=all_warnings)

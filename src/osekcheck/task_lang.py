@@ -9,32 +9,28 @@ unchanged.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
 from .oil_config import (OIL_SYMBOL_TABLE, Cursor, Diagnostic,
-                         KernelConfig, ParseError, SemanticError, int_value,
-                         tokenize)
+                         KernelConfig, ParseError, Record, SemanticError,
+                         int_value, tokenize)
 
 # ---------------------------------------------------------------------------
 # statement AST
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CallService:
+class CallService(Record):
     name: str
     args: tuple[object, ...] = ()  # identifier strings and nonnegative ints
 
 
-@dataclass(frozen=True)
-class TimeInterval:
+class TimeInterval(Record):
     ticks: int
 
 
-@dataclass(frozen=True)
-class WhileTrue:
+class WhileTrue(Record):
     body: tuple["Statement", ...]
 
 
@@ -47,8 +43,8 @@ class CodeEntry(NamedTuple):
     rest: str  # snapshot spelling of everything that follows the statement
 
 
-@dataclass(frozen=True)
-class TaskBody:
+class TaskBody(Record):
+    __slots__ = ("task_id", "statements", "__dict__")  # for the cached code
     task_id: str
     statements: tuple[Statement, ...]
 

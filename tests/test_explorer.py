@@ -5,7 +5,8 @@ from __future__ import annotations
 import hashlib
 import itertools
 import random
-from dataclasses import replace
+from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -15,7 +16,7 @@ from helpers import (ACTIONS_OIL, ACTIONS_TSK, COINCIDE_OIL, COINCIDE_TSK,
                      GOLDEN_SCENARIOS, LOOP_OIL, LOOP_TSK, changed,
                      check_invariants, coincide_oil, make_app, random_app,
                      run_deterministic)
-from osekcheck import explorer, kernel_core, timing
+from osekcheck import cli, explorer, kernel_core, model, timing
 from osekcheck.model import (ALLIDLE, DEADLOCK, NORMAL, canonical_label,
                              canonical_snapshot, label_text, state_hash)
 
@@ -186,8 +187,8 @@ class TestTraces:
         while states[-1].last_label.kind != "time":
             states.append(explorer.step(states[-1]))
         timed, repeat = states[-1], len(states)
-        longer = changed(timed, last_label=replace(
-            timed.last_label, amount=timed.last_label.amount + 1))
+        longer = changed(timed, last_label=timed.last_label._replace(
+            amount=timed.last_label.amount + 1))
         states += [longer] + states[1:]
         trace = explorer.Trace(tuple(states), (None,) * (len(states) - 1))
         lines = [f"# trace steps={len(states) - 1} strict=no idle=jump"]
@@ -409,8 +410,8 @@ class TestStateIdentity:
         state = kernel_core.boot(config, bodies)
         while state.last_label.kind != "time":
             state = explorer.step(state)
-        longer = changed(state, last_label=replace(
-            state.last_label, amount=state.last_label.amount + 1))
+        longer = changed(state, last_label=state.last_label._replace(
+            amount=state.last_label.amount + 1))
         assert longer == state and hash(longer) == hash(state)
         assert canonical_snapshot(longer) == canonical_snapshot(state)
 
@@ -523,6 +524,29 @@ class TestSearchFinal:
         assert not result.truncated
         assert not result.finals
         assert not result.deadlocks
+
+    def test_witnesses_share_their_states_snapshots(self, monkeypatch,
+                                                     capsys, tmp_path):
+        """The harmonic app's witnesses share their prefixes; each distinct
+        state is snapshotted once however many traces show it."""
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent
+                                        / "perfbench"))
+        import harmonic
+        oil, tsk, _ = harmonic.generate(1)
+        (tmp_path / "h.oil").write_text(oil)
+        (tmp_path / "h.tsk").write_text(tsk)
+        snapshotted = []
+
+        def counting(state):
+            snapshotted.append(state)
+            return canonical_snapshot(state)
+
+        monkeypatch.setattr(model, "canonical_snapshot", counting)
+        assert cli.main(["search-final", str(tmp_path / "h.oil"),
+                         str(tmp_path / "h.tsk")]) == 2
+        shown = capsys.readouterr().out.count("\n--- state ")
+        assert max(Counter(snapshotted).values()) == 1
+        assert len(snapshotted) < shown
 
 
 # ==== jump vs unit idle advance ============================================

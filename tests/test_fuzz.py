@@ -14,7 +14,6 @@ comments and line breaks for some of their spaces.
 from __future__ import annotations
 
 import random
-from dataclasses import replace
 from itertools import cycle
 
 from hypothesis import example, given, settings
@@ -103,7 +102,7 @@ def test_config_round_trip(app, wrapper):
     oil, _ = random_app(random.Random(seed))
     config = parse_oil(wrapper.format(respaced(oil, gaps)))
     again = parse_oil(pretty_print(config))
-    assert replace(again, warnings=()) == replace(config, warnings=())
+    assert again._replace(warnings=()) == config._replace(warnings=())
 
 
 @settings(max_examples=300, deadline=None)

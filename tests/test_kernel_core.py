@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import inspect
 import random
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -114,8 +113,8 @@ class TestBoot:
             "ALARM AA { COUNTER = C; ACTION = ACTIVATETASK { TASK = Hi; };"
             " AUTOSTART = TRUE { ALARMTIME = 7; CYCLETIME = 0; }; };")
         config, bodies = make_app(oil, TSK)
-        alarm = replace(config.alarms["AA"], autostart_offset=64)
-        config = replace(config, alarms={**config.alarms, "AA": alarm})
+        alarm = config.alarms["AA"]._replace(autostart_offset=64)
+        config = config._replace(alarms={**config.alarms, "AA": alarm})
         with pytest.raises(kernel_core.BootError, match="E_OS_VALUE"):
             kernel_core.boot(config, bodies)
 

@@ -8,7 +8,6 @@ import random
 import subprocess
 import sys
 from collections import deque
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -610,5 +609,5 @@ class TestKernelView:
         wrong = next(i for i, s in enumerate(trace.states)
                      if s != trace.states[trace.lasso_start])
         with pytest.raises(explorer.ReplayMismatch) as err:
-            explorer.replay(replace(trace, lasso_start=wrong))
+            explorer.replay(trace._replace(lasso_start=wrong))
         assert err.value.index == len(trace.states) - 1

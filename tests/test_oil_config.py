@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import random
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -287,7 +286,7 @@ class TestRoundTrip:
                    AUTOSTART = TRUE { ALARMTIME = 5; CYCLETIME = 4; }; };
         """)
         again = parse_oil(pretty_print(config))
-        assert replace(again, warnings=()) == replace(config, warnings=())
+        assert again._replace(warnings=()) == config._replace(warnings=())
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 10**9))
@@ -295,7 +294,7 @@ class TestRoundTrip:
         oil, _ = random_app(random.Random(seed))
         config = parse_oil(oil)
         again = parse_oil(pretty_print(config))
-        assert replace(again, warnings=()) == replace(config, warnings=())
+        assert again._replace(warnings=()) == config._replace(warnings=())
 
 
 # ==== corpus ===============================================================
