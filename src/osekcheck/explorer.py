@@ -146,8 +146,9 @@ def successors(state: KernelState, *, strict: bool = False,
 class Trace(Record):
     """A replayable run: states plus the choices taken between them.
 
-    For a lasso, ``lasso_start`` marks the state the run loops back to and
-    ``choices`` carries one extra closing entry.
+    For a lasso, ``choices`` has one extra step, which closes the loop on
+    state ``lasso_start``; with ``rotation`` set, on a state equal to it up
+    to ``model.rotated`` and with the counter ``rotation`` ticks further on.
     """
 
     states: tuple[KernelState, ...]
@@ -155,6 +156,7 @@ class Trace(Record):
     lasso_start: int | None = None
     strict: bool = False
     idle_mode: str = timing.JUMP
+    rotation: int | None = None
 
 
 def replay(trace: Trace) -> None:
@@ -168,9 +170,15 @@ def replay(trace: Trace) -> None:
     for index, target in enumerate(targets):
         actual = step(trace.states[index], trace.choices[index],
                       strict=trace.strict, idle_mode=trace.idle_mode)
-        if actual != trace.states[target]:
-            raise ReplayMismatch(index,
-                                 canonical_snapshot(trace.states[target]),
+        expected = trace.states[target]
+        if index == len(trace.states) - 1 and trace.rotation is not None:
+            matches = (rotated(actual) == rotated(expected)
+                       and (actual.counter_value - expected.counter_value)
+                       % actual.program.modulus == trace.rotation)
+        else:
+            matches = actual == expected
+        if not matches:
+            raise ReplayMismatch(index, canonical_snapshot(expected),
                                  canonical_snapshot(actual))
 
 
@@ -203,8 +211,10 @@ def render_trace(trace: Trace, fmt: str = "text") -> str:
                          f"(counter={state.counter_value}, "
                          f"hash={hashes[index]}){mark}")
     if trace.lasso_start is not None:
+        closure = ("" if trace.rotation is None else
+                   f" up to rotation, counter +{trace.rotation} a round")
         lines.append(f"# lasso: closes back to step {trace.lasso_start} "
-                     f"via [{choice_text(trace.choices[-1])}]")
+                     f"via [{choice_text(trace.choices[-1])}]{closure}")
     lines.append("# snapshots")
     for index, state in enumerate(trace.states):
         lines.append(f"--- state {index} {hashes[index]}")
@@ -235,10 +245,10 @@ class StateGraph(Record, frozen=False, uncompared=("steps",),
     """Deduplicated reachability graph over nodes ``0..n-1``, numbered in
     breadth-first discovery order.
 
-    A node is a state, or on a graph keyed up to counter rotation the
-    state's ``rotated`` form; ``boot`` is the concrete initial state that
-    every witness starts from.  ``steps`` keeps each concrete step that a
-    witness took, so witnesses that share a prefix step it once.
+    A node is a state, or with ``rotate`` (keyed up to counter rotation)
+    the state's ``rotated`` form; ``boot`` is the concrete initial state
+    that every witness starts from.  ``steps`` keeps each concrete step that
+    a witness took, so witnesses that share a prefix step it once.
     """
 
     initial: int
@@ -249,6 +259,7 @@ class StateGraph(Record, frozen=False, uncompared=("steps",),
     truncated: bool
     strict: bool
     idle_mode: str
+    rotate: bool
     boot: KernelState
     steps: dict[tuple[KernelState, Choice | None], KernelState] = Fresh(dict)
 
@@ -267,40 +278,28 @@ class StateGraph(Record, frozen=False, uncompared=("steps",),
         """The run that takes ``choices`` from the boot state under this
         graph's semantics: every witness trace is made here.
 
-        For a lasso, ``choices[lasso_start:]`` is one round of a cycle of
-        the graph.  Whole rounds are stepped until one ends at a state that
-        an earlier round started from, and that state is the loop target.
-        Up to counter rotation a round can end elsewhere than it started,
-        on the counter or on a disarmed alarm's data, so the concrete run
-        can take several rounds to repeat.
+        For a lasso, ``choices[lasso_start:]`` is a cycle of the graph,
+        stepped once: its last step closes the loop back to state
+        ``lasso_start``.  On a graph keyed up to counter rotation it can end
+        at a state equal to that one only up to ``model.rotated``, and the
+        trace then records how far the round moved the counter.
         """
         strict, idle_mode, steps = self.strict, self.idle_mode, self.steps
-        states = [self.boot]
-
-        def walk(choices: tuple[Choice | None, ...]) -> KernelState:
-            state = states[-1]
-            for choice in choices:
-                target = steps.get((state, choice))
-                if target is None:
-                    target = steps[state, choice] = step(
-                        state, choice, strict=strict, idle_mode=idle_mode)
-                state = target
-                states.append(state)
-            return state
-
         choices = tuple(choices)
-        state = walk(choices[:lasso_start])
-        if lasso_start is None:
-            return Trace(tuple(states), choices, None, strict, idle_mode)
-        cycle = choices[lasso_start:]
-        starts: dict[KernelState, int] = {}
-        while state not in starts:
-            starts[state] = len(states) - 1
-            state = walk(cycle)
-        states.pop()
-        return Trace(tuple(states),
-                     choices[:lasso_start] + cycle * len(starts),
-                     starts[state], strict, idle_mode)
+        states = [self.boot]
+        for choice in choices:
+            key = (states[-1], choice)
+            if key not in steps:
+                steps[key] = step(*key, strict=strict, idle_mode=idle_mode)
+            states.append(steps[key])
+        rotation = None
+        if lasso_start is not None:
+            end = states.pop()
+            if self.rotate and end != states[lasso_start]:
+                moved = end.counter_value - states[lasso_start].counter_value
+                rotation = moved % self.program.modulus
+        return Trace(tuple(states), choices, lasso_start, strict, idle_mode,
+                     rotation)
 
     def trace_to(self, node: int) -> Trace:
         """Shortest breadth-first trace from the initial state."""
@@ -327,7 +326,7 @@ class StateGraph(Record, frozen=False, uncompared=("steps",),
 
 
 def _explore(boot: KernelState, init, expand, state_of=None, *, bound: int,
-             strict: bool, idle_mode: str) -> StateGraph:
+             strict: bool, idle_mode: str, rotate: bool) -> StateGraph:
     """Layer-synchronous breadth-first exploration up to ``bound`` steps.
 
     Nodes are keyed: ``expand(key)`` lists (choice, target key) pairs, and
@@ -368,7 +367,7 @@ def _explore(boot: KernelState, init, expand, state_of=None, *, bound: int,
         edges.setdefault(node, ())
     nodes = dict(enumerate(keys if state_of is None else map(state_of, keys)))
     return StateGraph(0, nodes, edges, parents, depths, truncated, strict,
-                      idle_mode, boot)
+                      idle_mode, rotate, boot)
 
 
 def build_graph(config: KernelConfig, bodies: dict[str, TaskBody], *,
@@ -392,7 +391,7 @@ def build_graph(config: KernelConfig, bodies: dict[str, TaskBody], *,
     boot = kernel_core.boot(config, bodies)
     return _explore(boot, rotated(boot) if rotate else boot,
                     expand_rotated if rotate else expand, bound=bound,
-                    strict=strict, idle_mode=idle_mode)
+                    strict=strict, idle_mode=idle_mode, rotate=rotate)
 
 
 def build_graphs(config: KernelConfig, bodies: dict[str, TaskBody],
@@ -434,7 +433,8 @@ def build_graphs(config: KernelConfig, bodies: dict[str, TaskBody],
         return nodes[key] if key.__class__ is int else key
 
     strict = _explore(relaxed.boot, relaxed.initial, expand, state_of,
-                      bound=bound, strict=True, idle_mode=idle_mode)
+                      bound=bound, strict=True, idle_mode=idle_mode,
+                      rotate=rotate)
     return {False: relaxed, True: strict}
 
 

@@ -22,6 +22,7 @@ from osekcheck.ltl import (And, Future, Globally, Implies, LtlError, Next,
                            Not, Or, Prop, Until, eval_on_lasso, model_check,
                            parse_formula_file, parse_ltl, to_buchi,
                            validate_formula)
+from osekcheck.model import rotated
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
 
@@ -553,10 +554,10 @@ class TestModelCheck:
 
 
 class TestKernelView:
-    def make_view(self, oil, tsk, *, strict=False):
+    def make_view(self, oil, tsk, *, strict=False, rotate=False):
         config, bodies = make_app(oil, tsk)
         graph = explorer.build_graph(config, bodies, bound=500,
-                                     strict=strict)
+                                     strict=strict, rotate=rotate)
         return ltl.KernelGraphView(graph), graph
 
     def test_deadlock_detectable_as_formula(self):
@@ -597,17 +598,23 @@ class TestKernelView:
         trace = lasso_to_trace(graph, result)
         explorer.replay(trace)
 
-    def test_replay_checks_the_closing_edge(self):
+    @pytest.mark.parametrize("rotate", [False, True])
+    def test_replay_checks_the_closing_edge(self, rotate):
+        """Each round moves the counter, so up to rotation the lasso closes
+        on its loop target only up to rotation; a wrong target still fails
+        replay there, as it does on the concrete graph."""
         view, graph = self.make_view(
             "COUNTER C { MAXALLOWEDVALUE = 3; SYSTEM = TRUE; };"
             "TASK A { PRIORITY = 1; AUTOSTART = TRUE; };",
-            "TASK A { while (true) { Schedule(); } }")
+            "TASK A { while (true) { Schedule(); } }", rotate=rotate)
         result = model_check(view, parse_ltl("<> deadlocked"))
         from osekcheck.conformance import lasso_to_trace
         trace = lasso_to_trace(graph, result)
+        assert (trace.rotation is not None) == rotate
         explorer.replay(trace)
+        target = rotated(trace.states[trace.lasso_start])
         wrong = next(i for i, s in enumerate(trace.states)
-                     if s != trace.states[trace.lasso_start])
+                     if rotated(s) != target)
         with pytest.raises(explorer.ReplayMismatch) as err:
             explorer.replay(trace._replace(lasso_start=wrong))
         assert err.value.index == len(trace.states) - 1

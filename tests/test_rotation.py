@@ -126,24 +126,39 @@ def check_formulas(config, bodies, rotate, idle_mode=timing.JUMP):
         result = ltl.model_check(ltl.KernelGraphView(graph), formula)
         verdicts[name] = result.verdict
         if result.verdict == "violated":
-            assert_refuted(formula, conformance.lasso_to_trace(graph, result))
+            trace = conformance.lasso_to_trace(graph, result)
+            assert len(trace.states) == len(result.prefix) - 1 + \
+                len(result.cycle)
+            assert_refuted(formula, trace)
     return verdicts, {s: g.truncated for s, g in graphs.items()}
 
 
-def test_lasso_closes_when_a_round_repeats_an_earlier_round():
-    """Seed 68: a round of the cycle can differ from the round before it in
-    a disarmed alarm's data alone, so the run never comes back to the first
-    round's start; the witness closes on the first repeated round start."""
+def test_lasso_is_one_round_that_closes_up_to_rotation():
+    """Seed 68: a round of the cycle moves the counter and changes a disarmed
+    alarm's data, so the concrete run never comes back to the loop target.
+    The witness is still the graph's lasso, stepped once, and its closing
+    step is checked up to rotation and the counter's move."""
     config, bodies = make_app(*random_app(random.Random(68)))
     graph = explorer.build_graph(config, bodies, rotate=True)
     formula = ltl.parse_ltl("[] !error(E_OS_LIMIT)")
     result = ltl.model_check(ltl.KernelGraphView(graph), formula)
     assert result.verdict == "violated"
     trace = conformance.lasso_to_trace(graph, result)
-    first_round = len(result.prefix) - 1
-    assert trace.states[trace.lasso_start] != trace.states[first_round]
-    assert trace.lasso_start > first_round
+    assert len(trace.states) == len(result.prefix) - 1 + len(result.cycle)
+    target = trace.states[trace.lasso_start]
+    end = explorer.step(trace.states[-1], trace.choices[-1])
+    assert end != target
+    assert rotated(end) == rotated(target)
+    assert trace.rotation == 4
     assert_refuted(formula, trace)
+    for fmt in ("text", "machine"):
+        assert (f"# lasso: closes back to step {trace.lasso_start} via [-] "
+                "up to rotation, counter +4 a round\n") in \
+            explorer.render_trace(trace, fmt)
+    for wrong in (None, 5):
+        with pytest.raises(explorer.ReplayMismatch) as err:
+            explorer.replay(trace._replace(rotation=wrong))
+        assert err.value.index == len(trace.states) - 1
 
 
 def verify(config, bodies, monkeypatch, rotate, idle_mode):
