@@ -12,8 +12,8 @@ fail, the application itself is at fault.
 from __future__ import annotations
 
 from . import explorer, ltl, timing
-from .model import (E_OK, E_OS_LIMIT, NORMAL, READY, RUNNING, KernelState,
-                    Program, TransitionLabel)
+from .model import (ALLIDLE, E_OK, E_OS_LIMIT, NORMAL, READY, RUNNING,
+                    KernelState)
 from .oil_config import FULL, KernelConfig, Record
 from .task_lang import TaskBody
 
@@ -51,57 +51,87 @@ def lasso_to_trace(graph: explorer.StateGraph,
 
 
 # ---------------------------------------------------------------------------
-# individual property checks
+# individual property checks: one monitor per safety property
 # ---------------------------------------------------------------------------
 
 
+def _check_monitor(graph: explorer.StateGraph, pid: str, monitor, start,
+                   detail: str) -> PropertyResult:
+    """Run a deterministic monitor, from ``start``, along every path.
+
+    ``monitor(m, state)`` reads each state entered, the initial state first,
+    and returns the next monitor state (never a tuple) or ``("bad",
+    reason)``.  One breadth-first search over graph x monitor finds a
+    shortest bad prefix, 0 steps if the initial state is bad; ``detail``
+    describes a pass.
+    """
+    nodes, edges = graph.nodes, graph.edges
+    first = monitor(start, nodes[graph.initial])
+    if first.__class__ is tuple:
+        return PropertyResult(pid, "fail", graph.trace(()), first[1])
+
+    def successors(pnode):
+        node, m = pnode
+        for choice, target in edges[node]:
+            yield (target, monitor(m, nodes[target])), choice
+
+    found = ltl.shortest_path((graph.initial, first), successors,
+                              lambda pnode: pnode[1].__class__ is tuple)
+    if found is None:
+        verdict = "bounded_pass" if graph.truncated else "pass"
+        return PropertyResult(pid, verdict, None, detail)
+    path, choices = found
+    return PropertyResult(pid, "fail", graph.trace(choices), path[-1][1][1])
+
+
+def _is_deadlocked(m, state: KernelState):
+    """A scheduler dead end or, on the strict graph, a service error."""
+    return m if state.status in (NORMAL, ALLIDLE) else ("bad", state.status)
+
+
 def _check_deadlock_freedom(graph: explorer.StateGraph) -> PropertyResult:
-    """On the strict graph a service error is a dead end."""
-    search = explorer.search_graph(graph)
-    if search.deadlocks:
-        shortest = search.deadlocks[0]
-        return PropertyResult(
-            "DF", "fail", shortest.trace,
-            f"{len(search.deadlocks)} dead end(s); shortest witness has "
-            f"{len(shortest.trace.states) - 1} steps and halts at counter "
-            f"{shortest.state.counter_value}")
-    verdict = "bounded_pass" if search.truncated else "pass"
-    return PropertyResult("DF", verdict, None,
-                          f"{search.visited} states, "
-                          f"{len(search.finals)} all-idle final(s)")
+    ends = [graph.nodes[node].status for node in graph.terminal_nodes()]
+    finals = ends.count(ALLIDLE)
+    result = _check_monitor(graph, "DF", _is_deadlocked, None,
+                            f"{len(graph.nodes)} states, "
+                            f"{finals} all-idle final(s)")
+    if result.witness is not None:
+        states = result.witness.states
+        result.detail = (f"{len(ends) - finals} dead end(s); shortest "
+                         f"witness has {len(states) - 1} steps and halts "
+                         f"at counter {states[-1].counter_value}")
+    return result
 
 
-def _running_conflict(program: Program, state: KernelState) -> str | None:
+def _running_conflict(m, state: KernelState):
     """Mutual exclusion: one running cell, and it is the running task."""
     running_cells = [c.id for c in state.tasks if c.state == RUNNING]
-    consistent = (state.running is None and not running_cells) or (
-        len(running_cells) == 1 and running_cells[0] == state.running)
-    if len(running_cells) > 1 or not consistent:
-        return f"running cells: {running_cells}"
-    return None
+    if running_cells != ([] if state.running is None else [state.running]):
+        return "bad", f"running cells: {running_cells}"
+    return m
 
 
-def _priority_inversion(program: Program,
-                        state: KernelState) -> str | None:
+def _priority_inversion(m, state: KernelState):
     """At quiescent states (no pending signals) a full-preemptive running
     task must hold the highest current priority."""
     if state.status != NORMAL or state.signals or state.running is None:
-        return None
+        return m
+    program = state.program
     index = program.task_index[state.running]
     if program.schedule[index] != FULL:
-        return None
+        return m
     running_priority = state.tasks[index].current_priority
     for cell in state.tasks:
         if cell.state == READY and cell.current_priority > running_priority:
-            return (f"ready task {cell.id} (priority "
-                    f"{cell.current_priority}) outranks running "
-                    f"{state.running} (priority {running_priority})")
-    return None
+            return "bad", (f"ready task {cell.id} (priority "
+                           f"{cell.current_priority}) outranks running "
+                           f"{state.running} (priority {running_priority})")
+    return m
 
 
-def _activation_overflow(program: Program,
-                         state: KernelState) -> str | None:
+def _activation_overflow(m, state: KernelState):
     """Activation overflow on single-activation tasks must never happen."""
+    program = state.program
     label = state.last_label
     for call in label.calls:
         if (call.service in ("ActivateTask", "ChainTask")
@@ -110,32 +140,56 @@ def _activation_overflow(program: Program,
                     program.task_index[call.args[0]]] == 1):
             who = (f"alarm {call.by}" if label.kind == "alarm"
                    else call.service)
-            return f"{who} overflowed task {call.args[0]}"
-    return None
+            return "bad", f"{who} overflowed task {call.args[0]}"
+    return m
 
 
-# Properties of single states: each maps a state to a failure reason or None.
-_STATE_PREDICATES = {"ME": _running_conflict, "PIF": _priority_inversion,
-                     "MAF": _activation_overflow}
+# Properties of single states: each monitor keeps its state until a bad one.
+_STATE_MONITORS = {"ME": _running_conflict, "PIF": _priority_inversion,
+                   "MAF": _activation_overflow}
 
 
-def _check_states(graph: explorer.StateGraph,
-                  pids: list[str]) -> dict[str, PropertyResult]:
-    """One pass over the graph's nodes for every selected state property;
-    each failing property's witness leads to its first failing node."""
-    program = graph.program
-    verdict = "bounded_pass" if graph.truncated else "pass"
-    results = {pid: PropertyResult(pid, verdict, None,
-                                   f"{len(graph.nodes)} states scanned")
-               for pid in pids}
-    for node, state in graph.nodes.items():
-        for pid in pids:
-            if results[pid].witness is None:
-                reason = _STATE_PREDICATES[pid](program, state)
-                if reason is not None:
-                    results[pid] = PropertyResult(
-                        pid, "fail", graph.trace_to(node), reason)
-    return results
+def _activation_window(alarm_id: str, task: str):
+    """Periodic execution of one alarm's task: exactly one completion of
+    ``task`` between consecutive successful expiry activations by
+    ``alarm_id``.  The monitor state is ``"pre"`` before the first
+    activation, then the completions counted in the current window."""
+
+    def monitor(count, state: KernelState):
+        label = state.last_label
+        if label.kind == "alarm" and any(
+                c.by == alarm_id and c.service == "ActivateTask"
+                and c.status == E_OK for c in label.calls):
+            if count == 0:
+                return "bad", (f"alarm {alarm_id}: window closed with no "
+                               f"completion of {task}")
+            return 0
+        if count != "pre" and any(
+                c.by == task and c.service in ("TerminateTask", "ChainTask")
+                and c.status == E_OK for c in label.calls):
+            if count:
+                return "bad", (f"alarm {alarm_id}: {task} completed twice "
+                               "within one activation window")
+            return 1
+        return count
+
+    return monitor
+
+
+def _check_periodic_execution(graph: explorer.StateGraph) -> PropertyResult:
+    """Each monitored alarm's window monitor, in turn; the first to fail
+    gives the witness."""
+    monitored = [a for a in graph.program.config.alarms.values()
+                 if a.action.kind == "activatetask"]
+    detail = f"{len(monitored)} alarm(s) monitored"
+    result = PropertyResult("PE", "bounded_pass" if graph.truncated
+                            else "pass", None, detail)
+    for alarm in monitored:
+        result = _check_monitor(graph, "PE", _activation_window(
+            alarm.id, alarm.action.task), "pre", detail)
+        if result.witness is not None:
+            break
+    return result
 
 
 def _starvation_pairs(config: KernelConfig) -> list[tuple[str, str]]:
@@ -166,55 +220,6 @@ def _check_starvation_freedom(graph: explorer.StateGraph) -> PropertyResult:
                           detail)
 
 
-def _edge_completes(label: TransitionLabel, task: str) -> bool:
-    return any(c.by == task and c.service in ("TerminateTask", "ChainTask")
-               and c.status == E_OK for c in label.calls)
-
-
-def _edge_activates(label: TransitionLabel, alarm_id: str) -> bool:
-    return label.kind == "alarm" and any(
-        c.by == alarm_id and c.service == "ActivateTask" and c.status == E_OK
-        for c in label.calls)
-
-
-def _check_periodic_execution(graph: explorer.StateGraph) -> PropertyResult:
-    """Monitor composition: count completions of the activated task between
-    consecutive successful expiry activations of each alarm.  A bad edge
-    leads the monitor to ``("bad", reason)``, and the witness is a shortest
-    path to it."""
-    monitored = [a for a in graph.program.config.alarms.values()
-                 if a.action.kind == "activatetask"]
-    for alarm in monitored:
-        task = alarm.action.task
-
-        def monitor_successors(pnode):
-            node, count = pnode
-            for choice, target in graph.successors_of(node):
-                label = graph.state(target).last_label
-                nxt = count
-                if _edge_activates(label, alarm.id):
-                    nxt = 0
-                    if count == 0:
-                        nxt = ("bad", f"alarm {alarm.id}: window closed "
-                                      f"with no completion of {task}")
-                elif _edge_completes(label, task) and count != "pre":
-                    nxt = count + 1
-                    if nxt > 1:
-                        nxt = ("bad", f"alarm {alarm.id}: {task} completed "
-                                      "twice within one activation window")
-                yield (target, nxt), choice
-
-        found = ltl.shortest_path((graph.initial, "pre"), monitor_successors,
-                                  lambda pnode: type(pnode[1]) is tuple)
-        if found is not None:
-            nodes, choices = found
-            _, (_, reason) = nodes[-1]
-            return PropertyResult("PE", "fail", graph.trace(choices), reason)
-    verdict = "bounded_pass" if graph.truncated else "pass"
-    return PropertyResult("PE", verdict, None,
-                          f"{len(monitored)} alarm(s) monitored")
-
-
 # ---------------------------------------------------------------------------
 # verification driver
 # ---------------------------------------------------------------------------
@@ -239,8 +244,6 @@ def verify_all(config: KernelConfig, bodies: dict[str, TaskBody], *,
                                    {pid == "DF" for pid in selected},
                                    bound=bound, idle_mode=idle_mode,
                                    rotate=ltl.rotation_sound(bodies))
-    scanned = [pid for pid in selected if pid in _STATE_PREDICATES]
-    state_results = _check_states(graphs[False], scanned) if scanned else {}
     results: dict[str, PropertyResult] = {}
     for pid in selected:
         if pid == "DF":
@@ -250,7 +253,9 @@ def verify_all(config: KernelConfig, bodies: dict[str, TaskBody], *,
         elif pid == "PE":
             results[pid] = _check_periodic_execution(graphs[False])
         else:
-            results[pid] = state_results[pid]
+            results[pid] = _check_monitor(
+                graphs[False], pid, _STATE_MONITORS[pid], None,
+                f"{len(graphs[False].nodes)} states scanned")
     return results
 
 

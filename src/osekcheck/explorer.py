@@ -267,12 +267,6 @@ class StateGraph(Record, frozen=False, uncompared=("steps",),
     def program(self) -> Program:
         return self.boot.program
 
-    def state(self, node: int) -> KernelState:
-        return self.nodes[node]
-
-    def successors_of(self, node: int) -> tuple[tuple[Choice | None, int], ...]:
-        return self.edges[node]
-
     def trace(self, choices: Iterable[Choice | None],
               lasso_start: int | None = None) -> Trace:
         """The run that takes ``choices`` from the boot state under this
@@ -441,20 +435,15 @@ def build_graphs(config: KernelConfig, bodies: dict[str, TaskBody],
 def search_final(config: KernelConfig, bodies: dict[str, TaskBody], *,
                  bound: int = 10_000,
                  idle_mode: str = timing.JUMP) -> SearchResult:
-    """Every reachable final of the strict graph."""
-    return search_graph(build_graph(config, bodies, bound=bound, strict=True,
-                                    idle_mode=idle_mode))
-
-
-def search_graph(graph: StateGraph) -> SearchResult:
-    """The finals of an explored graph, shallowest first.
+    """Every reachable final of the strict graph, shallowest first.
 
     States that go all-idle (every task suspended, no armed alarm) are
-    intended finals; scheduler dead ends and, in strict mode, frozen service
-    errors are deadlocks.  Witness traces are shortest by construction, and
-    nodes are numbered in breadth-first order, so shallower ones come first.
-    A record's state is its witness's last, concrete state.
+    intended finals; scheduler dead ends and frozen service errors are
+    deadlocks.  Witness traces are shortest by construction, and nodes are
+    numbered in breadth-first order, so shallower ones come first.
     """
+    graph = build_graph(config, bodies, bound=bound, strict=True,
+                        idle_mode=idle_mode)
     finals: list[TerminalRecord] = []
     deadlocks: list[TerminalRecord] = []
     for node in graph.terminal_nodes():

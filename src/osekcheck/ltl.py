@@ -643,7 +643,7 @@ class KernelGraphView:
         return self.graph.truncated
 
     def successors(self, node):
-        return self.graph.successors_of(node)
+        return self.graph.edges[node]
 
     def prop_value(self, node, prop: Prop) -> bool:
         values = self._values.get(prop)

@@ -177,8 +177,8 @@ def test_invariants_and_graph_fidelity(capsys, ems_app, ems_repaired_app):
             nodes = list(graph.nodes)
             for node in nodes[:: max(1, len(nodes) // 50)]:
                 explorer.replay(graph.trace_to(node))
-                state = graph.state(node)
-                for choice, target in graph.successors_of(node):
+                state = graph.nodes[node]
+                for choice, target in graph.edges[node]:
                     successor = explorer.step(
                         state, choice, strict=graph.strict,
                         idle_mode=graph.idle_mode)

@@ -15,6 +15,7 @@ from conftest import (EMS_LTL, EMS_OIL, EMS_PROPS, EMS_REPAIRED_OIL,
 from helpers import ACTIONS_OIL, ACTIONS_TSK, MINI_OIL, MINI_TSK, random_app
 from osekcheck import explorer, kernel_core, timing
 from osekcheck.cli import main
+from osekcheck.conformance import PROPERTY_ORDER
 from osekcheck.model import NORMAL
 from osekcheck.oil_config import parse_oil
 from osekcheck.task_lang import parse_task_file
@@ -292,6 +293,30 @@ class TestInputs:
         code, _, err = run_cli(capsys, "run", bad, EMS_TSK)
         assert code == 1
         assert "error" in err
+
+    @pytest.mark.parametrize("bad", ["config", "tasks", "formula",
+                                     "test-report", "props"])
+    def test_undecodable_file_is_one_error_line(self, capsys, tmp_path, bad):
+        texts = {"config": MINI_OIL, "tasks": MINI_TSK,
+                 "formula": "idle: [] !deadlocked\n",
+                 "test-report": "".join(f"{pid} = pass\n"
+                                        for pid in PROPERTY_ORDER),
+                 "props": "DF\n"}
+        paths = {}
+        for name, text in texts.items():
+            paths[name] = tmp_path / name
+            paths[name].write_bytes(b"\xff\xfe" if name == bad
+                                    else text.encode())
+        app = (paths["config"], paths["tasks"])
+        argv = {"formula": ("ltlmc", *app, "--formula", paths["formula"]),
+                "test-report": ("conform", *app, "--test-report",
+                                paths["test-report"]),
+                "props": ("conform", *app, "--test-report",
+                          paths["test-report"], "--props", paths["props"])}
+        code, _, err = run_cli(capsys, *argv.get(bad, ("run", *app)))
+        assert code == 1
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"error: cannot read {paths[bad]}: ")
 
     def test_nonpositive_bound(self, capsys):
         code, _, err = run_cli(capsys, "run", EMS_OIL, EMS_TSK,

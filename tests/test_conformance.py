@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import re
+from pathlib import Path
 
 import pytest
 
-from helpers import make_app
-from osekcheck import explorer
+from helpers import MINI_OIL, MINI_TSK, make_app
+from osekcheck import conformance, explorer
 from osekcheck.conformance import (AdjudicationError, PROPERTY_ORDER,
                                    PropertyResult, adjudicate, emit_report,
                                    parse_test_report, verify_all)
@@ -174,6 +175,65 @@ class TestVerification:
         for pid in PROPERTY_ORDER:
             assert results[pid].verdict == "bounded_pass", pid
             assert results[pid].passed
+
+
+# ==== the safety monitor engine ============================================
+
+
+class TestMonitorEngine:
+    def graph(self, bound=10_000):
+        return explorer.build_graph(*make_app(MINI_OIL, MINI_TSK),
+                                    bound=bound)
+
+    def test_bad_initial_state_is_a_zero_step_witness(self):
+        graph = self.graph()
+        result = conformance._check_monitor(
+            graph, "ME", lambda m, state: ("bad", "at boot"), None, "unused")
+        assert (result.verdict, result.detail) == ("fail", "at boot")
+        assert result.witness.states == (graph.boot,)
+        assert result.witness.choices == ()
+
+    @pytest.mark.parametrize("depth", [1, 3, 5])
+    def test_first_bad_at_depth_k_is_the_breadth_first_tree_path(self,
+                                                                 depth):
+        graph = self.graph()
+        node = min(n for n, d in graph.depths.items() if d == depth)
+        target = graph.nodes[node]
+        result = conformance._check_monitor(
+            graph, "ME",
+            lambda m, state: ("bad", "hit") if state == target else m, None,
+            "unused")
+        assert (result.verdict, result.detail) == ("fail", "hit")
+        assert len(result.witness.states) == depth + 1
+        assert result.witness == graph.trace_to(node)
+        explorer.replay(result.witness)
+
+    def test_a_monitor_that_stays_good_passes(self):
+        for bound, verdict in ((10_000, "pass"), (2, "bounded_pass")):
+            result = conformance._check_monitor(
+                self.graph(bound), "ME", lambda m, state: m, None, "all good")
+            assert (result.verdict, result.witness, result.detail) == \
+                (verdict, None, "all good")
+
+
+def test_deadlock_freedom_steps_only_its_witness(monkeypatch):
+    """The harmonic app has 8 strict dead ends; DF steps its 13-step
+    witness and no other."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent
+                                    / "perfbench"))
+    import harmonic
+    config, bodies = make_app(*harmonic.generate(1)[:2])
+    stepped = []
+    step = explorer.step
+
+    def counting(*args, **kwargs):
+        stepped.append(args[0])
+        return step(*args, **kwargs)
+
+    monkeypatch.setattr(explorer, "step", counting)
+    df = verify_all(config, bodies, properties=("DF",))["DF"]
+    assert df.detail.startswith("8 dead end(s); shortest witness has 13 ")
+    assert len(stepped) == len(df.witness.states) - 1 == 13
 
 
 # ==== test report parsing ==================================================

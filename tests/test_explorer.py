@@ -137,7 +137,7 @@ class TestTraces:
             if len(succ) > 1:
                 prefix = graph.trace_to(node)
                 choice, target = succ[0]
-                states = prefix.states + (graph.state(target),)
+                states = prefix.states + (graph.nodes[target],)
                 choices = prefix.choices + (choice,)
                 return explorer.Trace(states, choices)
         raise AssertionError("expected a branching node")
@@ -259,10 +259,10 @@ class TestGraph:
         graph = explorer.build_graph(config, bodies, bound=200)
         sample = list(graph.nodes)[:40]
         for node in sample:
-            fresh = explorer.successors(graph.state(node))
+            fresh = explorer.successors(graph.nodes[node])
             assert [(c, canonical_snapshot(s)) for c, s in fresh] == \
                 [(c, canonical_snapshot(graph.nodes[target]))
-                 for c, target in graph.successors_of(node)]
+                 for c, target in graph.edges[node]]
 
 
 # ==== expiry batches =======================================================
@@ -442,7 +442,7 @@ def test_loop_shapes_are_frozen(idle_mode, strict):
     digest = hashlib.sha256()
     for node, state in graph.nodes.items():
         edges = ",".join(f"{explorer.choice_text(choice)}>{target}"
-                         for choice, target in graph.successors_of(node))
+                         for choice, target in graph.edges[node])
         digest.update(f"{node}\n{canonical_snapshot(state)}\n{edges}\n"
                       .encode())
     assert not graph.truncated

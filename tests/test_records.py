@@ -87,7 +87,7 @@ def test_replace_returns_a_changed_copy():
 def test_unfrozen_records_are_unhashable():
     config, bodies = make_app(MINI_OIL, MINI_TSK)
     graph = explorer.build_graph(config, bodies)
-    records = [graph, explorer.search_graph(graph),
+    records = [graph, explorer.search_final(config, bodies),
                ltl.to_buchi(Globally(Prop("deadlocked"))),
                ltl.LtlResult("holds"),
                conformance.PropertyResult("DF", "pass")]

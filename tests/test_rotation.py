@@ -98,7 +98,7 @@ def test_rotation_commutes_with_every_step(name, strict):
                                      idle_mode=idle_mode)
         for node, state in graph.nodes.items():
             key = rotated(state)
-            for choice, target in graph.successors_of(node):
+            for choice, target in graph.edges[node]:
                 assert rotated(explorer.step(
                     key, choice, strict=strict, idle_mode=idle_mode)) == \
                     rotated(graph.nodes[target]), (name, node, choice)

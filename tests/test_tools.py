@@ -4,19 +4,24 @@ Each tool's core is run once on the smallest canned app and once on the app
 whose batches fire every alarm action.  The tools themselves take minutes,
 so they are only run by hand, to compare two checkouts; a slice of
 ``graph_digest``'s output is frozen in ``frozen_graphs.txt`` and checked
-here.
+here, and each property's answer from ``conformance.verify_all`` on a set of
+apps is frozen in ``frozen_conform.txt``.
 """
 
 from __future__ import annotations
 
+import json
+import os
 import random
+import subprocess
 import sys
 from pathlib import Path
 
-from helpers import (ACTIONS_OIL, ACTIONS_TSK, COINCIDE_OIL, COINCIDE_TSK,
-                     LOOP_OIL, LOOP_TSK, MINI_OIL, MINI_TSK, make_app,
-                     random_app)
-from osekcheck import explorer, timing
+from conftest import EMS_OIL, EMS_REPAIRED_OIL, EMS_TSK
+from helpers import (ABS_OIL, ABS_TSK, ACTIONS_OIL, ACTIONS_TSK,
+                     COINCIDE_OIL, COINCIDE_TSK, LOOP_OIL, LOOP_TSK,
+                     MINI_OIL, MINI_TSK, make_app, random_app)
+from osekcheck import conformance, explorer, timing
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
 
@@ -30,6 +35,13 @@ import graph_digest  # noqa: E402
 # every node against that implementation.  The six-alarm app's lines were
 # recorded while every handling order of a batch was handled on its own.
 FROZEN_GRAPHS = Path(__file__).with_name("frozen_graphs.txt")
+
+# ``conform_lines`` of both corpus configurations, the canned apps of
+# ``tests/helpers``, the harmonic app (seed 1) and random_app seeds 0-99,
+# recorded while ME, PIF and MAF scanned the nodes, PE ran its own search
+# and DF traced every dead end; they pin each property's verdict, detail
+# and witness (its step count and the hash of its last state).
+FROZEN_CONFORM = Path(__file__).with_name("frozen_conform.txt")
 
 
 def test_graph_line_counts_the_graph():
@@ -105,3 +117,50 @@ def test_graphs_are_frozen():
         if actual != expected:
             changed.append(f"{name} {idle_mode} {strict}: {actual}")
     assert changed == []
+
+
+def conform_lines(name: str, config, bodies) -> list[str]:
+    """One line per property: app, property, verdict, the witness's step
+    count and last state's hash (``-`` without a witness), then detail."""
+    lines = []
+    for pid, result in conformance.verify_all(config, bodies).items():
+        witness = result.witness
+        steps, last = (("-", "-") if witness is None else
+                       (len(witness.states) - 1,
+                        witness.states[-1].snapshot()[1]))
+        lines.append(f"{name} {pid} {result.verdict} {steps} {last} "
+                     f"{result.detail}")
+    return lines
+
+
+def harmonic_app():
+    """The harmonic app of seed 1 as the digest tools make it: with
+    ``PYTHONHASHSEED=0``, since its identifier order follows set order."""
+    perfbench = Path(__file__).resolve().parent.parent / "perfbench"
+    texts = subprocess.run(
+        [sys.executable, "-c", "import harmonic, json; "
+         "print(json.dumps(harmonic.generate(1)[:2]))"],
+        cwd=perfbench, env=dict(os.environ, PYTHONHASHSEED="0"),
+        capture_output=True, text=True, check=True).stdout
+    return make_app(*json.loads(texts))
+
+
+def conform_apps():
+    for name, oil in (("ems", EMS_OIL), ("ems_repaired", EMS_REPAIRED_OIL)):
+        yield name, make_app(oil.read_text(), EMS_TSK.read_text())
+    for name, oil, tsk in (("mini", MINI_OIL, MINI_TSK),
+                           ("loops", LOOP_OIL, LOOP_TSK),
+                           ("actions", ACTIONS_OIL, ACTIONS_TSK),
+                           ("coincide", COINCIDE_OIL, COINCIDE_TSK),
+                           ("abs", ABS_OIL, ABS_TSK)):
+        yield name, make_app(oil, tsk)
+    yield "harmonic:1", harmonic_app()
+    for seed in range(100):
+        yield (f"random_app:{seed}",
+               make_app(*random_app(random.Random(seed))))
+
+
+def test_conform_is_frozen():
+    actual = [line for name, (config, bodies) in conform_apps()
+              for line in conform_lines(name, config, bodies)]
+    assert actual == FROZEN_CONFORM.read_text().splitlines()

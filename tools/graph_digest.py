@@ -48,7 +48,7 @@ def graph_line(config, bodies, idle_mode: str, strict: bool) -> str:
     digest = hashlib.sha256()
     edges = 0
     for node, state in graph.nodes.items():
-        out = graph.successors_of(node)
+        out = graph.edges[node]
         edges += len(out)
         parent = graph.parents.get(node)
         digest.update("\n".join([
