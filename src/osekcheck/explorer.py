@@ -17,7 +17,7 @@ from collections.abc import Iterable
 
 from . import kernel_core, timing
 from .model import (ALLIDLE, DEADLOCK, E_OK, NORMAL, SCHEDULE_SIGNAL,
-                    SUSPENDED, KernelState, Program, canonical_label,
+                    SUSPENDED, KernelState, Program, _label_line,
                     canonical_snapshot, error_status, label_text, rotated,
                     stutterize)
 from .oil_config import Fresh, KernelConfig, Record
@@ -185,16 +185,14 @@ def replay(trace: Trace) -> None:
 def render_trace(trace: Trace, fmt: str = "text") -> str:
     """Render a trace: per-step lines plus a snapshot section.
 
-    Equal states have equal snapshots (neither shows time amounts), so each
-    distinct state of the trace is named by its first occurrence, whose
-    snapshot is made once for as long as that state lives; the step lines
-    still show each step's own label.
+    A state makes its snapshot once, on first use, from the task, alarm and
+    label lines its program keeps (``model.canonical_snapshot``), so a
+    state shown many times, in one trace or in several, costs one snapshot
+    and equal states share their lines.  The step lines still show each
+    step's own label, time amount included.
     """
-    snapshots: dict[KernelState, tuple[str, str]] = {}
-    for state in trace.states:
-        if state not in snapshots:
-            snapshots[state] = state.snapshot()
-    hashes = [snapshots[state][1] for state in trace.states]
+    shown = [state.snapshot() for state in trace.states]
+    hashes = [name for _, name in shown]
     lines = [f"# trace steps={len(trace.states) - 1} "
              f"strict={'yes' if trace.strict else 'no'} "
              f"idle={trace.idle_mode}"]
@@ -202,7 +200,7 @@ def render_trace(trace: Trace, fmt: str = "text") -> str:
         choice = trace.choices[index - 1] if index > 0 else None
         if fmt == "machine":
             lines.append(f"{index} {choice_text(choice)} "
-                         f"{canonical_label(state.last_label)} "
+                         f"{_label_line(state.program, state.last_label)} "
                          f"{hashes[index]}")
         else:
             mark = " <- loop target" if index == trace.lasso_start else ""
@@ -216,9 +214,9 @@ def render_trace(trace: Trace, fmt: str = "text") -> str:
         lines.append(f"# lasso: closes back to step {trace.lasso_start} "
                      f"via [{choice_text(trace.choices[-1])}]{closure}")
     lines.append("# snapshots")
-    for index, state in enumerate(trace.states):
-        lines.append(f"--- state {index} {hashes[index]}")
-        lines.append(snapshots[state][0])
+    for index, (text, name) in enumerate(shown):
+        lines.append(f"--- state {index} {name}")
+        lines.append(text)
     lines.append("")
     return "\n".join(lines)
 

@@ -19,6 +19,9 @@ program and time-advance amounts are not compared).  A state computes its
 hash once.  ``rotated`` maps a state to its representative up to where the
 counter stands.  ``canonical_snapshot`` renders the cells, with the static
 columns and code text of the program, as stable text for printed traces.
+The program keeps each task, alarm and label line once it is made, so a
+snapshot formats only the lines of the state's own scalar cells and looks
+up the rest; the kept lines live as long as the program, one boot.
 """
 
 from __future__ import annotations
@@ -133,6 +136,19 @@ class TransitionLabel(Record, uncompared=("amount",)):
         self.reason = reason
         self.detail = detail
 
+    # Written out rather than inherited: a label is hashed with every state
+    # and compared on every dedup hit, and it keys its program's snapshot
+    # lines.
+    def __eq__(self, other):
+        if other.__class__ is not TransitionLabel:
+            return NotImplemented
+        return (self.kind == other.kind and self.calls == other.calls
+                and self.reason == other.reason
+                and self.detail == other.detail)
+
+    def __hash__(self) -> int:
+        return hash((self.kind, self.calls, self.reason, self.detail))
+
 
 BOOT_LABEL = TransitionLabel(kind="boot")
 STUTTER_LABEL = TransitionLabel(kind="time", reason="stutter")
@@ -203,13 +219,17 @@ class Program:
     per-alarm column below is a tuple indexed by that number, as are the
     cells of the states that share this program.  ``code_text[i][pc]`` is
     the snapshot spelling of task ``i``'s program from ``pc`` on (``"-"`` at
-    the end of its body).
+    the end of its body).  ``snapshot_lines``, empty at boot, maps each task
+    cell, alarm cell and label that a snapshot has shown to its finished
+    line (a label to its ``canonical_label`` text), so each distinct one is
+    formatted once per program.  A cell's line also shows the program's
+    columns, so these lines are never shared with another program.
     """
 
     __slots__ = ("config", "task_ids", "task_index", "alarm_ids",
                  "alarm_index", "priority", "max_activations", "schedule",
                  "events", "resources", "ceiling", "modulus", "min_cycle",
-                 "alarm_action", "code", "code_text")
+                 "alarm_action", "code", "code_text", "snapshot_lines")
 
     def __init__(self, config: KernelConfig, bodies: dict[str, TaskBody]):
         tasks = tuple(config.tasks.values())
@@ -244,6 +264,8 @@ class Program:
         self.code_text = tuple(
             tuple(_code_text(code, pc, 0) for pc in range(len(code) + 1))
             for code in self.code)
+        self.snapshot_lines: dict[TaskCell | AlarmCell | TransitionLabel,
+                                  str] = {}
 
 
 def _code_text(code: tuple[CodeEntry, ...], pc: int, residue: int) -> str:
@@ -463,8 +485,14 @@ def pop_highest(ready: ReadyQueues) -> tuple[int, str, ReadyQueues]:
 
 def canonical_snapshot(state: KernelState) -> str:
     """Deterministic textual form of every semantic cell, with the static
-    columns and program text of each task read from the program."""
+    columns and program text of each task read from the program.
+
+    Only the counter, status, running, signals, ready and working lines
+    are formatted per state; the label, task and alarm lines are read from
+    ``program.snapshot_lines``, which an equal label or cell fills once.
+    """
     program = state.program
+    known = program.snapshot_lines
     lines = [
         f"counter={state.counter_value}",
         f"status={state.status}",
@@ -481,22 +509,42 @@ def canonical_snapshot(state: KernelState) -> str:
     else:
         lines.append("ready=-")
     lines.append("working=" + ("|".join(state.working_alarms) or "-"))
-    lines.append("label=" + canonical_label(state.last_label))
-    for index, cell in enumerate(state.tasks):
-        events = "|".join(sorted(cell.set_events)) or "-"
-        resources = "|".join(cell.held_resources) or "-"
-        text = (_code_text(program.code[index], cell.pc, cell.residue)
-                if cell.residue else program.code_text[index][cell.pc])
-        lines.append(
-            f"task={cell.id} st={cell.state} sp={program.priority[index]} "
+    lines.append("label=" + _label_line(program, state.last_label))
+    for cell in state.tasks:
+        line = known.get(cell)
+        if line is None:
+            line = known[cell] = _task_line(program, cell)
+        lines.append(line)
+    for cell in state.alarms:
+        line = known.get(cell)
+        if line is None:
+            at = "-" if cell.alarm_time is None else str(cell.alarm_time)
+            line = known[cell] = (f"alarm={cell.id} at={at} "
+                                  f"ct={cell.cycle_time}")
+        lines.append(line)
+    return "\n".join(lines)
+
+
+def _label_line(program: Program, label: TransitionLabel) -> str:
+    """``canonical_label(label)``, made once per program and equal label."""
+    known = program.snapshot_lines
+    text = known.get(label)
+    if text is None:
+        text = known[label] = canonical_label(label)
+    return text
+
+
+def _task_line(program: Program, cell: TaskCell) -> str:
+    index = program.task_index[cell.id]
+    events = "|".join(sorted(cell.set_events)) or "-"
+    resources = "|".join(cell.held_resources) or "-"
+    text = (_code_text(program.code[index], cell.pc, cell.residue)
+            if cell.residue else program.code_text[index][cell.pc])
+    return (f"task={cell.id} st={cell.state} sp={program.priority[index]} "
             f"cp={cell.current_priority} "
             f"act={program.max_activations[index]}/"
             f"{cell.pending_activations} ev={events} "
             f"w={cell.waiting_for or '-'} res={resources} pgm={text}")
-    for cell in state.alarms:
-        at = "-" if cell.alarm_time is None else str(cell.alarm_time)
-        lines.append(f"alarm={cell.id} at={at} ct={cell.cycle_time}")
-    return "\n".join(lines)
 
 
 def snapshot_hash(snapshot: str) -> str:

@@ -1,6 +1,7 @@
 """Shared fixtures: app builders, random app generation, state invariants,
-brute-force temporal-logic oracles for cross-checking the model checker, and
-the text renderers that round-trip tests parse back.
+brute-force temporal-logic oracles for cross-checking the model checker,
+the text renderers that round-trip tests parse back, and a snapshot
+renderer that formats every line anew.
 """
 
 from __future__ import annotations
@@ -10,7 +11,8 @@ from dataclasses import dataclass
 
 from osekcheck import explorer, ltl
 from osekcheck.model import (ALLIDLE, DEADLOCK, NORMAL, READY, RUNNING,
-                             SUSPENDED, WAITING, KernelState)
+                             SUSPENDED, WAITING, KernelState, _code_text,
+                             canonical_label)
 from osekcheck.oil_config import KernelConfig, parse_oil
 from osekcheck.task_lang import (CallService, Statement, TaskBody,
                                  TimeInterval, parse_task_file)
@@ -410,6 +412,50 @@ def random_app(rng: random.Random) -> tuple[str, str]:
                 body.append("TerminateTask();")
         tsk.append(f"TASK {name} {{ {' '.join(body)} }}")
     return "\n".join(oil) + "\n", "\n".join(tsk) + "\n"
+
+
+# ==== the snapshot, every line formatted anew =============================
+# ``model.canonical_snapshot`` as it was before the program kept its lines:
+# every line of every state formatted anew, the reference that the kept
+# lines are checked against.
+
+
+def plain_snapshot(state: KernelState) -> str:
+    """Deterministic textual form of every semantic cell, with the static
+    columns and program text of each task read from the program."""
+    program = state.program
+    lines = [
+        f"counter={state.counter_value}",
+        f"status={state.status}",
+        f"running={state.running or '-'}",
+    ]
+    if state.signals:
+        sig_texts = sorted(":".join(sig) for sig in state.signals)
+        lines.append("signals=" + "|".join(sig_texts))
+    else:
+        lines.append("signals=-")
+    if state.ready:
+        parts = [f"{prio}:{','.join(queue)}" for prio, queue in state.ready]
+        lines.append("ready=" + ";".join(parts))
+    else:
+        lines.append("ready=-")
+    lines.append("working=" + ("|".join(state.working_alarms) or "-"))
+    lines.append("label=" + canonical_label(state.last_label))
+    for index, cell in enumerate(state.tasks):
+        events = "|".join(sorted(cell.set_events)) or "-"
+        resources = "|".join(cell.held_resources) or "-"
+        text = (_code_text(program.code[index], cell.pc, cell.residue)
+                if cell.residue else program.code_text[index][cell.pc])
+        lines.append(
+            f"task={cell.id} st={cell.state} sp={program.priority[index]} "
+            f"cp={cell.current_priority} "
+            f"act={program.max_activations[index]}/"
+            f"{cell.pending_activations} ev={events} "
+            f"w={cell.waiting_for or '-'} res={resources} pgm={text}")
+    for cell in state.alarms:
+        at = "-" if cell.alarm_time is None else str(cell.alarm_time)
+        lines.append(f"alarm={cell.id} at={at} ct={cell.cycle_time}")
+    return "\n".join(lines)
 
 
 # ==== state invariants =====================================================

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import os
 import random
 import subprocess
@@ -107,6 +108,30 @@ def test_run_repeat_keeps_its_label_amount(capsys, tmp_path, bound):
     (tmp_path / "a.tsk").write_text(tsk)
     assert_run_prints_stepped_trace(capsys, tmp_path / "a.oil",
                                     tmp_path / "a.tsk", bound, timing.JUMP)
+
+
+# The longest outputs, byte for byte: exit code, stdout length and the first
+# 16 hex digits of its sha256, recorded while each snapshot line was
+# formatted anew.  The tests above compare ``run`` with ``render_trace`` of
+# the same code, so only these see a change in how traces are rendered.
+PINNED_OUTPUTS = {
+    "run": (("run", EMS_REPAIRED_OIL, EMS_TSK),
+            3, 10_934_845, "3841ead6db3028f4"),
+    "run-machine": (("run", EMS_REPAIRED_OIL, EMS_TSK,
+                     "--trace-format", "machine"),
+                    3, 10_602_334, "3bb38600cb97ed0b"),
+    "ltlmc": (("ltlmc", EMS_OIL, EMS_TSK, "--formula", EMS_LTL),
+              2, 226_073, "0098f789e3af1641"),
+}
+
+
+@pytest.mark.parametrize("name", PINNED_OUTPUTS)
+def test_long_output_is_pinned(capsys, name):
+    argv, code, size, digest = PINNED_OUTPUTS[name]
+    got, out, _ = run_cli(capsys, *argv)
+    data = out.encode()
+    assert (got, len(data), hashlib.sha256(data).hexdigest()[:16]) == \
+        (code, size, digest)
 
 
 # ==== search-final =========================================================

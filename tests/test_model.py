@@ -1,4 +1,4 @@
-"""Label rendering: every label shape the kernel makes, as text.
+"""Labels: every label shape the kernel makes, as text, and label equality.
 
 ``canonical_label`` is part of every state snapshot and so of every trace
 hash; ``label_text`` is what a trace listing prints.  The expected strings
@@ -11,7 +11,8 @@ import pytest
 
 from helpers import make_app
 from osekcheck import kernel_core, timing
-from osekcheck.model import canonical_label, label_text, stutterize
+from osekcheck.model import (Call, TransitionLabel, canonical_label,
+                             label_text, stutterize)
 
 OIL = """
 COUNTER C { MAXALLOWEDVALUE = 15; MINCYCLE = 1; SYSTEM = TRUE; };
@@ -115,3 +116,26 @@ def test_label_rendering(shape):
     config, bodies = make_app(OIL, TSK)
     label = drive(kernel_core.boot(config, bodies)).last_label
     assert (canonical_label(label), label_text(label)) == (canonical, text)
+
+
+def test_labels_equal_up_to_their_amount_and_only_each_other():
+    idle = TransitionLabel("time", (), 1, "idle")
+    longer = TransitionLabel("time", (), 7, "idle")
+    assert idle == longer and not idle != longer
+    assert hash(idle) == hash(longer)
+    for other in (TransitionLabel("time", (), 1, "loop"),
+                  TransitionLabel("time", (), 1, "idle", "x"),
+                  TransitionLabel("signal", (), 1, "idle")):
+        assert idle != other and not idle == other
+    call = Call("Main", "ActivateTask", ("Hi",), "E_OK")
+    label = TransitionLabel("service", (call,), 0, None, "x")
+    assert label != TransitionLabel("service", (call, call), 0, None, "x")
+    # a Call or tuple of the compared fields hashes alike, but is not equal
+    lookalikes = (Call("service", (call,), None, "x"),
+                  ("service", (call,), None, "x"),
+                  ("service", (call,), 0, None, "x"))
+    assert hash(label) == hash(lookalikes[0]) == hash(lookalikes[1])
+    for other in lookalikes:
+        assert label != other and other != label
+        assert not label == other and not other == label
+    assert label not in set(lookalikes) and not {label} & set(lookalikes)

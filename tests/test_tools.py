@@ -5,7 +5,9 @@ whose batches fire every alarm action.  The tools themselves take minutes,
 so they are only run by hand, to compare two checkouts; a slice of
 ``graph_digest``'s output is frozen in ``frozen_graphs.txt`` and checked
 here, and each property's answer from ``conformance.verify_all`` on a set of
-apps is frozen in ``frozen_conform.txt``.
+apps is frozen in ``frozen_conform.txt``.  On the same apps every node's
+snapshot is checked against ``helpers.plain_snapshot``, which formats each
+line anew.
 """
 
 from __future__ import annotations
@@ -20,8 +22,10 @@ from pathlib import Path
 from conftest import EMS_OIL, EMS_REPAIRED_OIL, EMS_TSK
 from helpers import (ABS_OIL, ABS_TSK, ACTIONS_OIL, ACTIONS_TSK,
                      COINCIDE_OIL, COINCIDE_TSK, LOOP_OIL, LOOP_TSK,
-                     MINI_OIL, MINI_TSK, make_app, random_app)
+                     MINI_OIL, MINI_TSK, make_app, plain_snapshot,
+                     random_app)
 from osekcheck import conformance, explorer, timing
+from osekcheck.model import canonical_snapshot
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
 
@@ -164,3 +168,36 @@ def test_conform_is_frozen():
     actual = [line for name, (config, bodies) in conform_apps()
               for line in conform_lines(name, config, bodies)]
     assert actual == FROZEN_CONFORM.read_text().splitlines()
+
+
+def test_snapshots_match_the_plain_renderer():
+    """Every node of each app's graphs, in both idle modes and both error
+    semantics, snapshots to the text that ``plain_snapshot`` formats."""
+    differ = []
+    for name, (config, bodies) in conform_apps():
+        for idle_mode in timing.IDLE_MODES:
+            graphs = explorer.build_graphs(config, bodies, (False, True),
+                                           idle_mode=idle_mode)
+            for strict, graph in graphs.items():
+                differ += [f"{name} {idle_mode} strict={int(strict)} {node}"
+                           for node, state in graph.nodes.items()
+                           if canonical_snapshot(state)
+                           != plain_snapshot(state)]
+    assert differ == []
+
+
+def test_each_program_keeps_its_own_snapshot_lines():
+    """Two apps whose task cells are equal but whose ``act=`` and ``pgm=``
+    columns differ, snapshotted in turn: each keeps its own text."""
+    one = explorer.build_graph(*make_app(MINI_OIL, MINI_TSK))
+    other = explorer.build_graph(*make_app(
+        MINI_OIL.replace("ACTIVATION = 1; AUTOSTART = FALSE",
+                         "ACTIVATION = 2; AUTOSTART = FALSE"),
+        MINI_TSK.replace("TASK High { TerminateTask(); }",
+                         "TASK High { Schedule(); TerminateTask(); }")))
+    assert one.boot.tasks == other.boot.tasks
+    assert plain_snapshot(one.boot) != plain_snapshot(other.boot)
+    for _ in range(2):
+        for graph in (one, other):
+            for state in (graph.boot, *graph.nodes.values()):
+                assert canonical_snapshot(state) == plain_snapshot(state)
