@@ -234,7 +234,7 @@ def verify_all(config: KernelConfig, bodies: dict[str, TaskBody], *,
     Deadlock freedom reads the strict graph (a service error is a dead end);
     the other properties observe error labels on the default
     continue-on-error graph.  The graphs are keyed up to counter rotation
-    unless a body calls SetAbsAlarm.
+    and alarm call order unless a body calls SetAbsAlarm.
     """
     selected = tuple(properties) if properties is not None else PROPERTY_ORDER
     unknown = [p for p in selected if p not in PROPERTY_ORDER]

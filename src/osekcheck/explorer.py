@@ -49,6 +49,16 @@ class Choice(Record):
     def __init__(self, order: tuple[str, ...]) -> None:
         self.order = order
 
+    # Written out rather than inherited: a choice keys the steps a graph's
+    # witnesses take.
+    def __eq__(self, other):
+        if other.__class__ is not Choice:
+            return NotImplemented
+        return self.order == other.order
+
+    def __hash__(self) -> int:
+        return hash((self.order,))
+
     def __str__(self) -> str:
         return "alarms:" + ",".join(self.order)
 
@@ -188,24 +198,33 @@ def render_trace(trace: Trace, fmt: str = "text") -> str:
     A state makes its snapshot once, on first use, from the task, alarm and
     label lines its program keeps (``model.canonical_snapshot``), so a
     state shown many times, in one trace or in several, costs one snapshot
-    and equal states share their lines.  The step lines still show each
-    step's own label, time amount included.
+    and equal states share their lines.  The step lines read each label's
+    text from the program too, but for a time label, which shows its own
+    amount.
     """
     shown = [state.snapshot() for state in trace.states]
     hashes = [name for _, name in shown]
     lines = [f"# trace steps={len(trace.states) - 1} "
              f"strict={'yes' if trace.strict else 'no'} "
              f"idle={trace.idle_mode}"]
+    program = trace.states[0].program
+    texts = program.label_texts
     for index, state in enumerate(trace.states):
         choice = trace.choices[index - 1] if index > 0 else None
+        label = state.last_label
         if fmt == "machine":
             lines.append(f"{index} {choice_text(choice)} "
-                         f"{_label_line(state.program, state.last_label)} "
-                         f"{hashes[index]}")
+                         f"{_label_line(program, label)} {hashes[index]}")
         else:
+            if label.kind == "time":
+                text = label_text(label)
+            else:
+                text = texts.get(label)
+                if text is None:
+                    text = texts[label] = label_text(label)
             mark = " <- loop target" if index == trace.lasso_start else ""
             lines.append(f"step {index:4d}  [{choice_text(choice)}]  "
-                         f"{label_text(state.last_label)}  "
+                         f"{text}  "
                          f"(counter={state.counter_value}, "
                          f"hash={hashes[index]}){mark}")
     if trace.lasso_start is not None:
@@ -243,10 +262,11 @@ class StateGraph(Record, frozen=False, uncompared=("steps",),
     """Deduplicated reachability graph over nodes ``0..n-1``, numbered in
     breadth-first discovery order.
 
-    A node is a state, or with ``rotate`` (keyed up to counter rotation)
-    the state's ``rotated`` form; ``boot`` is the concrete initial state
-    that every witness starts from.  ``steps`` keeps each concrete step that
-    a witness took, so witnesses that share a prefix step it once.
+    A node is a state, or with ``rotate`` (keyed up to counter rotation
+    and alarm call order) the state's ``rotated`` form; ``boot`` is the
+    concrete initial state that every witness starts from.  ``steps`` keeps
+    each concrete step that a witness took, so witnesses that share a
+    prefix step it once.
     """
 
     initial: int
@@ -371,14 +391,23 @@ def build_graph(config: KernelConfig, bodies: dict[str, TaskBody], *,
     Nodes are deduplicated by state value, so the graph is insensitive to
     the path that first reached a state.  Non-normal states receive their
     stutter self-loop and are not expanded further.  With ``rotate`` the
-    nodes are states up to counter rotation (``model.rotated``), which is
-    sound unless a body calls SetAbsAlarm.
+    nodes are states up to counter rotation and alarm call order
+    (``model.rotated``), which is sound unless a body calls SetAbsAlarm,
+    and an expiry batch has one successor per distinct outcome
+    (``kernel_core.expiry_outcomes``), not one per handling order.
     """
     def expand(state: KernelState):
         return successors(state, strict=strict, idle_mode=idle_mode)
 
     def expand_rotated(state: KernelState):
-        return [(choice, rotated(target)) for choice, target in expand(state)]
+        pending = (kernel_core.pending_expiries(state)
+                   if state.status == NORMAL else ())
+        if len(pending) < 2:
+            return [(choice, rotated(target))
+                    for choice, target in expand(state)]
+        return [(Choice(order), rotated(_freeze(target) if strict else target))
+                for order, target
+                in kernel_core.expiry_outcomes(state, pending)]
 
     boot = kernel_core.boot(config, bodies)
     return _explore(boot, rotated(boot) if rotate else boot,
@@ -399,7 +428,8 @@ def build_graphs(config: KernelConfig, bodies: dict[str, TaskBody],
     keys such a node by its continue-on-error node id.  A frozen state and
     its stutter twin are keyed by value: a frozen state is one per node,
     but two nodes with equal cells that failed alike share a stutter twin.
-    With ``rotate`` both graphs are keyed up to counter rotation.
+    With ``rotate`` both graphs are keyed up to counter rotation and alarm
+    call order; the key keeps the code strict error handling freezes on.
     """
     wanted = set(semantics)
     if wanted != {False, True}:

@@ -14,10 +14,12 @@ is applied by the explorer).  An alarm expiry makes its action's call, an
 ActivateTask, SetEvent or AlarmCallback call by the alarm, through the same
 table (AlarmCallback has no effect and returns E_OK), and the batch's label
 records the calls.  ``expiry_successors`` handles a batch in every order,
-applying each expiry once per distinct intermediate state.  Boot is StartOS:
-the ActivateTask and SetRelAlarm calls of the autostart tasks and alarms,
-then a dispatch.  Scheduler signal handling (expiry actions,
-pending-activation release, rescheduling) consumes no time.
+applying each expiry once per distinct intermediate state;
+``expiry_outcomes`` gives one order per distinct outcome up to call order,
+handling the batch by subsets.  Boot is StartOS: the ActivateTask and
+SetRelAlarm calls of the autostart tasks and alarms, then a dispatch.
+Scheduler signal handling (expiry actions, pending-activation release,
+rescheduling) consumes no time.
 """
 
 from __future__ import annotations
@@ -29,8 +31,8 @@ from .model import (BOOT_LABEL, E_OK, E_OS_ACCESS, E_OS_LIMIT, E_OS_NOFUNC,
                     E_OS_RESOURCE, E_OS_STATE, NORMAL, READY, RUNNING,
                     SCHEDULE_SIGNAL, SUSPENDED, WAITING, AlarmCell, Call,
                     KernelState, Program, TaskCell, TransitionLabel,
-                    alarmed_signal, enqueue, peek_highest, pop_highest,
-                    with_cell)
+                    _call_key, alarmed_signal, enqueue, peek_highest,
+                    pop_highest, with_cell)
 from .oil_config import FULL, KernelConfig
 from .task_lang import TaskBody, TimeInterval, WhileTrue
 
@@ -452,6 +454,46 @@ def expiry_successors(state: KernelState, pending: tuple[str, ...]
         out.append((order, _batch_labelled(state, tuple(calls))))
         previous = order
     return out
+
+
+def expiry_outcomes(state: KernelState, pending: tuple[str, ...]
+                    ) -> list[tuple[tuple[str, ...], KernelState]]:
+    """One ``(order, handle_expiries(state, order))`` per distinct outcome
+    up to call order (``model.rotated``'s key of the batch's label): the
+    ``expiry_successors`` list without the outcomes that an earlier order
+    in it already reached up to that key.
+
+    The batch is handled by subsets, one alarm more each layer.  A layer
+    maps each state reached with its calls up to order to that state, the
+    first order that reached it and that order's calls, so it grows with
+    the distinct intermediate states, not with the orders.  Its entries are
+    listed by their orders, and each is extended by the alarms in
+    ``pending`` order, so the first order to reach a key is the first in
+    ``itertools.permutations(pending)`` to reach it: every prefix of that
+    order is the first to reach its own key.  Two entries can share a
+    state whose calls differ, so each alarm's expiry is applied once per
+    distinct state (the memo lives for one call).
+    """
+    expired: dict[tuple[KernelState, str], tuple[KernelState, Call]] = {}
+    layer: dict = {None: (_without_expiries(state, pending), (), ())}
+    for _ in pending:
+        longer_layer: dict = {}
+        for reached, order, calls in layer.values():
+            for alarm_id in pending:
+                if alarm_id in order:
+                    continue
+                step = expired.get((reached, alarm_id))
+                if step is None:
+                    step = expired[reached, alarm_id] = _expire(reached,
+                                                                alarm_id)
+                after, call = step
+                longer = calls + (call,)
+                key = (after, _call_key(longer))
+                if key not in longer_layer:
+                    longer_layer[key] = (after, order + (alarm_id,), longer)
+        layer = longer_layer
+    return [(order, _batch_labelled(reached, calls))
+            for reached, order, calls in layer.values()]
 
 
 def multiactivation_candidate(state: KernelState) -> str | None:

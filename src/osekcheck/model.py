@@ -17,8 +17,9 @@ are slotted records that are never changed; every transition builds a new
 state, and two states are the same state exactly when they are equal (the
 program and time-advance amounts are not compared).  A state computes its
 hash once.  ``rotated`` maps a state to its representative up to where the
-counter stands.  ``canonical_snapshot`` renders the cells, with the static
-columns and code text of the program, as stable text for printed traces.
+counter stands and up to the order in which an expiry batch made its calls.
+``canonical_snapshot`` renders the cells, with the static columns and code
+text of the program, as stable text for printed traces.
 The program keeps each task, alarm and label line once it is made, so a
 snapshot formats only the lines of the state's own scalar cells and looks
 up the rest; the kept lines live as long as the program, one boot.
@@ -222,14 +223,17 @@ class Program:
     the end of its body).  ``snapshot_lines``, empty at boot, maps each task
     cell, alarm cell and label that a snapshot has shown to its finished
     line (a label to its ``canonical_label`` text), so each distinct one is
-    formatted once per program.  A cell's line also shows the program's
-    columns, so these lines are never shared with another program.
+    formatted once per program; ``label_texts`` likewise maps each label
+    but a time label to its ``label_text`` line in trace listings.  A cell's
+    line also shows the program's columns, so these lines are never shared
+    with another program.
     """
 
     __slots__ = ("config", "task_ids", "task_index", "alarm_ids",
                  "alarm_index", "priority", "max_activations", "schedule",
                  "events", "resources", "ceiling", "modulus", "min_cycle",
-                 "alarm_action", "code", "code_text", "snapshot_lines")
+                 "alarm_action", "code", "code_text", "snapshot_lines",
+                 "label_texts")
 
     def __init__(self, config: KernelConfig, bodies: dict[str, TaskBody]):
         tasks = tuple(config.tasks.values())
@@ -266,6 +270,7 @@ class Program:
             for code in self.code)
         self.snapshot_lines: dict[TaskCell | AlarmCell | TransitionLabel,
                                   str] = {}
+        self.label_texts: dict[TransitionLabel, str] = {}
 
 
 def _code_text(code: tuple[CodeEntry, ...], pc: int, residue: int) -> str:
@@ -414,16 +419,20 @@ def stutterize(state: KernelState, status: str | None = None) -> KernelState:
 
 
 def rotated(state: KernelState) -> KernelState:
-    """``state`` up to counter rotation: counter 0, each armed alarm's time
-    moved back by the counter value (modulo ``MAXALLOWEDVALUE + 1``), and
-    each disarmed alarm's time and cycle cleared.
+    """``state`` up to counter rotation and up to alarm call order: counter
+    0, each armed alarm's time moved back by the counter value (modulo
+    ``MAXALLOWEDVALUE + 1``), each disarmed alarm's time and cycle cleared,
+    and an expiry batch's calls in ``_call_key`` order.
 
     Adding one amount to the counter and to every armed alarm time maps the
     transition system onto itself, since the rules read the counter only
     through an armed alarm's distance from it; ``SetAbsAlarm`` and the
     ``counter_eq`` proposition are the exceptions.  A disarmed alarm's time
-    and cycle are never read before arming sets them again.  A state that
-    is already in this form is returned as it is.
+    and cycle are never read before arming sets them again.  No rule reads
+    the label, and the propositions and monitors read an alarm label's calls
+    as a set, except strict error handling, which freezes on the status of
+    the first failing call; the key keeps a call with that status first.  A
+    state that is already in this form is returned as it is.
     """
     counter = state.counter_value
     modulus = state.program.modulus
@@ -439,11 +448,30 @@ def rotated(state: KernelState) -> KernelState:
             cell = AlarmCell(cell.id, None, 0)
         alarms.append(cell)
     alarms = tuple(alarms)
-    if not counter and alarms == state.alarms:
+    label = state.last_label
+    if len(label.calls) > 1:  # only an expiry batch makes several calls
+        calls = _call_key(label.calls)
+        if calls != label.calls:
+            label = TransitionLabel("alarm", calls)
+    if not counter and alarms == state.alarms and label is state.last_label:
         return state
     return KernelState(state.program, state.tasks, state.ready, state.running,
-                       state.signals, 0, working, alarms, state.last_label,
+                       state.signals, 0, working, alarms, label,
                        state.status)
+
+
+def _call_key(calls: tuple[Call, ...]) -> tuple[Call, ...]:
+    """An expiry batch's calls up to handling order, in alarm-id order, but
+    with the first failing call's status first: the first call is then the
+    lowest-id call that failed with it, so strict error handling freezes the
+    key on the code it froze the batch on."""
+    ordered = tuple(sorted(calls))
+    for call in calls:
+        if call.status != E_OK:
+            for index, first in enumerate(ordered):
+                if first.status == call.status:
+                    return (first,) + ordered[:index] + ordered[index + 1:]
+    return ordered
 
 
 # ---------------------------------------------------------------------------

@@ -217,8 +217,8 @@ class TestMonitorEngine:
 
 
 def test_deadlock_freedom_steps_only_its_witness(monkeypatch):
-    """The harmonic app has 8 strict dead ends; DF steps its 13-step
-    witness and no other."""
+    """The harmonic app has 4 strict dead ends up to alarm call order (8
+    concrete ones); DF steps its 13-step witness and no other."""
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent
                                     / "perfbench"))
     import harmonic
@@ -232,7 +232,7 @@ def test_deadlock_freedom_steps_only_its_witness(monkeypatch):
 
     monkeypatch.setattr(explorer, "step", counting)
     df = verify_all(config, bodies, properties=("DF",))["DF"]
-    assert df.detail.startswith("8 dead end(s); shortest witness has 13 ")
+    assert df.detail.startswith("4 dead end(s); shortest witness has 13 ")
     assert len(stepped) == len(df.witness.states) - 1 == 13
 
 

@@ -4,17 +4,19 @@ from __future__ import annotations
 
 import inspect
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import changed, check_invariants, make_app
-from osekcheck import kernel_core, explorer
+from helpers import (ACTIONS_OIL, ACTIONS_TSK, COINCIDE_OIL, COINCIDE_TSK,
+                     changed, check_invariants, make_app, random_app)
+from osekcheck import kernel_core, explorer, timing
 from osekcheck.model import (E_OK, E_OS_ACCESS, E_OS_LIMIT, E_OS_NOFUNC,
-                             E_OS_RESOURCE, E_OS_STATE, READY, RUNNING,
-                             SCHEDULE_SIGNAL, SUSPENDED, WAITING,
-                             Call, alarmed_signal, error_status)
+                             E_OS_RESOURCE, E_OS_STATE, NORMAL, READY,
+                             RUNNING, SCHEDULE_SIGNAL, SUSPENDED, WAITING,
+                             Call, alarmed_signal, error_status, rotated)
 from osekcheck.task_lang import SERVICES, CallService
 
 OIL = """
@@ -546,6 +548,58 @@ class TestExpiries:
                               strict=True)
         assert after.status == error_status(E_OS_LIMIT)
         assert len(after.last_label.calls) == 2
+
+
+def batch_apps(monkeypatch):
+    """Harmonic K=4-6, the alarm-action and six-alarm apps and random_app
+    seeds 0-999."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent
+                                    / "perfbench"))
+    import harmonic
+    for alarms in (4, 5, 6):
+        monkeypatch.setattr(harmonic, "N_ALARMS", alarms)
+        yield f"harmonic K={alarms}", harmonic.generate(1)[:2]
+    yield "actions", (ACTIONS_OIL, ACTIONS_TSK)
+    yield "coincide", (COINCIDE_OIL, COINCIDE_TSK)
+    for seed in range(1000):
+        yield f"random_app:{seed}", random_app(random.Random(seed))
+
+
+def test_outcomes_are_the_orders_up_to_call_order(monkeypatch):
+    """On every normal state with two or more pending expiries, in both
+    error semantics and both idle modes: ``expiry_outcomes`` is
+    ``expiry_successors`` without the outcomes an earlier order reached up
+    to ``rotated``, the same orders and states in the same order, and
+    strict error handling freezes its outcomes on the codes it froze the
+    orders on."""
+    batches = 0
+    for name, app in batch_apps(monkeypatch):
+        config, bodies = make_app(*app)
+        states = {}
+        for idle_mode in timing.IDLE_MODES:
+            for graph in explorer.build_graphs(config, bodies, (False, True),
+                                               idle_mode=idle_mode).values():
+                states.update((state, None) for state in graph.nodes.values()
+                              if state.status == NORMAL and len(
+                                  kernel_core.pending_expiries(state)) > 1)
+        for state in states:
+            pending = kernel_core.pending_expiries(state)
+            orders = kernel_core.expiry_successors(state, pending)
+            seen, expected = set(), []
+            for order, target in orders:
+                if rotated(target) not in seen:
+                    seen.add(rotated(target))
+                    expected.append((order, target))
+            outcomes = kernel_core.expiry_outcomes(state, pending)
+            assert outcomes == expected, (name, state)
+            assert ({explorer._freeze(target).status for _, target in orders}
+                    == {explorer._freeze(target).status
+                        for _, target in outcomes}), (name, state)
+            for _, target in outcomes:
+                assert explorer._freeze(rotated(target)).status == \
+                    explorer._freeze(target).status, (name, state)
+            batches += 1
+    assert batches > 700
 
 
 # ==== scheduling ===========================================================

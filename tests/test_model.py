@@ -11,8 +11,8 @@ import pytest
 
 from helpers import make_app
 from osekcheck import kernel_core, timing
-from osekcheck.model import (Call, TransitionLabel, canonical_label,
-                             label_text, stutterize)
+from osekcheck.model import (Call, TransitionLabel, _call_key,
+                             canonical_label, label_text, stutterize)
 
 OIL = """
 COUNTER C { MAXALLOWEDVALUE = 15; MINCYCLE = 1; SYSTEM = TRUE; };
@@ -139,3 +139,20 @@ def test_labels_equal_up_to_their_amount_and_only_each_other():
         assert label != other and other != label
         assert not label == other and not other == label
     assert label not in set(lookalikes) and not {label} & set(lookalikes)
+
+
+def test_batch_calls_keyed_on_the_first_failing_code():
+    """Up to handling order, a batch's calls are in alarm-id order, but the
+    lowest-id call with the first failing call's code comes first."""
+    ok, limit, state, limit_too = (
+        Call(alarm, "ActivateTask", ("T",), status) for alarm, status in
+        (("A", "E_OK"), ("B", "E_OS_LIMIT"), ("C", "E_OS_STATE"),
+         ("D", "E_OS_LIMIT")))
+    assert _call_key((limit_too, ok)) == (limit_too, ok)
+    assert _call_key((ok, state, limit_too, limit)) == \
+        (state, ok, limit, limit_too)
+    for calls in ((limit_too, state, ok, limit),
+                  (ok, limit, state, limit_too)):
+        assert _call_key(calls) == (limit, ok, state, limit_too)
+    assert _call_key((ok, ok._replace(by="E"))) == \
+        _call_key((ok._replace(by="E"), ok)) == (ok, ok._replace(by="E"))

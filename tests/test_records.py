@@ -46,6 +46,18 @@ def test_hash_is_the_hash_of_the_compared_fields():
     assert hash(label) == hash(("service", (call,), None, "x"))
 
 
+def test_choices_equal_only_each_other():
+    order = ("A1", "A2")
+    assert Choice(order) == Choice(("A1", "A2")) and \
+        not Choice(order) != Choice(order)
+    assert Choice(order) != Choice(("A2", "A1"))
+    # a tuple of the compared fields hashes alike, but is not equal
+    for other in ((order,), order):
+        assert Choice(order) != other and other != Choice(order)
+        assert not Choice(order) == other and not other == Choice(order)
+    assert Choice(order) not in {(order,)}
+
+
 def test_label_amount_is_left_out_of_equality():
     idle = TransitionLabel(kind="time", amount=1, reason="idle")
     longer = TransitionLabel(kind="time", amount=7, reason="idle")

@@ -3,11 +3,13 @@
 ``ltlmc`` and ``conform`` explore graphs keyed on ``model.rotated`` unless
 a body calls SetAbsAlarm or a formula reads the counter; every witness is
 stepped from the concrete boot state by its choices.  The differential test
-checks the rotation graphs against the concrete ones on random_app 0-999.
+checks the rotation graphs against the concrete ones on random_app 0-999,
+the six-alarm app and harmonic K=4-6.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 import re
 import sys
@@ -16,13 +18,14 @@ from pathlib import Path
 import pytest
 
 from helpers import (ABS_OIL, ABS_TSK, ACTIONS_OIL, ACTIONS_TSK,
-                     COINCIDE_OIL, COINCIDE_TSK, LOOP_OIL, LOOP_TSK, make_app,
-                     random_app)
+                     COINCIDE_LTL, COINCIDE_OIL, COINCIDE_TSK, LOOP_OIL,
+                     LOOP_TSK, make_app, random_app)
 from osekcheck import cli, conformance, explorer, kernel_core, ltl, timing
 from osekcheck.model import AlarmCell, rotated
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
+import harmonic  # noqa: E402
 from workloads import RANDOM_FORMULAS  # noqa: E402
 
 FORMULAS = ltl.parse_formula_file(RANDOM_FORMULAS)
@@ -83,6 +86,34 @@ class TestRotatedKey:
         assert rotated(boot) is boot
 
 
+def test_batch_calls_keyed_up_to_order_but_the_first_failing_code():
+    """The six orders of the alarm-action app's first batch: Kick's SETEVENT
+    fails with E_OS_STATE unless Go activated Ext before it.  The key sorts
+    the calls by alarm, but puts a call with the first failing code first,
+    so strict error handling freezes every order's key as it froze the
+    order."""
+    state = kernel_core.boot(*make_app(ACTIONS_OIL, ACTIONS_TSK))
+    while len(kernel_core.pending_expiries(state)) < 3:
+        state = explorer.step(state)
+    keys = {}
+    for order in itertools.permutations(("Go", "Kick", "Tock")):
+        target = kernel_core.handle_expiries(state, order)
+        key = rotated(target)
+        assert key.counter_value == 0 and rotated(key) is key
+        assert sorted(key.last_label.calls) == sorted(target.last_label.calls)
+        assert explorer._freeze(key).status == \
+            explorer._freeze(target).status
+        keys.setdefault(key.last_label, []).append(order)
+    assert [[(c.by, c.status) for c in label.calls] for label in keys] == [
+        [("Go", "E_OK"), ("Kick", "E_OK"), ("Tock", "E_OK")],
+        [("Kick", "E_OS_STATE"), ("Go", "E_OK"), ("Tock", "E_OK")]]
+    assert list(keys.values()) == [
+        [("Go", "Kick", "Tock"), ("Go", "Tock", "Kick"),
+         ("Tock", "Go", "Kick")],
+        [("Kick", "Go", "Tock"), ("Kick", "Tock", "Go"),
+         ("Tock", "Kick", "Go")]]
+
+
 CANNED = {"loops": (LOOP_OIL, LOOP_TSK), "actions": (ACTIONS_OIL, ACTIONS_TSK),
           "coincide": (COINCIDE_OIL, COINCIDE_TSK)}
 
@@ -115,13 +146,15 @@ def assert_refuted(formula, trace):
                                                                    state))
 
 
-def check_formulas(config, bodies, rotate, idle_mode=timing.JUMP):
-    """The random-sweep formulas' verdicts; each lasso is checked."""
+def check_formulas(config, bodies, rotate, idle_mode=timing.JUMP,
+                   formulas=FORMULAS):
+    """The formulas' verdicts, by default the random sweep's; each lasso is
+    checked."""
     graphs = explorer.build_graphs(
-        config, bodies, {ltl.mentions_deadlock(f) for _, f in FORMULAS},
+        config, bodies, {ltl.mentions_deadlock(f) for _, f in formulas},
         idle_mode=idle_mode, rotate=rotate)
     verdicts = {}
-    for name, formula in FORMULAS:
+    for name, formula in formulas:
         graph = graphs[ltl.mentions_deadlock(formula)]
         result = ltl.model_check(ltl.KernelGraphView(graph), formula)
         verdicts[name] = result.verdict
@@ -178,19 +211,33 @@ def verify(config, bodies, monkeypatch, rotate, idle_mode):
     return {pid: result.verdict for pid, result in results.items()}
 
 
+def verdict_apps(seeds, monkeypatch):
+    """random_app seeds ``0..seeds-1`` with the random sweep's formulas, then
+    the six-alarm app and harmonic K=4-6 (720 handling orders a batch at
+    most) with their own."""
+    for seed in range(seeds):
+        yield seed, make_app(*random_app(random.Random(seed))), FORMULAS
+    yield ("coincide", make_app(COINCIDE_OIL, COINCIDE_TSK),
+           ltl.parse_formula_file(COINCIDE_LTL))
+    for alarms in (4, 5, 6):
+        monkeypatch.setattr(harmonic, "N_ALARMS", alarms)
+        oil, tsk, formulas = harmonic.generate(1)
+        yield (f"harmonic K={alarms}", make_app(oil, tsk),
+               ltl.parse_formula_file(formulas))
+
+
 @pytest.mark.parametrize("idle_mode, seeds", [(timing.JUMP, 1000),
                                               (timing.UNIT, 250)])
 def test_rotation_keeps_every_verdict_on_random_apps(monkeypatch, idle_mode,
                                                      seeds):
     """Rotation against concrete keys: the same verdicts and truncation,
     and every witness replays and refutes its property."""
-    for seed in range(seeds):
-        config, bodies = make_app(*random_app(random.Random(seed)))
-        assert ltl.rotation_sound(bodies, (f for _, f in FORMULAS))
+    for name, (config, bodies), formulas in verdict_apps(seeds, monkeypatch):
+        assert ltl.rotation_sound(bodies, (f for _, f in formulas))
         assert verify(config, bodies, monkeypatch, True, idle_mode) == \
-            verify(config, bodies, monkeypatch, False, idle_mode), seed
-        assert check_formulas(config, bodies, True, idle_mode) == \
-            check_formulas(config, bodies, False, idle_mode), seed
+            verify(config, bodies, monkeypatch, False, idle_mode), name
+        assert check_formulas(config, bodies, True, idle_mode, formulas) == \
+            check_formulas(config, bodies, False, idle_mode, formulas), name
 
 
 # ==== where the concrete key stays ==========================================

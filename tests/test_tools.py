@@ -44,7 +44,9 @@ FROZEN_GRAPHS = Path(__file__).with_name("frozen_graphs.txt")
 # ``tests/helpers``, the harmonic app (seed 1) and random_app seeds 0-99,
 # recorded while ME, PIF and MAF scanned the nodes, PE ran its own search
 # and DF traced every dead end; they pin each property's verdict, detail
-# and witness (its step count and the hash of its last state).
+# and witness (its step count and the hash of its last state).  Keying the
+# checked graphs up to alarm call order changed only state counts and DF's
+# dead-end counts, and those lines were recorded again.
 FROZEN_CONFORM = Path(__file__).with_name("frozen_conform.txt")
 
 
@@ -58,6 +60,22 @@ def test_graph_line_counts_the_graph():
     assert truncated == "0"
     assert len(digest) == 32
     assert graph_digest.graph_line(config, bodies, timing.JUMP, False) == line
+
+
+def test_checking_lines_digest_the_graphs_conform_checks():
+    """Keyed up to rotation and call order where that is sound; the
+    absolute-alarm app's checking graphs are its concrete graphs."""
+    config, bodies = make_app(ACTIONS_OIL, ACTIONS_TSK)
+    graphs = explorer.build_graphs(config, bodies, (False, True),
+                                   rotate=True)
+    lines = graph_digest.checking_lines(config, bodies, timing.JUMP)
+    assert {strict: int(line.split()[0]) for strict, line in lines.items()} \
+        == {strict: len(graph.nodes) for strict, graph in graphs.items()}
+    config, bodies = make_app(ABS_OIL, ABS_TSK)
+    for idle_mode in timing.IDLE_MODES:
+        assert graph_digest.checking_lines(config, bodies, idle_mode) == {
+            strict: graph_digest.graph_line(config, bodies, idle_mode, strict)
+            for strict in (False, True)}
 
 
 def test_digest_covers_exit_code_output_and_written_files(tmp_path):

@@ -5,7 +5,11 @@ node and edge counts, and for every node the same snapshot text, edges
 (choice and target) and parent (node and choice).  This is the differential
 check for refactors of the state or the explorer.  Each line covers one app
 in one idle mode (``jump``, ``unit``) and one error semantics (continue,
-strict).  The apps are both corpus configurations, the harmonic-alarm app of
+strict).  Each app's concrete graphs come first; then the ``checking``
+lines digest the graphs that ``conform`` checks, built as
+``conformance.verify_all`` builds them: keyed up to counter rotation and
+alarm call order unless a body calls SetAbsAlarm.  The apps are both
+corpus configurations, the harmonic-alarm app of
 ``perfbench/harmonic.py`` (seed 1), the loop-shape app, the alarm-action
 app (ACTIVATETASK, SETEVENT and ALARMCALLBACK expiring together), the
 six-alarm app (720 handling orders per batch) and the absolute-alarm app (a
@@ -38,13 +42,26 @@ import harmonic  # noqa: E402
 from helpers import (ABS_OIL, ABS_TSK, ACTIONS_OIL,  # noqa: E402
                      ACTIONS_TSK, COINCIDE_OIL, COINCIDE_TSK, LOOP_OIL,
                      LOOP_TSK, make_app, random_app)
-from osekcheck import explorer, timing  # noqa: E402
+from osekcheck import explorer, ltl, timing  # noqa: E402
 from osekcheck.model import canonical_snapshot  # noqa: E402
 
 
 def graph_line(config, bodies, idle_mode: str, strict: bool) -> str:
-    graph = explorer.build_graph(config, bodies, idle_mode=idle_mode,
-                                 strict=strict)
+    return digest_line(explorer.build_graph(config, bodies,
+                                            idle_mode=idle_mode,
+                                            strict=strict))
+
+
+def checking_lines(config, bodies, idle_mode: str) -> dict[bool, str]:
+    """The lines of the graphs that ``conformance.verify_all`` checks, keyed
+    by error semantics (``True`` is strict)."""
+    graphs = explorer.build_graphs(config, bodies, (False, True),
+                                   idle_mode=idle_mode,
+                                   rotate=ltl.rotation_sound(bodies))
+    return {strict: digest_line(graph) for strict, graph in graphs.items()}
+
+
+def digest_line(graph) -> str:
     digest = hashlib.sha256()
     edges = 0
     for node, state in graph.nodes.items():
@@ -88,6 +105,11 @@ def main() -> int:
                 print(f"{name} {idle_mode} strict={int(strict)} "
                       f"{graph_line(config, bodies, idle_mode, strict)}",
                       flush=True)
+        for idle_mode in timing.IDLE_MODES:
+            for strict, line in checking_lines(config, bodies,
+                                               idle_mode).items():
+                print(f"{name} {idle_mode} checking strict={int(strict)} "
+                      f"{line}", flush=True)
     return 0
 
 
