@@ -19,7 +19,7 @@ import sys
 from pathlib import Path
 
 from . import explorer, kernel_core, timing
-from .model import ALLIDLE, DEADLOCK, NORMAL
+from .model import ALLIDLE, DEADLOCK, NORMAL, rotated
 from .oil_config import KernelConfig, OilError, parse_oil
 from .task_lang import TaskBody, parse_task_file
 
@@ -99,9 +99,11 @@ def _emit_trace(trace: explorer.Trace, fmt: str, out: Path | None,
 def cmd_run(args: argparse.Namespace) -> int:
     config, bodies = _load_app(args.config, args.tasks)
     state = kernel_core.boot(config, bodies)
+    modulus = state.program.modulus
+    key = rotated if explorer.rotation_sound(bodies) else (lambda s: s)
     states = [state]
-    first_index = {state: 0}
-    outcome = None
+    first_index = {key(state): 0}
+    outcome = lasso_start = rotation = None
     for _ in range(args.bound):
         if state.status != NORMAL:
             outcome = state.status
@@ -111,28 +113,34 @@ def cmd_run(args: argparse.Namespace) -> int:
         if result.status in (ALLIDLE, DEADLOCK):
             outcome = result.status
             break
+        first = first_index.setdefault(key(result), len(states))
+        if first < len(states):
+            # A strict step reads only the compared cells and commutes with
+            # rotation, so the run goes round states[first:] for ever, each
+            # round moving the counter as far as this one.
+            lasso_start = first
+            if result != states[first]:
+                rotation = ((result.counter_value
+                             - states[first].counter_value) % modulus)
+            break
         state = result
         states.append(state)
-        first = first_index.setdefault(state, len(states) - 1)
-        if first < len(states) - 1:
-            # A strict step reads only the compared cells, so the run goes
-            # round the cycle states[first + 1:] until the bound; the state
-            # just stepped keeps its own label amount for the next rounds.
-            period = len(states) - 1 - first
-            while len(states) <= args.bound:
-                states.append(states[-period])
-            state = states[-1]
-            break
-    trace = explorer.Trace(tuple(states), (None,) * (len(states) - 1),
-                           strict=True, idle_mode=args.idle_tick_mode)
+    choices = (None,) * (len(states) - (lasso_start is None))
+    trace = explorer.Trace(tuple(states), choices, lasso_start, strict=True,
+                           idle_mode=args.idle_tick_mode, rotation=rotation)
     _emit_trace(trace, args.trace_format, _out_dir(args), "run")
-    steps = len(states) - 1
+    steps, counter = len(states) - 1, state.counter_value
+    if lasso_start is not None:
+        steps = args.bound
+        rounds, offset = divmod(steps - lasso_start,
+                                len(states) - lasso_start)
+        counter = (states[lasso_start + offset].counter_value
+                   + rounds * (rotation or 0)) % modulus
     if outcome is None:
         print(f"result: step bound {args.bound} exhausted after {steps} "
-              f"steps (counter={state.counter_value})")
+              f"steps (counter={counter})")
         return EXIT_BOUND
-    print(f"result: {outcome} after {steps} steps "
-          f"(counter={state.counter_value})")
+    print(f"result: {outcome} after {steps} steps (counter={counter})")
     return EXIT_OK if outcome == ALLIDLE else EXIT_VIOLATION
 
 

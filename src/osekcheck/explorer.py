@@ -21,7 +21,7 @@ from .model import (ALLIDLE, DEADLOCK, E_OK, NORMAL, SCHEDULE_SIGNAL,
                     canonical_snapshot, error_status, label_text, rotated,
                     stutterize)
 from .oil_config import Fresh, KernelConfig, Record
-from .task_lang import TaskBody
+from .task_lang import CallService, TaskBody
 
 
 MAX_STATES = 500_000
@@ -65,6 +65,15 @@ class Choice(Record):
 
 def choice_text(choice: Choice | None) -> str:
     return str(choice) if choice is not None else "-"
+
+
+def rotation_sound(bodies: dict[str, TaskBody]) -> bool:
+    """May runs of these bodies be keyed up to counter rotation
+    (``model.rotated``)?  Not when a body sets an alarm to an absolute time
+    with SetAbsAlarm."""
+    return not any(entry.statement.__class__ is CallService
+                   and entry.statement.name == "SetAbsAlarm"
+                   for body in bodies.values() for entry in body.code)
 
 
 # ---------------------------------------------------------------------------

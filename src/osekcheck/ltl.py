@@ -28,11 +28,12 @@ import re
 from collections import deque
 from collections.abc import Iterable
 
+from . import explorer
 from .model import (E_OK, ERROR_CODES, Call, KernelState, alarmed_signal,
                     error_status, is_deadlocked)
 from .oil_config import (Cursor, KernelConfig, ParseError, Record, int_value,
                          tokenize)
-from .task_lang import CallService, TaskBody
+from .task_lang import TaskBody
 
 # ---------------------------------------------------------------------------
 # formula AST
@@ -304,13 +305,11 @@ def rotation_sound(bodies: dict[str, TaskBody],
                    formulas: Iterable[Formula] = ()) -> bool:
     """May the application be checked on states up to counter rotation
     (``model.rotated``)?  Not when a body sets an alarm to an absolute time
-    with SetAbsAlarm, nor when a formula reads the counter's value."""
-    return not (
-        any(entry.statement.__class__ is CallService
-            and entry.statement.name == "SetAbsAlarm"
-            for body in bodies.values() for entry in body.code)
-        or any(p.name == "counter_eq"
-               for formula in formulas for p in iter_props(formula)))
+    (``explorer.rotation_sound``), nor when a formula reads the counter's
+    value."""
+    return explorer.rotation_sound(bodies) and not any(
+        p.name == "counter_eq"
+        for formula in formulas for p in iter_props(formula))
 
 
 def eval_prop(prop: Prop, state: KernelState) -> bool:

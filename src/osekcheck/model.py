@@ -128,6 +128,8 @@ class TransitionLabel(Record, uncompared=("amount",)):
     reason: str | None = None  # time: "interval" | "idle" | "loop" | "stutter"
     detail: str | None = None
 
+    __slots__ = ("kind", "calls", "amount", "reason", "detail", "_hash")
+
     def __init__(self, kind: str, calls: tuple[Call, ...] = (),
                  amount: int = 0, reason: str | None = None,
                  detail: str | None = None) -> None:
@@ -136,10 +138,11 @@ class TransitionLabel(Record, uncompared=("amount",)):
         self.amount = amount
         self.reason = reason
         self.detail = detail
+        self._hash = None
 
     # Written out rather than inherited: a label is hashed with every state
     # and compared on every dedup hit, and it keys its program's snapshot
-    # lines.
+    # lines, so it computes its hash once, on first use, as a state does.
     def __eq__(self, other):
         if other.__class__ is not TransitionLabel:
             return NotImplemented
@@ -148,7 +151,10 @@ class TransitionLabel(Record, uncompared=("amount",)):
                 and self.detail == other.detail)
 
     def __hash__(self) -> int:
-        return hash((self.kind, self.calls, self.reason, self.detail))
+        if self._hash is None:
+            self._hash = hash((self.kind, self.calls, self.reason,
+                               self.detail))
+        return self._hash
 
 
 BOOT_LABEL = TransitionLabel(kind="boot")

@@ -326,6 +326,43 @@ def run_deterministic(config, bodies, *, bound: int = 500, strict: bool = True,
     return states, None
 
 
+def unrolled_run(config, bodies, *, bound: int = 10_000,
+                 idle_mode: str = "jump") -> tuple[int, str]:
+    """The exit code and ``result:`` line of ``osekcheck run``, worked out
+    the way ``run`` did before it printed its lasso: step strictly, and once
+    a state repeats exactly, unroll the cycle to ``bound`` steps."""
+    from osekcheck import kernel_core
+
+    state = kernel_core.boot(config, bodies)
+    states = [state]
+    first_index = {state: 0}
+    outcome = None
+    for _ in range(bound):
+        if state.status != NORMAL:
+            outcome = state.status
+            break
+        result = explorer.step(state, None, strict=True, idle_mode=idle_mode)
+        if result.status in (ALLIDLE, DEADLOCK):
+            outcome = result.status
+            break
+        state = result
+        states.append(state)
+        first = first_index.setdefault(state, len(states) - 1)
+        if first < len(states) - 1:
+            period = len(states) - 1 - first
+            while len(states) <= bound:
+                states.append(states[-period])
+            state = states[-1]
+            break
+    steps = len(states) - 1
+    if outcome is None:
+        return 3, (f"result: step bound {bound} exhausted after {steps} "
+                   f"steps (counter={state.counter_value})")
+    return (0 if outcome == ALLIDLE else 2,
+            f"result: {outcome} after {steps} steps "
+            f"(counter={state.counter_value})")
+
+
 # ==== random application generator =========================================
 
 

@@ -13,13 +13,12 @@ import pytest
 
 from conftest import (EMS_LTL, EMS_OIL, EMS_PROPS, EMS_REPAIRED_OIL,
                       EMS_REPORT, EMS_TSK)
-from helpers import ACTIONS_OIL, ACTIONS_TSK, MINI_OIL, MINI_TSK, random_app
+from helpers import (ACTIONS_OIL, ACTIONS_TSK, MINI_OIL, MINI_TSK, make_app,
+                     random_app, unrolled_run)
 from osekcheck import explorer, kernel_core, timing
 from osekcheck.cli import main
 from osekcheck.conformance import PROPERTY_ORDER
-from osekcheck.model import NORMAL
-from osekcheck.oil_config import parse_oil
-from osekcheck.task_lang import parse_task_file
+from osekcheck.model import NORMAL, label_text, rotated
 
 
 def run_cli(capsys, *argv) -> tuple[int, str, str]:
@@ -68,58 +67,85 @@ class TestRun:
 
 
 def assert_run_prints_stepped_trace(capsys, oil, tsk, bound, idle_mode):
-    """``run`` prints the trace of ``bound`` strict steps, for runs that
-    never rest."""
-    config = parse_oil(Path(oil).read_text())
-    state = kernel_core.boot(config, parse_task_file(Path(tsk).read_text(),
-                                                     config))
+    """``run`` prints the strict steps of a run that never rests, up to
+    ``bound`` steps or up to its first state equal to an earlier one up to
+    ``model.rotated``: then the prefix and one round of the cycle, closed on
+    that earlier state by a ``# lasso:`` line.  Its result line is that of
+    the run unrolled to ``bound`` steps.  Returns the trace printed."""
+    config, bodies = make_app(Path(oil).read_text(), Path(tsk).read_text())
+    state = kernel_core.boot(config, bodies)
     states = [state]
+    keys = [rotated(state)]
+    lasso_start = rotation = None
     for _ in range(bound):
         state = explorer.step(state, strict=True, idle_mode=idle_mode)
+        assert state.status == NORMAL
+        if rotated(state) in keys:
+            lasso_start = keys.index(rotated(state))
+            target = states[lasso_start]
+            if state != target:
+                rotation = ((state.counter_value - target.counter_value)
+                            % state.program.modulus)
+            break
         states.append(state)
-    assert state.status == NORMAL
-    trace = explorer.Trace(tuple(states), (None,) * bound, strict=True,
-                           idle_mode=idle_mode)
+        keys.append(rotated(state))
+    choices = (None,) * (len(states) - (lasso_start is None))
+    trace = explorer.Trace(tuple(states), choices, lasso_start, strict=True,
+                           idle_mode=idle_mode, rotation=rotation)
+    explorer.replay(trace)
+    code, result = unrolled_run(config, bodies, bound=bound,
+                                idle_mode=idle_mode)
+    assert code == 3
     for fmt in ("text", "machine"):
-        code, out, _ = run_cli(capsys, "run", oil, tsk, "--bound", bound,
-                               "--idle-tick-mode", idle_mode,
-                               "--trace-format", fmt)
-        assert code == 3
-        assert out == (f"{explorer.render_trace(trace, fmt)}\n"
-                       f"result: step bound {bound} exhausted after {bound} "
-                       f"steps (counter={state.counter_value})\n")
+        assert run_cli(capsys, "run", oil, tsk, "--bound", bound,
+                       "--idle-tick-mode", idle_mode, "--trace-format",
+                       fmt)[:2] == \
+            (3, f"{explorer.render_trace(trace, fmt)}\n{result}\n")
+    return trace
 
 
-# ems_repaired's run first repeats a state at step 4876 (state 12 again), so
-# its cycle is 4864 steps long: 4876 and 9740 end on the cycle, 7001 in it.
+# ems_repaired's run comes back to state 12 up to rotation at step 164, the
+# counter 100 ticks further on; it first repeats state 12 exactly at step
+# 4876, after 32 rounds.  4876 and 9740 end on the cycle's first state, 7001
+# in it.
 @pytest.mark.parametrize("bound", [4876, 7001, 9740])
 @pytest.mark.parametrize("idle_mode", timing.IDLE_MODES)
 def test_run_round_its_cycle_prints_every_step(capsys, bound, idle_mode):
-    assert_run_prints_stepped_trace(capsys, EMS_REPAIRED_OIL, EMS_TSK, bound,
-                                    idle_mode)
+    trace = assert_run_prints_stepped_trace(capsys, EMS_REPAIRED_OIL,
+                                            EMS_TSK, bound, idle_mode)
+    assert (len(trace.states), trace.lasso_start, trace.rotation) == \
+        (164, 12, 100)
 
 
-# random_app seed 270 idles 2 ticks into state 5 and, at step 19, 1 tick
-# into a state equal to it: each round of the cycle shows its own amounts.
+# random_app seed 270 idles 2 ticks into state 5 and, at step 12, 1 tick
+# into a state equal to it up to rotation: the loop target keeps its own
+# amount, and a bound of 18 or more ends in a later round.
 @pytest.mark.parametrize("bound", [18, 19, 20, 33, 47, 100])
 def test_run_repeat_keeps_its_label_amount(capsys, tmp_path, bound):
     oil, tsk = random_app(random.Random(270))
     (tmp_path / "a.oil").write_text(oil)
     (tmp_path / "a.tsk").write_text(tsk)
-    assert_run_prints_stepped_trace(capsys, tmp_path / "a.oil",
-                                    tmp_path / "a.tsk", bound, timing.JUMP)
+    trace = assert_run_prints_stepped_trace(capsys, tmp_path / "a.oil",
+                                            tmp_path / "a.tsk", bound,
+                                            timing.JUMP)
+    assert (len(trace.states), trace.lasso_start, trace.rotation) == \
+        (12, 5, 3)
+    assert label_text(trace.states[5].last_label) == "time +2 (idle)"
 
 
 # The longest outputs, byte for byte: exit code, stdout length and the first
-# 16 hex digits of its sha256, recorded while each snapshot line was
-# formatted anew.  The tests above compare ``run`` with ``render_trace`` of
-# the same code, so only these see a change in how traces are rendered.
+# 16 hex digits of its sha256.  ``ltlmc``'s was recorded while each snapshot
+# line was formatted anew.  ``run``'s were recorded when it began to stop at
+# its lasso; their step and snapshot lines were then those of the first 164
+# states that ``run`` printed while it unrolled the cycle.  The tests above
+# compare ``run`` with ``render_trace`` of the same code, so only these see
+# a change in how traces are rendered.
 PINNED_OUTPUTS = {
     "run": (("run", EMS_REPAIRED_OIL, EMS_TSK),
-            3, 10_934_845, "3841ead6db3028f4"),
+            3, 178_482, "3351ae55a8b7ea69"),
     "run-machine": (("run", EMS_REPAIRED_OIL, EMS_TSK,
                      "--trace-format", "machine"),
-                    3, 10_602_334, "3bb38600cb97ed0b"),
+                    3, 172_795, "95726ca1f7a147eb"),
     "ltlmc": (("ltlmc", EMS_OIL, EMS_TSK, "--formula", EMS_LTL),
               2, 226_073, "0098f789e3af1641"),
 }

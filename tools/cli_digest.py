@@ -20,10 +20,12 @@ of ``tests/helpers`` (a body that calls SetAbsAlarm) and
 ``text`` and ``machine``; in each format ``run`` also goes with
 ``--idle-tick-mode unit`` and with ``--bound 7919``, which ends part-way
 through the cycle of ``ems_repaired`` and of all but one of the random apps
-whose run goes round a cycle.  The corpus, harmonic, loop-shape,
-alarm-action, six-alarm and absolute-alarm apps also go through
-``conform`` on property subsets that need one error semantics or both.
-``search-final``, ``ltlmc`` and ``conform`` run once more with ``--out``
+whose run goes round a cycle; ``ems_repaired``'s ``run`` also goes with
+``--bound 7001`` in both idle modes, whose result line's counter is worked
+out from the printed round without stepping to the bound.  The corpus,
+harmonic, loop-shape, alarm-action, six-alarm and absolute-alarm apps also
+go through ``conform`` on property subsets that need one error semantics or
+both.  ``search-final``, ``ltlmc`` and ``conform`` run once more with ``--out``
 into the scratch directory, and every file written there (trace files and
 ``report.txt``) is digested by name and content next to the output.
 ``ems_repaired`` also goes through ``ltlmc`` with ``--out`` on a fixed file
@@ -61,11 +63,12 @@ import verdicts  # noqa: E402
 from helpers import (ABS_LTL, ABS_OIL, ABS_TSK, ACTIONS_LTL,  # noqa: E402
                      ACTIONS_OIL, ACTIONS_TSK, COINCIDE_LTL, COINCIDE_OIL,
                      COINCIDE_TSK, LOOP_LTL, LOOP_OIL, LOOP_TSK, random_app)
-from osekcheck import cli  # noqa: E402
+from osekcheck import cli, timing  # noqa: E402
 from workloads import ALL_PASS_REPORT, RANDOM_FORMULAS  # noqa: E402
 
 CORPUS = ROOT / "corpus"
 CUT_BOUND = "7919"
+RUN_BOUND = "7001"
 PROP_SUBSETS = ("DF", "ME\nPIF\nMAF", "DF\nSF", "DF\nPE\nMAF")
 EMS_TASKS = ("Task_10ms", "EMS_Task_10ms", "EMS_Task_100ms",
              "EMS_Adap_Task_10ms", "SystemInit")
@@ -123,6 +126,11 @@ def invocations(name, oil, tsk, ltl, report, subsets, out):
                ["run", oil, tsk, *common, "--idle-tick-mode", "unit"])
         yield (f"{name} run {fmt} --bound {CUT_BOUND}",
                ["run", oil, tsk, *common, "--bound", CUT_BOUND])
+        if name == "ems_repaired":
+            for mode in timing.IDLE_MODES:
+                yield (f"{name} run {fmt} {mode} --bound {RUN_BOUND}",
+                       ["run", oil, tsk, *common, "--idle-tick-mode", mode,
+                        "--bound", RUN_BOUND])
         yield (f"{name} search-final {fmt}",
                ["search-final", oil, tsk, *common])
         yield (f"{name} ltlmc {fmt}",
