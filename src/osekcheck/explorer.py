@@ -13,13 +13,13 @@ service call or alarm action produced becomes such a fixpoint.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Callable, Hashable, Iterable
 
 from . import kernel_core, timing
 from .model import (ALLIDLE, DEADLOCK, E_OK, NORMAL, SCHEDULE_SIGNAL,
-                    SUSPENDED, KernelState, Program, _label_line,
-                    canonical_snapshot, error_status, label_text, rotated,
-                    stutterize)
+                    SUSPENDED, Call, KernelState, Program, _call_key,
+                    _label_line, canonical_snapshot, error_status,
+                    label_text, rotated, stutterize)
 from .oil_config import Fresh, KernelConfig, Record
 from .task_lang import CallService, TaskBody
 
@@ -143,15 +143,21 @@ def step(state: KernelState, choice: Choice | None = None, *,
 
 
 def successors(state: KernelState, *, strict: bool = False,
-               idle_mode: str = timing.JUMP
+               idle_mode: str = timing.JUMP,
+               key: Callable[[tuple[Call, ...]], Hashable] = tuple
                ) -> list[tuple[Choice | None, KernelState]]:
-    """All one-step successors; stuck states yield their stutter twin."""
+    """All one-step successors; stuck states yield their stutter twin.
+
+    An expiry batch has one successor per distinct outcome up to ``key`` of
+    its calls (``kernel_core.expiry_outcomes``): by default every handling
+    order is its own successor.
+    """
     if state.status != NORMAL:
         return [(None, stutterize(state))]
     pending = kernel_core.pending_expiries(state)
     if len(pending) > 1:
         out = [(Choice(order), target) for order, target
-               in kernel_core.expiry_successors(state, pending)]
+               in kernel_core.expiry_outcomes(state, pending, key)]
     else:
         out = [(None, _apply_rule(state, pending, idle_mode))]
     return [(c, _freeze(target)) for c, target in out] if strict else out
@@ -399,29 +405,24 @@ def build_graph(config: KernelConfig, bodies: dict[str, TaskBody], *,
 
     Nodes are deduplicated by state value, so the graph is insensitive to
     the path that first reached a state.  Non-normal states receive their
-    stutter self-loop and are not expanded further.  With ``rotate`` the
-    nodes are states up to counter rotation and alarm call order
-    (``model.rotated``), which is sound unless a body calls SetAbsAlarm,
-    and an expiry batch has one successor per distinct outcome
-    (``kernel_core.expiry_outcomes``), not one per handling order.
+    stutter self-loop and are not expanded further.  Every node is expanded
+    through ``successors``.  Without ``rotate`` an expiry batch has one
+    successor per handling order.  With ``rotate`` the nodes are states up
+    to counter rotation and alarm call order (``model.rotated``), which is
+    sound unless a body calls SetAbsAlarm, and a batch has one successor
+    per distinct outcome up to call order (``successors`` keyed by
+    ``model._call_key``).
     """
-    def expand(state: KernelState):
-        return successors(state, strict=strict, idle_mode=idle_mode)
+    key = _call_key if rotate else tuple
 
-    def expand_rotated(state: KernelState):
-        pending = (kernel_core.pending_expiries(state)
-                   if state.status == NORMAL else ())
-        if len(pending) < 2:
-            return [(choice, rotated(target))
-                    for choice, target in expand(state)]
-        return [(Choice(order), rotated(_freeze(target) if strict else target))
-                for order, target
-                in kernel_core.expiry_outcomes(state, pending)]
+    def expand(state: KernelState):
+        out = successors(state, strict=strict, idle_mode=idle_mode, key=key)
+        return [(c, rotated(target)) for c, target in out] if rotate else out
 
     boot = kernel_core.boot(config, bodies)
-    return _explore(boot, rotated(boot) if rotate else boot,
-                    expand_rotated if rotate else expand, bound=bound,
-                    strict=strict, idle_mode=idle_mode, rotate=rotate)
+    return _explore(boot, rotated(boot) if rotate else boot, expand,
+                    bound=bound, strict=strict, idle_mode=idle_mode,
+                    rotate=rotate)
 
 
 def build_graphs(config: KernelConfig, bodies: dict[str, TaskBody],

@@ -13,26 +13,27 @@ goes on after a failure (strict error handling, which freezes such a state,
 is applied by the explorer).  An alarm expiry makes its action's call, an
 ActivateTask, SetEvent or AlarmCallback call by the alarm, through the same
 table (AlarmCallback has no effect and returns E_OK), and the batch's label
-records the calls.  ``expiry_successors`` handles a batch in every order,
-applying each expiry once per distinct intermediate state;
-``expiry_outcomes`` gives one order per distinct outcome up to call order,
-handling the batch by subsets.  Boot is StartOS: the ActivateTask and
-SetRelAlarm calls of the autostart tasks and alarms, then a dispatch.
+records the calls.  ``expiry_outcomes`` is the one walk over a batch's
+handling orders: by subsets, applying each expiry once per distinct
+intermediate state, it gives one order per distinct outcome up to a key of
+the batch's calls, which is every order when the key is the calls
+themselves.  Boot is StartOS: the ActivateTask and SetRelAlarm calls of the
+autostart tasks and alarms, then a dispatch.
 Scheduler signal handling (expiry actions, pending-activation release,
 rescheduling) consumes no time.
 """
 
 from __future__ import annotations
 
-import itertools
+from collections.abc import Callable, Hashable
 
 from . import timing
 from .model import (BOOT_LABEL, E_OK, E_OS_ACCESS, E_OS_LIMIT, E_OS_NOFUNC,
                     E_OS_RESOURCE, E_OS_STATE, NORMAL, READY, RUNNING,
                     SCHEDULE_SIGNAL, SUSPENDED, WAITING, AlarmCell, Call,
                     KernelState, Program, TaskCell, TransitionLabel,
-                    _call_key, alarmed_signal, enqueue, peek_highest,
-                    pop_highest, with_cell)
+                    alarmed_signal, enqueue, peek_highest, pop_highest,
+                    with_cell)
 from .oil_config import FULL, KernelConfig
 from .task_lang import TaskBody, TimeInterval, WhileTrue
 
@@ -413,58 +414,18 @@ def handle_expiries(state: KernelState,
     return _batch_labelled(state, tuple(calls))
 
 
-def expiry_successors(state: KernelState, pending: tuple[str, ...]
-                      ) -> list[tuple[tuple[str, ...], KernelState]]:
-    """``(order, handle_expiries(state, order))`` for every handling order of
-    ``pending``, in ``itertools.permutations(pending)`` order.
-
-    Each order starts from the intermediate states of the prefix it shares
-    with the order before it, and each alarm's expiry is handled once per
-    distinct intermediate state: actions that commute, reached through
-    different prefixes, are applied once.  Handling an expiry always
-    rearms or disarms its alarm, so equal intermediate states have handled
-    the same alarms, and two prefixes can meet only from two expiries on;
-    the memo, which lives for one call, is kept from there.
-    """
-    expired: dict[tuple[KernelState, str], tuple[KernelState, Call]] = {}
-    out: list[tuple[tuple[str, ...], KernelState]] = []
-    reached = [_without_expiries(state, pending)]  # after each prefix
-    calls: list[Call] = []
-    previous: tuple[str, ...] = ()
-    for order in itertools.permutations(pending):
-        depth = 0
-        for before, alarm_id in zip(previous, order):
-            if before != alarm_id:
-                break
-            depth += 1
-        del reached[depth + 1:]
-        del calls[depth:]
-        state = reached[depth]
-        for alarm_id in order[depth:]:
-            if len(calls) < 2:  # this prefix alone reaches ``state``
-                state, call = _expire(state, alarm_id)
-            else:
-                key = (state, alarm_id)
-                step = expired.get(key)
-                if step is None:
-                    step = expired[key] = _expire(state, alarm_id)
-                state, call = step
-            reached.append(state)
-            calls.append(call)
-        out.append((order, _batch_labelled(state, tuple(calls))))
-        previous = order
-    return out
-
-
-def expiry_outcomes(state: KernelState, pending: tuple[str, ...]
+def expiry_outcomes(state: KernelState, pending: tuple[str, ...],
+                    key: Callable[[tuple[Call, ...]], Hashable]
                     ) -> list[tuple[tuple[str, ...], KernelState]]:
     """One ``(order, handle_expiries(state, order))`` per distinct outcome
-    up to call order (``model.rotated``'s key of the batch's label): the
-    ``expiry_successors`` list without the outcomes that an earlier order
-    in it already reached up to that key.
+    up to ``key`` of the batch's calls, with the first order in
+    ``itertools.permutations(pending)`` that reaches it.  With ``tuple`` as
+    ``key`` no two orders agree, so every order is listed, in that order;
+    with ``model._call_key`` one per outcome up to call order, as
+    ``model.rotated`` keys the batch's label.
 
     The batch is handled by subsets, one alarm more each layer.  A layer
-    maps each state reached with its calls up to order to that state, the
+    maps each state reached with the key of its calls to that state, the
     first order that reached it and that order's calls, so it grows with
     the distinct intermediate states, not with the orders.  Its entries are
     listed by their orders, and each is extended by the alarms in
@@ -475,10 +436,10 @@ def expiry_outcomes(state: KernelState, pending: tuple[str, ...]
     distinct state (the memo lives for one call).
     """
     expired: dict[tuple[KernelState, str], tuple[KernelState, Call]] = {}
-    layer: dict = {None: (_without_expiries(state, pending), (), ())}
+    layer = [(_without_expiries(state, pending), (), ())]
     for _ in pending:
         longer_layer: dict = {}
-        for reached, order, calls in layer.values():
+        for reached, order, calls in layer:
             for alarm_id in pending:
                 if alarm_id in order:
                     continue
@@ -488,12 +449,11 @@ def expiry_outcomes(state: KernelState, pending: tuple[str, ...]
                                                                 alarm_id)
                 after, call = step
                 longer = calls + (call,)
-                key = (after, _call_key(longer))
-                if key not in longer_layer:
-                    longer_layer[key] = (after, order + (alarm_id,), longer)
-        layer = longer_layer
+                longer_layer.setdefault((after, key(longer)),
+                                        (after, order + (alarm_id,), longer))
+        layer = longer_layer.values()
     return [(order, _batch_labelled(reached, calls))
-            for reached, order, calls in layer.values()]
+            for reached, order, calls in layer]
 
 
 def multiactivation_candidate(state: KernelState) -> str | None:

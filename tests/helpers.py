@@ -195,6 +195,26 @@ tick_served: [] (ready(Tick) -> <> running(Tick))
 main_recurs: [] <> running(Main)
 """
 
+# Main sets Abs for counter 6 and works 10 ticks, round and round; Tick,
+# which Abs activates, preempts it wherever the counter then stands.  Up to
+# rotation the run would come back at step 17 to step 9, yet it first
+# repeats a state at step 65, back to step 2, so ``run`` closes its lasso
+# only on that exact repeat.  ``ABS_LTL``'s formulas read its tasks too.
+
+ABS_LOOP_OIL = """
+COUNTER C { MAXALLOWEDVALUE = 7; TICKSPERBASE = 1; MINCYCLE = 1; SYSTEM = TRUE; };
+TASK Main { PRIORITY = 1; SCHEDULE = FULL; ACTIVATION = 1; AUTOSTART = TRUE; };
+TASK Tick { PRIORITY = 2; SCHEDULE = FULL; ACTIVATION = 1; AUTOSTART = FALSE; };
+ALARM Abs { COUNTER = C; ACTION = ACTIVATETASK { TASK = Tick; }; };
+"""
+
+ABS_LOOP_TSK = """
+TASK Main {
+    while (true) { SetAbsAlarm(Abs, 6, 0); TimeInterval = 10; }
+}
+TASK Tick { TimeInterval = 1; TerminateTask(); }
+"""
+
 
 # ==== golden scenarios =====================================================
 # Expected transition-label sequences were worked out by hand with a tick

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import inspect
+import itertools
 import random
 from pathlib import Path
 
@@ -16,7 +17,8 @@ from osekcheck import kernel_core, explorer, timing
 from osekcheck.model import (E_OK, E_OS_ACCESS, E_OS_LIMIT, E_OS_NOFUNC,
                              E_OS_RESOURCE, E_OS_STATE, NORMAL, READY,
                              RUNNING, SCHEDULE_SIGNAL, SUSPENDED, WAITING,
-                             Call, alarmed_signal, error_status, rotated)
+                             Call, _call_key, alarmed_signal, error_status,
+                             rotated)
 from osekcheck.task_lang import SERVICES, CallService
 
 OIL = """
@@ -567,11 +569,12 @@ def batch_apps(monkeypatch):
 
 def test_outcomes_are_the_orders_up_to_call_order(monkeypatch):
     """On every normal state with two or more pending expiries, in both
-    error semantics and both idle modes: ``expiry_outcomes`` is
-    ``expiry_successors`` without the outcomes an earlier order reached up
-    to ``rotated``, the same orders and states in the same order, and
-    strict error handling freezes its outcomes on the codes it froze the
-    orders on."""
+    error semantics and both idle modes: keyed by ``model._call_key``,
+    ``expiry_outcomes`` is every handling order, each handled alone, without
+    the outcomes an earlier order reached up to ``rotated``, the same
+    orders and states in the same order, and strict error handling freezes
+    its outcomes on the codes it froze the orders on; keyed by ``tuple``,
+    it is every order."""
     batches = 0
     for name, app in batch_apps(monkeypatch):
         config, bodies = make_app(*app)
@@ -584,13 +587,16 @@ def test_outcomes_are_the_orders_up_to_call_order(monkeypatch):
                                   kernel_core.pending_expiries(state)) > 1)
         for state in states:
             pending = kernel_core.pending_expiries(state)
-            orders = kernel_core.expiry_successors(state, pending)
+            orders = [(order, kernel_core.handle_expiries(state, order))
+                      for order in itertools.permutations(pending)]
+            assert kernel_core.expiry_outcomes(state, pending, tuple) == \
+                orders, (name, state)
             seen, expected = set(), []
             for order, target in orders:
                 if rotated(target) not in seen:
                     seen.add(rotated(target))
                     expected.append((order, target))
-            outcomes = kernel_core.expiry_outcomes(state, pending)
+            outcomes = kernel_core.expiry_outcomes(state, pending, _call_key)
             assert outcomes == expected, (name, state)
             assert ({explorer._freeze(target).status for _, target in orders}
                     == {explorer._freeze(target).status

@@ -15,28 +15,11 @@ import random
 import pytest
 
 from conftest import EMS_OIL, EMS_REPAIRED_OIL, EMS_TSK
-from helpers import ABS_OIL, ABS_TSK, make_app, random_app, unrolled_run
+from helpers import (ABS_LOOP_OIL, ABS_LOOP_TSK, ABS_OIL, ABS_TSK, make_app,
+                     random_app, unrolled_run)
 from osekcheck import cli, explorer, timing
 
 PARSER = cli.build_parser()
-
-# Main sets Abs for counter 6 and works 10 ticks, round and round; Tick,
-# which Abs activates, preempts it wherever the counter then stands.  Up to
-# rotation the run would come back at step 17 to step 9, yet it first
-# repeats a state at step 65, back to step 2.
-ABS_LOOP_OIL = """
-COUNTER C { MAXALLOWEDVALUE = 7; TICKSPERBASE = 1; MINCYCLE = 1; SYSTEM = TRUE; };
-TASK Main { PRIORITY = 1; SCHEDULE = FULL; ACTIVATION = 1; AUTOSTART = TRUE; };
-TASK Tick { PRIORITY = 2; SCHEDULE = FULL; ACTIVATION = 1; AUTOSTART = FALSE; };
-ALARM Abs { COUNTER = C; ACTION = ACTIVATETASK { TASK = Tick; }; };
-"""
-
-ABS_LOOP_TSK = """
-TASK Main {
-    while (true) { SetAbsAlarm(Abs, 6, 0); TimeInterval = 10; }
-}
-TASK Tick { TimeInterval = 1; TerminateTask(); }
-"""
 
 
 def run(capsys, monkeypatch, oil, tsk, bound, idle_mode):

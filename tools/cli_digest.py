@@ -14,8 +14,10 @@ TimeInterval inside a loop, code after a loop and after TerminateTask, an
 empty body), the alarm-action app of ``tests/helpers`` (ACTIVATETASK,
 SETEVENT and ALARMCALLBACK expiring together), the six-alarm app of
 ``tests/helpers`` (720 handling orders per batch), the absolute-alarm app
-of ``tests/helpers`` (a body that calls SetAbsAlarm) and
-``tests/helpers.random_app`` seeds 0-999; each goes through
+of ``tests/helpers`` (a body that calls SetAbsAlarm), the looping
+absolute-alarm app of ``tests/helpers`` (whose ``run`` closes its lasso on
+an exact repeat, not up to rotation; checked on the absolute-alarm app's
+formulas) and ``tests/helpers.random_app`` seeds 0-999; each goes through
 ``run``, ``search-final``, ``ltlmc`` and ``conform`` in ``--trace-format``
 ``text`` and ``machine``; in each format ``run`` also goes with
 ``--idle-tick-mode unit`` and with ``--bound 7919``, which ends part-way
@@ -23,11 +25,12 @@ through the cycle of ``ems_repaired`` and of all but one of the random apps
 whose run goes round a cycle; ``ems_repaired``'s ``run`` also goes with
 ``--bound 7001`` in both idle modes, whose result line's counter is worked
 out from the printed round without stepping to the bound.  The corpus,
-harmonic, loop-shape, alarm-action, six-alarm and absolute-alarm apps also
-go through ``conform`` on property subsets that need one error semantics or
-both.  ``search-final``, ``ltlmc`` and ``conform`` run once more with ``--out``
-into the scratch directory, and every file written there (trace files and
-``report.txt``) is digested by name and content next to the output.
+harmonic, loop-shape, alarm-action, six-alarm and both absolute-alarm apps
+also go through ``conform`` on property subsets that need one error
+semantics or both.  ``search-final``, ``ltlmc`` and ``conform`` run once
+more with ``--out`` into the scratch directory, and every file written
+there (trace files and ``report.txt``) is digested by name and content next
+to the output.
 ``ems_repaired`` also goes through ``ltlmc`` with ``--out`` on a fixed file
 of formulas that stress the LTL translation: nested untils of 3 to 7
 operands, a 100-operand conjunction and one formula using every operator.
@@ -60,9 +63,10 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 
 import harmonic  # noqa: E402
 import verdicts  # noqa: E402
-from helpers import (ABS_LTL, ABS_OIL, ABS_TSK, ACTIONS_LTL,  # noqa: E402
-                     ACTIONS_OIL, ACTIONS_TSK, COINCIDE_LTL, COINCIDE_OIL,
-                     COINCIDE_TSK, LOOP_LTL, LOOP_OIL, LOOP_TSK, random_app)
+from helpers import (ABS_LOOP_OIL, ABS_LOOP_TSK, ABS_LTL,  # noqa: E402
+                     ABS_OIL, ABS_TSK, ACTIONS_LTL, ACTIONS_OIL, ACTIONS_TSK,
+                     COINCIDE_LTL, COINCIDE_OIL, COINCIDE_TSK, LOOP_LTL,
+                     LOOP_OIL, LOOP_TSK, random_app)
 from osekcheck import cli, timing  # noqa: E402
 from workloads import ALL_PASS_REPORT, RANDOM_FORMULAS  # noqa: E402
 
@@ -186,6 +190,9 @@ def main() -> int:
                      write("coincide.ltl", COINCIDE_LTL), report, subsets))
         apps.append(("abs", write("abs.oil", ABS_OIL),
                      write("abs.tsk", ABS_TSK),
+                     write("abs.ltl", ABS_LTL), report, subsets))
+        apps.append(("abs_loop", write("abs_loop.oil", ABS_LOOP_OIL),
+                     write("abs_loop.tsk", ABS_LOOP_TSK),
                      write("abs.ltl", ABS_LTL), report, subsets))
         stress = write("stress.ltl", STRESS_FORMULAS)
         for fmt in ("text", "machine"):

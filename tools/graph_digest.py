@@ -12,8 +12,9 @@ alarm call order unless a body calls SetAbsAlarm.  The apps are both
 corpus configurations, the harmonic-alarm app of
 ``perfbench/harmonic.py`` (seed 1), the loop-shape app, the alarm-action
 app (ACTIVATETASK, SETEVENT and ALARMCALLBACK expiring together), the
-six-alarm app (720 handling orders per batch) and the absolute-alarm app (a
-body that calls SetAbsAlarm) of ``tests/helpers``, and
+six-alarm app (720 handling orders per batch), the absolute-alarm app (a
+body that calls SetAbsAlarm) and the looping absolute-alarm app (whose run
+closes its lasso on an exact repeat) of ``tests/helpers``, and
 ``tests/helpers.random_app`` seeds 0-999.  The
 script runs with ``PYTHONHASHSEED=0`` (re-executing itself if needed),
 because the harmonic generator's identifier order follows set iteration
@@ -39,9 +40,9 @@ sys.path.insert(0, str(ROOT / "tests"))
 sys.path.insert(0, str(ROOT / "perfbench"))
 
 import harmonic  # noqa: E402
-from helpers import (ABS_OIL, ABS_TSK, ACTIONS_OIL,  # noqa: E402
-                     ACTIONS_TSK, COINCIDE_OIL, COINCIDE_TSK, LOOP_OIL,
-                     LOOP_TSK, make_app, random_app)
+from helpers import (ABS_LOOP_OIL, ABS_LOOP_TSK, ABS_OIL,  # noqa: E402
+                     ABS_TSK, ACTIONS_OIL, ACTIONS_TSK, COINCIDE_OIL,
+                     COINCIDE_TSK, LOOP_OIL, LOOP_TSK, make_app, random_app)
 from osekcheck import explorer, ltl, timing  # noqa: E402
 from osekcheck.model import canonical_snapshot  # noqa: E402
 
@@ -96,6 +97,7 @@ def main() -> int:
     apps.append(("actions", ACTIONS_OIL, ACTIONS_TSK))
     apps.append(("coincide", COINCIDE_OIL, COINCIDE_TSK))
     apps.append(("abs", ABS_OIL, ABS_TSK))
+    apps.append(("abs_loop", ABS_LOOP_OIL, ABS_LOOP_TSK))
     apps += [(f"random_app:{seed}", *random_app(random.Random(seed)))
              for seed in range(low, high + 1)]
     for name, oil, tsk in apps:
