@@ -98,7 +98,7 @@ def _emit_trace(trace: explorer.Trace, fmt: str, out: Path | None,
 
 def cmd_run(args: argparse.Namespace) -> int:
     config, bodies = _load_app(args.config, args.tasks)
-    state = kernel_core.boot(config, bodies)
+    state = kernel_core.boot(config, bodies, args.idle_tick_mode)
     modulus = state.program.modulus
     key = rotated if explorer.rotation_sound(bodies) else (lambda s: s)
     states = [state]
@@ -108,8 +108,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         if state.status != NORMAL:
             outcome = state.status
             break
-        result = explorer.step(state, None, strict=True,
-                               idle_mode=args.idle_tick_mode)
+        result = explorer.step(state, None, strict=True)
         if result.status in (ALLIDLE, DEADLOCK):
             outcome = result.status
             break
@@ -127,7 +126,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         states.append(state)
     choices = (None,) * (len(states) - (lasso_start is None))
     trace = explorer.Trace(tuple(states), choices, lasso_start, strict=True,
-                           idle_mode=args.idle_tick_mode, rotation=rotation)
+                           rotation=rotation)
     _emit_trace(trace, args.trace_format, _out_dir(args), "run")
     steps, counter = len(states) - 1, state.counter_value
     if lasso_start is not None:
@@ -200,13 +199,15 @@ def cmd_ltlmc(args: argparse.Namespace) -> int:
     out = _out_dir(args)
     any_violated = False
     any_bounded = False
+    views = {strict: ltl.KernelGraphView(graph)
+             for strict, graph in graphs.items()}
     for name, formula in formulas:
-        graph = graphs[ltl.mentions_deadlock(formula)]
-        result = ltl.model_check(ltl.KernelGraphView(graph), formula)
+        view = views[ltl.mentions_deadlock(formula)]
+        result = ltl.model_check(view, formula)
         print(f"{name}: {result.verdict}   {formula}")
         if result.verdict == "violated":
             any_violated = True
-            trace = conformance.lasso_to_trace(graph, result)
+            trace = conformance.lasso_to_trace(view.graph, result)
             _emit_trace(trace, args.trace_format, out, name)
         elif result.verdict == "bounded_holds":
             any_bounded = True

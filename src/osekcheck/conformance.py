@@ -12,8 +12,8 @@ fail, the application itself is at fault.
 from __future__ import annotations
 
 from . import explorer, ltl, timing
-from .model import (ALLIDLE, E_OK, E_OS_LIMIT, NORMAL, READY, RUNNING,
-                    KernelState)
+from .model import (E_OK, E_OS_LIMIT, NORMAL, READY, RUNNING, KernelState,
+                    is_deadlocked)
 from .oil_config import FULL, KernelConfig, Record
 from .task_lang import TaskBody
 
@@ -51,7 +51,7 @@ def lasso_to_trace(graph: explorer.StateGraph,
 
 
 # ---------------------------------------------------------------------------
-# individual property checks: one monitor per safety property
+# individual property checks
 # ---------------------------------------------------------------------------
 
 
@@ -84,23 +84,26 @@ def _check_monitor(graph: explorer.StateGraph, pid: str, monitor, start,
     return PropertyResult(pid, "fail", graph.trace(choices), path[-1][1][1])
 
 
-def _is_deadlocked(m, state: KernelState):
-    """A scheduler dead end or, on the strict graph, a service error."""
-    return m if state.status in (NORMAL, ALLIDLE) else ("bad", state.status)
-
-
 def _check_deadlock_freedom(graph: explorer.StateGraph) -> PropertyResult:
-    ends = [graph.nodes[node].status for node in graph.terminal_nodes()]
-    finals = ends.count(ALLIDLE)
-    result = _check_monitor(graph, "DF", _is_deadlocked, None,
-                            f"{len(graph.nodes)} states, "
-                            f"{finals} all-idle final(s)")
-    if result.witness is not None:
-        states = result.witness.states
-        result.detail = (f"{len(ends) - finals} dead end(s); shortest "
-                         f"witness has {len(states) - 1} steps and halts "
-                         f"at counter {states[-1].counter_value}")
-    return result
+    """No dead end (a scheduler dead end or, on the strict graph, a service
+    error) is reachable.
+
+    Nodes are numbered breadth-first and a dead end's successors are dead
+    ends, so the first dead end is a terminal node and its breadth-first
+    tree path is a shortest witness.
+    """
+    ends = graph.terminal_nodes()
+    dead = [node for node in ends if is_deadlocked(graph.nodes[node])]
+    if not dead:
+        return PropertyResult(
+            "DF", "bounded_pass" if graph.truncated else "pass", None,
+            f"{len(graph.nodes)} states, {len(ends)} all-idle final(s)")
+    witness = graph.trace_to(dead[0])
+    states = witness.states
+    return PropertyResult(
+        "DF", "fail", witness,
+        f"{len(dead)} dead end(s); shortest witness has {len(states) - 1} "
+        f"steps and halts at counter {states[-1].counter_value}")
 
 
 def _running_conflict(m, state: KernelState):

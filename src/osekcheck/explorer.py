@@ -49,16 +49,6 @@ class Choice(Record):
     def __init__(self, order: tuple[str, ...]) -> None:
         self.order = order
 
-    # Written out rather than inherited: a choice keys the steps a graph's
-    # witnesses take.
-    def __eq__(self, other):
-        if other.__class__ is not Choice:
-            return NotImplemented
-        return self.order == other.order
-
-    def __hash__(self) -> int:
-        return hash((self.order,))
-
     def __str__(self) -> str:
         return "alarms:" + ",".join(self.order)
 
@@ -98,8 +88,7 @@ def _freeze(state: KernelState) -> KernelState:
     return state
 
 
-def _apply_rule(state: KernelState, order: tuple[str, ...],
-                idle_mode: str) -> KernelState:
+def _apply_rule(state: KernelState, order: tuple[str, ...]) -> KernelState:
     """The one transition rule that applies, on continue-on-error semantics;
     ``order`` is the handling order of the pending expiries (every one)."""
     if state.status != NORMAL:
@@ -116,14 +105,14 @@ def _apply_rule(state: KernelState, order: tuple[str, ...],
     if state.ready:  # dispatch: a scheduling point with no signal pending
         return kernel_core.handle_schedule_signal(state)
     if state.working_alarms:
-        return timing.idle_advance(state, idle_mode)
+        return timing.idle_advance(state)
     if all(c.state == SUSPENDED for c in state.tasks):
         return stutterize(state, ALLIDLE)
     return stutterize(state, DEADLOCK)
 
 
 def step(state: KernelState, choice: Choice | None = None, *,
-         strict: bool = False, idle_mode: str = timing.JUMP) -> KernelState:
+         strict: bool = False) -> KernelState:
     """Apply one transition rule; ``choice`` fixes the expiry order.
 
     When nothing is enabled the successor is the stutter twin with status
@@ -138,12 +127,11 @@ def step(state: KernelState, choice: Choice | None = None, *,
                     f"choice {choice} does not cover pending expiries "
                     f"{order}")
             order = choice.order
-    result = _apply_rule(state, order, idle_mode)
+    result = _apply_rule(state, order)
     return _freeze(result) if strict else result
 
 
 def successors(state: KernelState, *, strict: bool = False,
-               idle_mode: str = timing.JUMP,
                key: Callable[[tuple[Call, ...]], Hashable] = tuple
                ) -> list[tuple[Choice | None, KernelState]]:
     """All one-step successors; stuck states yield their stutter twin.
@@ -159,7 +147,7 @@ def successors(state: KernelState, *, strict: bool = False,
         out = [(Choice(order), target) for order, target
                in kernel_core.expiry_outcomes(state, pending, key)]
     else:
-        out = [(None, _apply_rule(state, pending, idle_mode))]
+        out = [(None, _apply_rule(state, pending))]
     return [(c, _freeze(target)) for c, target in out] if strict else out
 
 
@@ -180,7 +168,6 @@ class Trace(Record):
     choices: tuple[Choice | None, ...]
     lasso_start: int | None = None
     strict: bool = False
-    idle_mode: str = timing.JUMP
     rotation: int | None = None
 
 
@@ -194,7 +181,7 @@ def replay(trace: Trace) -> None:
                              f"{len(trace.choices)} choices")
     for index, target in enumerate(targets):
         actual = step(trace.states[index], trace.choices[index],
-                      strict=trace.strict, idle_mode=trace.idle_mode)
+                      strict=trace.strict)
         expected = trace.states[target]
         if index == len(trace.states) - 1 and trace.rotation is not None:
             matches = (rotated(actual) == rotated(expected)
@@ -219,10 +206,10 @@ def render_trace(trace: Trace, fmt: str = "text") -> str:
     """
     shown = [state.snapshot() for state in trace.states]
     hashes = [name for _, name in shown]
+    program = trace.states[0].program
     lines = [f"# trace steps={len(trace.states) - 1} "
              f"strict={'yes' if trace.strict else 'no'} "
-             f"idle={trace.idle_mode}"]
-    program = trace.states[0].program
+             f"idle={program.idle_mode}"]
     texts = program.label_texts
     for index, state in enumerate(trace.states):
         choice = trace.choices[index - 1] if index > 0 else None
@@ -279,7 +266,8 @@ class StateGraph(Record, frozen=False, uncompared=("steps",),
 
     A node is a state, or with ``rotate`` (keyed up to counter rotation
     and alarm call order) the state's ``rotated`` form; ``boot`` is the
-    concrete initial state that every witness starts from.  ``steps`` keeps
+    concrete initial state that every witness starts from; its program
+    holds the idle mode.  ``steps`` keeps
     each concrete step that a witness took, so witnesses that share a
     prefix step it once.
     """
@@ -291,7 +279,6 @@ class StateGraph(Record, frozen=False, uncompared=("steps",),
     depths: dict[int, int]
     truncated: bool
     strict: bool
-    idle_mode: str
     rotate: bool
     boot: KernelState
     steps: dict[tuple[KernelState, Choice | None], KernelState] = Fresh(dict)
@@ -311,13 +298,13 @@ class StateGraph(Record, frozen=False, uncompared=("steps",),
         at a state equal to that one only up to ``model.rotated``, and the
         trace then records how far the round moved the counter.
         """
-        strict, idle_mode, steps = self.strict, self.idle_mode, self.steps
+        strict, steps = self.strict, self.steps
         choices = tuple(choices)
         states = [self.boot]
         for choice in choices:
             key = (states[-1], choice)
             if key not in steps:
-                steps[key] = step(*key, strict=strict, idle_mode=idle_mode)
+                steps[key] = step(*key, strict=strict)
             states.append(steps[key])
         rotation = None
         if lasso_start is not None:
@@ -325,8 +312,7 @@ class StateGraph(Record, frozen=False, uncompared=("steps",),
             if self.rotate and end != states[lasso_start]:
                 moved = end.counter_value - states[lasso_start].counter_value
                 rotation = moved % self.program.modulus
-        return Trace(tuple(states), choices, lasso_start, strict, idle_mode,
-                     rotation)
+        return Trace(tuple(states), choices, lasso_start, strict, rotation)
 
     def trace_to(self, node: int) -> Trace:
         """Shortest breadth-first trace from the initial state."""
@@ -353,7 +339,7 @@ class StateGraph(Record, frozen=False, uncompared=("steps",),
 
 
 def _explore(boot: KernelState, init, expand, state_of=None, *, bound: int,
-             strict: bool, idle_mode: str, rotate: bool) -> StateGraph:
+             strict: bool, rotate: bool) -> StateGraph:
     """Layer-synchronous breadth-first exploration up to ``bound`` steps.
 
     Nodes are keyed: ``expand(key)`` lists (choice, target key) pairs, and
@@ -394,7 +380,7 @@ def _explore(boot: KernelState, init, expand, state_of=None, *, bound: int,
         edges.setdefault(node, ())
     nodes = dict(enumerate(keys if state_of is None else map(state_of, keys)))
     return StateGraph(0, nodes, edges, parents, depths, truncated, strict,
-                      idle_mode, rotate, boot)
+                      rotate, boot)
 
 
 def build_graph(config: KernelConfig, bodies: dict[str, TaskBody], *,
@@ -411,18 +397,18 @@ def build_graph(config: KernelConfig, bodies: dict[str, TaskBody], *,
     to counter rotation and alarm call order (``model.rotated``), which is
     sound unless a body calls SetAbsAlarm, and a batch has one successor
     per distinct outcome up to call order (``successors`` keyed by
-    ``model._call_key``).
+    ``model._call_key``).  The run is booted in ``idle_mode``, which its
+    program keeps.
     """
     key = _call_key if rotate else tuple
 
     def expand(state: KernelState):
-        out = successors(state, strict=strict, idle_mode=idle_mode, key=key)
+        out = successors(state, strict=strict, key=key)
         return [(c, rotated(target)) for c, target in out] if rotate else out
 
-    boot = kernel_core.boot(config, bodies)
+    boot = kernel_core.boot(config, bodies, idle_mode)
     return _explore(boot, rotated(boot) if rotate else boot, expand,
-                    bound=bound, strict=strict, idle_mode=idle_mode,
-                    rotate=rotate)
+                    bound=bound, strict=strict, rotate=rotate)
 
 
 def build_graphs(config: KernelConfig, bodies: dict[str, TaskBody],
@@ -465,8 +451,7 @@ def build_graphs(config: KernelConfig, bodies: dict[str, TaskBody],
         return nodes[key] if key.__class__ is int else key
 
     strict = _explore(relaxed.boot, relaxed.initial, expand, state_of,
-                      bound=bound, strict=True, idle_mode=idle_mode,
-                      rotate=rotate)
+                      bound=bound, strict=True, rotate=rotate)
     return {False: relaxed, True: strict}
 
 

@@ -52,8 +52,10 @@ class BootError(Exception):
 # ---------------------------------------------------------------------------
 
 
-def boot(config: KernelConfig, bodies: dict[str, TaskBody]) -> KernelState:
-    """StartOS: compile the program, then, from every task suspended and
+def boot(config: KernelConfig, bodies: dict[str, TaskBody],
+         idle_mode: str = timing.JUMP) -> KernelState:
+    """StartOS: compile the program, in ``idle_mode`` (how idle time passes,
+    ``timing.JUMP`` or ``timing.UNIT``), then, from every task suspended and
     every alarm disarmed, make the ActivateTask call of each autostart task
     and the SetRelAlarm call of each autostart alarm, then dispatch.
 
@@ -67,7 +69,7 @@ def boot(config: KernelConfig, bodies: dict[str, TaskBody]) -> KernelState:
         raise BootError(f"tasks without bodies: {', '.join(missing)}")
     if not any(task.autostart for task in config.tasks.values()):
         raise BootError("no autostart task; nothing would ever run")
-    program = Program(config, bodies)
+    program = Program(config, bodies, idle_mode)
     tasks = tuple(TaskCell(task_id, SUSPENDED, priority, 0, NO_EVENTS, None,
                            (), 0, 0)
                   for task_id, priority in zip(program.task_ids,

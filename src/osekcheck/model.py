@@ -5,8 +5,8 @@ A ``Program`` holds what a run never changes, compiled once per boot from
 the configuration and the task bodies: the task and alarm numbering, each
 task's static priority, activation limit, schedule policy, events and
 resources, the resource ceilings, the system counter's modulus and minimum
-cycle, each alarm's action as a service call, and the flattened code with
-its snapshot text.  The state holds only the dynamic cells, addressed by
+cycle, each alarm's action as a service call, the flattened code and the
+idle mode.  The state holds only the dynamic cells, addressed by
 task and alarm index: one cell per task, a priority-ordered ready structure,
 the running task, a pending-signal set, the system counter, the list of
 armed alarms and the label of the transition that produced the state.  A
@@ -46,6 +46,11 @@ WAITING = "waiting"
 NORMAL = "normal"
 ALLIDLE = "allidle"
 DEADLOCK = "deadlock"
+
+# Idle time passes in one jump to the next expiry, or one tick per step.
+JUMP = "jump"
+UNIT = "unit"
+IDLE_MODES = (JUMP, UNIT)
 
 E_OK = "E_OK"
 E_OS_ACCESS = "E_OS_ACCESS"
@@ -121,7 +126,7 @@ class Call(NamedTuple):
     status: str
 
 
-class TransitionLabel(Record, uncompared=("amount",)):
+class TransitionLabel(Record):
     kind: str  # "boot" | "service" | "alarm" | "signal" | "time"
     calls: tuple[Call, ...] = ()  # service: the task's; alarm: one per expiry
     amount: int = 0
@@ -220,28 +225,28 @@ ACTION_SERVICES = {"activatetask": "ActivateTask", "setevent": "SetEvent",
 
 
 class Program:
-    """The configuration and the task bodies compiled once per boot.
+    """The configuration and the task bodies compiled once per boot, and
+    the idle mode the run was booted in (``JUMP`` or ``UNIT``).
 
     Tasks and alarms are numbered in declaration order; every per-task and
     per-alarm column below is a tuple indexed by that number, as are the
-    cells of the states that share this program.  ``code_text[i][pc]`` is
-    the snapshot spelling of task ``i``'s program from ``pc`` on (``"-"`` at
-    the end of its body).  ``snapshot_lines``, empty at boot, maps each task
-    cell, alarm cell and label that a snapshot has shown to its finished
-    line (a label to its ``canonical_label`` text), so each distinct one is
-    formatted once per program; ``label_texts`` likewise maps each label
-    but a time label to its ``label_text`` line in trace listings.  A cell's
-    line also shows the program's columns, so these lines are never shared
-    with another program.
+    cells of the states that share this program.  ``snapshot_lines``, empty
+    at boot, maps each task cell, alarm cell and label that a snapshot has
+    shown to its finished line (a label to its ``canonical_label`` text), so
+    each distinct one is formatted once per program; ``label_texts``
+    likewise maps each label but a time label to its ``label_text`` line in
+    trace listings.  A cell's line also shows the program's columns, so
+    these lines are never shared with another program.
     """
 
     __slots__ = ("config", "task_ids", "task_index", "alarm_ids",
                  "alarm_index", "priority", "max_activations", "schedule",
                  "events", "resources", "ceiling", "modulus", "min_cycle",
-                 "alarm_action", "code", "code_text", "snapshot_lines",
+                 "alarm_action", "code", "idle_mode", "snapshot_lines",
                  "label_texts")
 
-    def __init__(self, config: KernelConfig, bodies: dict[str, TaskBody]):
+    def __init__(self, config: KernelConfig, bodies: dict[str, TaskBody],
+                 idle_mode: str = JUMP):
         tasks = tuple(config.tasks.values())
         counter = config.system_counter
         self.config = config
@@ -271,15 +276,15 @@ class Program:
                    if a is not None))
             for alarm in config.alarms.values())
         self.code = tuple(bodies[task_id].code for task_id in self.task_ids)
-        self.code_text = tuple(
-            tuple(_code_text(code, pc, 0) for pc in range(len(code) + 1))
-            for code in self.code)
+        self.idle_mode = idle_mode
         self.snapshot_lines: dict[TaskCell | AlarmCell | TransitionLabel,
                                   str] = {}
         self.label_texts: dict[TransitionLabel, str] = {}
 
 
 def _code_text(code: tuple[CodeEntry, ...], pc: int, residue: int) -> str:
+    """The snapshot spelling of a program from ``pc`` on, a split
+    TimeInterval showing its ``residue`` (``"-"`` at the end of the body)."""
     if pc == len(code):
         return "-"
     stmt, _, rest = code[pc]
@@ -572,8 +577,7 @@ def _task_line(program: Program, cell: TaskCell) -> str:
     index = program.task_index[cell.id]
     events = "|".join(sorted(cell.set_events)) or "-"
     resources = "|".join(cell.held_resources) or "-"
-    text = (_code_text(program.code[index], cell.pc, cell.residue)
-            if cell.residue else program.code_text[index][cell.pc])
+    text = _code_text(program.code[index], cell.pc, cell.residue)
     return (f"task={cell.id} st={cell.state} sp={program.priority[index]} "
             f"cp={cell.current_priority} "
             f"act={program.max_activations[index]}/"

@@ -14,13 +14,11 @@ return the successor state and the status, and the epilogue does the rest.
 
 from __future__ import annotations
 
-from .model import (E_OK, E_OS_NOFUNC, E_OS_STATE, E_OS_VALUE, SUSPENDED,
-                    WAITING, Call, KernelState, TransitionLabel,
-                    alarmed_signal, with_cell)
-
-JUMP = "jump"
-UNIT = "unit"
-IDLE_MODES = (JUMP, UNIT)
+# The idle modes are the program's (``model.Program.idle_mode``), and are
+# named here too, where idle time is advanced.
+from .model import (E_OK, E_OS_NOFUNC, E_OS_STATE, E_OS_VALUE, IDLE_MODES,
+                    JUMP, SUSPENDED, UNIT, WAITING, Call, KernelState,
+                    TransitionLabel, alarmed_signal, with_cell)
 
 LOOP_LABEL = TransitionLabel(kind="time", amount=1, reason="loop")
 
@@ -122,16 +120,17 @@ def exec_loop_entry(state: KernelState, caller: str) -> KernelState:
     return _advance(state.past_front(caller), 1, LOOP_LABEL)
 
 
-def idle_advance(state: KernelState, mode: str = JUMP) -> KernelState:
+def idle_advance(state: KernelState) -> KernelState:
     """Advance time with no task to run, up to the next alarm expiry.
 
-    ``jump`` mode moves straight to the expiry; ``unit`` mode advances one
-    tick per step.  Requires at least one armed alarm.
+    In the program's ``jump`` idle mode time moves straight to the expiry;
+    in ``unit`` mode it advances one tick per step.  Requires at least one
+    armed alarm.
     """
     nearest = next_expiry(state)
     if nearest is None:
         raise ValueError("idle_advance requires an armed alarm")
-    amount = 1 if mode == UNIT else nearest
+    amount = 1 if state.program.idle_mode == UNIT else nearest
     return _advance(state, amount, TransitionLabel(kind="time", amount=amount,
                                                    reason="idle"))
 

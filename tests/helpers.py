@@ -332,13 +332,12 @@ def run_deterministic(config, bodies, *, bound: int = 500, strict: bool = True,
     """Step with default choices until rest; returns (states, outcome)."""
     from osekcheck import kernel_core
 
-    state = kernel_core.boot(config, bodies)
+    state = kernel_core.boot(config, bodies, idle_mode)
     states = [state]
     for _ in range(bound):
         if state.status != NORMAL:
             return states, state.status
-        result = explorer.step(state, None, strict=strict,
-                               idle_mode=idle_mode)
+        result = explorer.step(state, None, strict=strict)
         if result.status in (ALLIDLE, DEADLOCK):
             return states, result.status
         state = result
@@ -353,7 +352,7 @@ def unrolled_run(config, bodies, *, bound: int = 10_000,
     a state repeats exactly, unroll the cycle to ``bound`` steps."""
     from osekcheck import kernel_core
 
-    state = kernel_core.boot(config, bodies)
+    state = kernel_core.boot(config, bodies, idle_mode)
     states = [state]
     first_index = {state: 0}
     outcome = None
@@ -361,7 +360,7 @@ def unrolled_run(config, bodies, *, bound: int = 10_000,
         if state.status != NORMAL:
             outcome = state.status
             break
-        result = explorer.step(state, None, strict=True, idle_mode=idle_mode)
+        result = explorer.step(state, None, strict=True)
         if result.status in (ALLIDLE, DEADLOCK):
             outcome = result.status
             break
@@ -501,8 +500,7 @@ def plain_snapshot(state: KernelState) -> str:
     for index, cell in enumerate(state.tasks):
         events = "|".join(sorted(cell.set_events)) or "-"
         resources = "|".join(cell.held_resources) or "-"
-        text = (_code_text(program.code[index], cell.pc, cell.residue)
-                if cell.residue else program.code_text[index][cell.pc])
+        text = _code_text(program.code[index], cell.pc, cell.residue)
         lines.append(
             f"task={cell.id} st={cell.state} sp={program.priority[index]} "
             f"cp={cell.current_priority} "

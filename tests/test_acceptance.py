@@ -179,9 +179,8 @@ def test_invariants_and_graph_fidelity(capsys, ems_app, ems_repaired_app):
                 explorer.replay(graph.trace_to(node))
                 state = graph.nodes[node]
                 for choice, target in graph.edges[node]:
-                    successor = explorer.step(
-                        state, choice, strict=graph.strict,
-                        idle_mode=graph.idle_mode)
+                    successor = explorer.step(state, choice,
+                                              strict=graph.strict)
                     assert canonical_snapshot(successor) == \
                         canonical_snapshot(graph.nodes[target])
         # earlier criteria streamed their states through the same check

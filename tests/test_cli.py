@@ -7,6 +7,7 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -15,7 +16,7 @@ from conftest import (EMS_LTL, EMS_OIL, EMS_PROPS, EMS_REPAIRED_OIL,
                       EMS_REPORT, EMS_TSK)
 from helpers import (ACTIONS_OIL, ACTIONS_TSK, MINI_OIL, MINI_TSK, make_app,
                      random_app, unrolled_run)
-from osekcheck import explorer, kernel_core, timing
+from osekcheck import explorer, kernel_core, ltl, timing
 from osekcheck.cli import main
 from osekcheck.conformance import PROPERTY_ORDER
 from osekcheck.model import NORMAL, label_text, rotated
@@ -73,12 +74,12 @@ def assert_run_prints_stepped_trace(capsys, oil, tsk, bound, idle_mode):
     that earlier state by a ``# lasso:`` line.  Its result line is that of
     the run unrolled to ``bound`` steps.  Returns the trace printed."""
     config, bodies = make_app(Path(oil).read_text(), Path(tsk).read_text())
-    state = kernel_core.boot(config, bodies)
+    state = kernel_core.boot(config, bodies, idle_mode)
     states = [state]
     keys = [rotated(state)]
     lasso_start = rotation = None
     for _ in range(bound):
-        state = explorer.step(state, strict=True, idle_mode=idle_mode)
+        state = explorer.step(state, strict=True)
         assert state.status == NORMAL
         if rotated(state) in keys:
             lasso_start = keys.index(rotated(state))
@@ -91,7 +92,7 @@ def assert_run_prints_stepped_trace(capsys, oil, tsk, bound, idle_mode):
         keys.append(rotated(state))
     choices = (None,) * (len(states) - (lasso_start is None))
     trace = explorer.Trace(tuple(states), choices, lasso_start, strict=True,
-                           idle_mode=idle_mode, rotation=rotation)
+                           rotation=rotation)
     explorer.replay(trace)
     code, result = unrolled_run(config, bodies, bound=bound,
                                 idle_mode=idle_mode)
@@ -200,6 +201,26 @@ class TestLtlmc:
                                "--formula", EMS_LTL)
         assert code == 0
         assert out.count("holds") == 3
+
+    def test_each_proposition_is_read_once_per_node(self, capsys, tmp_path,
+                                                     monkeypatch):
+        """Formulas checked on one graph share its proposition values."""
+        formulas = tmp_path / "f.ltl"
+        formulas.write_text(
+            "a: [] <> running(Task_10ms)\n"
+            "b: [] (ready(Task_10ms) -> <> running(Task_10ms))\n")
+        evaluated = Counter()
+        eval_prop = ltl.eval_prop
+
+        def counting(prop, state):
+            evaluated[prop, id(state)] += 1
+            return eval_prop(prop, state)
+
+        monkeypatch.setattr(ltl, "eval_prop", counting)
+        code, out, _ = run_cli(capsys, "ltlmc", EMS_REPAIRED_OIL, EMS_TSK,
+                               "--formula", formulas)
+        assert code == 0 and out.count("holds") == 2
+        assert max(evaluated.values()) == 1
 
     def test_bad_formula_file(self, capsys, tmp_path):
         bad = tmp_path / "bad.ltl"

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from helpers import MINI_OIL, MINI_TSK, make_app
+from helpers import ACTIONS_OIL, ACTIONS_TSK, MINI_OIL, MINI_TSK, make_app
 from osekcheck import conformance, explorer
 from osekcheck.conformance import (AdjudicationError, PROPERTY_ORDER,
                                    PropertyResult, adjudicate, emit_report,
@@ -37,6 +37,14 @@ STARVED_OIL = (
 STARVED_TSK = (
     "TASK W { WaitEvent(E); ClearEvent(E); TerminateTask(); }"
     "TASK B { TerminateTask(); }")
+
+
+# a task waits for an event no one sets: a scheduler dead end
+WAIT_OIL = (
+    "COUNTER C { MAXALLOWEDVALUE = 3; SYSTEM = TRUE; };"
+    "EVENT E { MASK = AUTO; };"
+    "TASK A { PRIORITY = 1; AUTOSTART = TRUE; EVENT = E; };")
+WAIT_TSK = "TASK A { WaitEvent(E); TerminateTask(); }"
 
 
 def results_for(oil, tsk, properties=None, bound=5000):
@@ -73,12 +81,7 @@ class TestVerification:
         assert "all-idle final" in results["DF"].detail
 
     def test_deadlock_failure_with_replayable_witness(self):
-        results = results_for(
-            "COUNTER C { MAXALLOWEDVALUE = 3; SYSTEM = TRUE; };"
-            "EVENT E { MASK = AUTO; };"
-            "TASK A { PRIORITY = 1; AUTOSTART = TRUE; EVENT = E; };",
-            "TASK A { WaitEvent(E); TerminateTask(); }",
-            properties=("DF",))
+        results = results_for(WAIT_OIL, WAIT_TSK, properties=("DF",))
         df = results["DF"]
         assert df.verdict == "fail"
         assert re.search(r"halts at counter \d+", df.detail)
@@ -214,6 +217,29 @@ class TestMonitorEngine:
                 self.graph(bound), "ME", lambda m, state: m, None, "all good")
             assert (result.verdict, result.witness, result.detail) == \
                 (verdict, None, "all good")
+
+
+@pytest.mark.parametrize("oil, tsk", [(WAIT_OIL, WAIT_TSK),
+                                      (ACTIONS_OIL, ACTIONS_TSK)],
+                         ids=["waits", "actions"])
+def test_deadlock_freedom_reads_the_first_dead_end(oil, tsk):
+    """Cut by ``bound`` before the first dead end of the strict graph, DF
+    passes up to the bound; cut after it, DF fails with the witness it
+    finds on the whole graph."""
+    config, bodies = make_app(oil, tsk)
+
+    def df(bound):
+        return verify_all(config, bodies, bound=bound,
+                          properties=("DF",))["DF"]
+
+    whole = df(10_000)
+    depth = len(whole.witness.states) - 1
+    assert whole.verdict == "fail" and depth > 1
+    cut = df(depth - 1)
+    assert (cut.verdict, cut.witness) == ("bounded_pass", None)
+    for bound in (depth, depth + 1):
+        cut = df(bound)
+        assert (cut.verdict, cut.witness) == ("fail", whole.witness)
 
 
 def test_deadlock_freedom_steps_only_its_witness(monkeypatch):

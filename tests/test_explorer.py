@@ -91,6 +91,26 @@ class TestStep:
         states, outcome = run_deterministic(config, bodies)
         assert outcome == DEADLOCK
 
+    @pytest.mark.parametrize("idle_mode, amounts", [(timing.JUMP, [8]),
+                                                    (timing.UNIT, [1] * 8)])
+    def test_the_boot_idle_mode_sets_each_idle_step(self, idle_mode,
+                                                     amounts):
+        """A state booted in the unit idle mode idles one tick per step,
+        and the header of a trace of its run names the mode."""
+        config, bodies = make_app(MINI_OIL, MINI_TSK.replace(
+            "SetRelAlarm(A1, 4, 0); SetRelAlarm(A2, 3, 0);",
+            "SetRelAlarm(A1, 10, 0);"))
+        states = [kernel_core.boot(config, bodies, idle_mode)]
+        while not kernel_core.pending_expiries(states[-1]):
+            states.append(explorer.step(states[-1]))
+        assert [s.last_label.amount for s in states
+                if s.last_label.reason == "idle"] == amounts
+        assert states[-1].counter_value == 10
+        trace = explorer.Trace(tuple(states), (None,) * (len(states) - 1))
+        explorer.replay(trace)
+        assert explorer.render_trace(trace).startswith(
+            f"# trace steps={len(states) - 1} strict=no idle={idle_mode}\n")
+
     def test_non_normal_state_stutters(self):
         config, bodies = mini_app()
         state = kernel_core.boot(config, bodies)
@@ -344,7 +364,7 @@ def snapshot_keyed_graph(config, bodies, *, bound, strict, idle_mode):
     """Reference exploration that tells states apart by their snapshot
     text: (snapshots in discovery order, edges, parents, depths,
     truncated), nodes numbered by discovery."""
-    init = kernel_core.boot(config, bodies)
+    init = kernel_core.boot(config, bodies, idle_mode)
     keys = {canonical_snapshot(init): 0}
     states = [init]
     edges, parents, depths = {}, {}, {0: 0}
@@ -356,8 +376,8 @@ def snapshot_keyed_graph(config, bodies, *, bound, strict, idle_mode):
         next_frontier = []
         for source in frontier:
             out = []
-            for choice, state in explorer.successors(
-                    states[source], strict=strict, idle_mode=idle_mode):
+            for choice, state in explorer.successors(states[source],
+                                                     strict=strict):
                 key = canonical_snapshot(state)
                 if key not in keys:
                     keys[key] = len(states)
@@ -461,8 +481,8 @@ def assert_same_graph(derived, direct):
     assert derived.parents == direct.parents
     assert derived.depths == direct.depths
     assert derived.truncated == direct.truncated
-    assert (derived.strict, derived.idle_mode) == \
-        (direct.strict, direct.idle_mode)
+    assert (derived.strict, derived.program.idle_mode) == \
+        (direct.strict, direct.program.idle_mode)
 
 
 def assert_derivation_exact(config, bodies, **options):

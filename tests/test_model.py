@@ -60,7 +60,7 @@ def run(state):
 def idle(state):
     state = schedule(call(call(state, "SetRelAlarm", "Go", 5, 0),
                           "TerminateTask"))
-    return timing.idle_advance(state, timing.JUMP)
+    return timing.idle_advance(state)
 
 
 SHAPES = {

@@ -46,8 +46,7 @@ def check_lasso(trace) -> int:
     """Replay the lasso; its rotation is set exactly when the closing step
     ends away from the loop target.  Returns the step it closes at."""
     explorer.replay(trace)
-    end = explorer.step(trace.states[-1], trace.choices[-1], strict=True,
-                        idle_mode=trace.idle_mode)
+    end = explorer.step(trace.states[-1], trace.choices[-1], strict=True)
     assert (trace.rotation is not None) == \
         (end != trace.states[trace.lasso_start])
     return len(trace.states)

@@ -35,6 +35,13 @@ def state():
     return kernel_core.boot(config, bodies)
 
 
+@pytest.fixture
+def unit_state():
+    """The app of ``state`` booted in the unit idle mode."""
+    config, bodies = make_app(OIL, TSK)
+    return kernel_core.boot(config, bodies, timing.UNIT)
+
+
 TICK = TransitionLabel(kind="time", amount=1, reason="idle")
 
 
@@ -269,18 +276,18 @@ TASK W { TerminateTask(); }
 class TestIdleAdvance:
     def test_jump_lands_on_next_expiry(self, state):
         state = arm(state, "AL", 6)
-        after = timing.idle_advance(state, timing.JUMP)
+        after = timing.idle_advance(state)
         assert after.counter_value == 6
         assert alarmed_signal("AL") in after.signals
         assert after.last_label.reason == "idle"
 
-    def test_unit_moves_one_tick(self, state):
-        state = arm(state, "AL", 6)
-        after = timing.idle_advance(state, timing.UNIT)
+    def test_unit_moves_one_tick(self, unit_state):
+        state = arm(unit_state, "AL", 6)
+        after = timing.idle_advance(state)
         assert after.counter_value == 1
         assert not after.signals
 
-    def test_unit_landing_raises_signal(self, state):
-        state = arm(state, "AL", 1)
-        after = timing.idle_advance(state, timing.UNIT)
+    def test_unit_landing_raises_signal(self, unit_state):
+        state = arm(unit_state, "AL", 1)
+        after = timing.idle_advance(state)
         assert alarmed_signal("AL") in after.signals

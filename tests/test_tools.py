@@ -98,6 +98,23 @@ def test_digest_covers_exit_code_output_and_written_files(tmp_path):
     assert not out.exists()
 
 
+def test_digest_runs_every_subcommand_in_both_idle_modes():
+    """Each subcommand goes in both formats and both idle modes; without
+    ``unit`` only ``run`` goes in the unit idle mode."""
+    app = ("app", "a.oil", "a.tsk", "a.ltl", "a.report", [], "out")
+    runs = dict(cli_digest.invocations(*app))
+    for fmt in ("text", "machine"):
+        for command in ("run", "search-final", "ltlmc", "conform"):
+            assert f"app {command} {fmt}" in runs
+            argv = runs[f"app {command} {fmt} unit"]
+            assert argv[0] == command
+            assert argv[-2:] == ["--idle-tick-mode", "unit"]
+    fewer = dict(cli_digest.invocations(*app, unit=False))
+    assert sorted(set(runs) - set(fewer)) == sorted(
+        f"app {command} {fmt} unit" for fmt in ("text", "machine")
+        for command in ("search-final", "ltlmc", "conform"))
+
+
 def test_actions_app_branches_six_ways_and_freezes():
     config, bodies = make_app(ACTIONS_OIL, ACTIONS_TSK)
     line = graph_digest.graph_line(config, bodies, timing.JUMP, True)

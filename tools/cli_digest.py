@@ -19,8 +19,10 @@ absolute-alarm app of ``tests/helpers`` (whose ``run`` closes its lasso on
 an exact repeat, not up to rotation; checked on the absolute-alarm app's
 formulas) and ``tests/helpers.random_app`` seeds 0-999; each goes through
 ``run``, ``search-final``, ``ltlmc`` and ``conform`` in ``--trace-format``
-``text`` and ``machine``; in each format ``run`` also goes with
-``--idle-tick-mode unit`` and with ``--bound 7919``, which ends part-way
+``text`` and ``machine``; in each format every subcommand also goes with
+``--idle-tick-mode unit`` (``search-final``, ``ltlmc`` and ``conform`` on
+the fixed apps and random_app seeds 0-249 only), and ``run`` with
+``--bound 7919``, which ends part-way
 through the cycle of ``ems_repaired`` and of all but one of the random apps
 whose run goes round a cycle; ``ems_repaired``'s ``run`` also goes with
 ``--bound 7001`` in both idle modes, whose result line's counter is worked
@@ -72,6 +74,7 @@ from workloads import ALL_PASS_REPORT, RANDOM_FORMULAS  # noqa: E402
 
 CORPUS = ROOT / "corpus"
 CUT_BOUND = "7919"
+UNIT_SEEDS = 250  # random apps whose checks also go in the unit idle mode
 RUN_BOUND = "7001"
 PROP_SUBSETS = ("DF", "ME\nPIF\nMAF", "DF\nSF", "DF\nPE\nMAF")
 EMS_TASKS = ("Task_10ms", "EMS_Task_10ms", "EMS_Task_100ms",
@@ -122,7 +125,7 @@ def digest(argv: list[str], work: Path) -> str:
     return f"{line} verdicts={verdicts.digest(answer)}"
 
 
-def invocations(name, oil, tsk, ltl, report, subsets, out):
+def invocations(name, oil, tsk, ltl, report, subsets, out, unit=True):
     for fmt in ("text", "machine"):
         common = ["--trace-format", fmt]
         yield f"{name} run {fmt}", ["run", oil, tsk, *common]
@@ -145,6 +148,14 @@ def invocations(name, oil, tsk, ltl, report, subsets, out):
             yield (f"{name} conform[{label}] {fmt}",
                    ["conform", oil, tsk, "--test-report", report,
                     "--props", props, *common])
+        if unit:
+            in_unit = [*common, "--idle-tick-mode", "unit"]
+            yield (f"{name} search-final {fmt} unit",
+                   ["search-final", oil, tsk, *in_unit])
+            yield (f"{name} ltlmc {fmt} unit",
+                   ["ltlmc", oil, tsk, "--formula", ltl, *in_unit])
+            yield (f"{name} conform {fmt} unit",
+                   ["conform", oil, tsk, "--test-report", report, *in_unit])
         common += ["--out", out]
         yield (f"{name} search-final {fmt} --out",
                ["search-final", oil, tsk, *common])
@@ -207,7 +218,10 @@ def main() -> int:
             apps.append((f"random_app:{seed}", write(f"{seed}.oil", oil),
                          write(f"{seed}.tsk", tsk), random_ltl, report, []))
         for app in apps:
-            for label, argv in invocations(*app, str(work / "out")):
+            name = app[0]
+            unit = (not name.startswith("random_app:")
+                    or int(name.partition(":")[2]) < UNIT_SEEDS)
+            for label, argv in invocations(*app, str(work / "out"), unit):
                 print(f"{label} {digest(argv, work)}", flush=True)
     return 0
 
