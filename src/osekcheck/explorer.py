@@ -16,10 +16,11 @@ from __future__ import annotations
 from collections.abc import Callable, Hashable, Iterable
 
 from . import kernel_core, timing
-from .model import (ALLIDLE, DEADLOCK, E_OK, NORMAL, SCHEDULE_SIGNAL,
-                    SUSPENDED, Call, KernelState, Program, _call_key,
-                    _label_line, canonical_snapshot, error_status,
-                    label_text, rotated, stutterize)
+from .model import (ALLIDLE, BOOT_LABEL, DEADLOCK, E_OK, NORMAL,
+                    SCHEDULE_SIGNAL, SUSPENDED, Call, KernelState, Program,
+                    TransitionLabel, _call_key, _label_line,
+                    canonical_snapshot, error_status, label_text, rotated,
+                    stutterize, translated)
 from .oil_config import Fresh, KernelConfig, Record
 from .task_lang import CallService, TaskBody
 
@@ -59,8 +60,9 @@ def choice_text(choice: Choice | None) -> str:
 
 def rotation_sound(bodies: dict[str, TaskBody]) -> bool:
     """May runs of these bodies be keyed up to counter rotation
-    (``model.rotated``)?  Not when a body sets an alarm to an absolute time
-    with SetAbsAlarm."""
+    (``model.rotated``), and their concrete states expanded once per
+    translation class (``model.translated``)?  Not when a body sets an
+    alarm to an absolute time with SetAbsAlarm."""
     return not any(entry.statement.__class__ is CallService
                    and entry.statement.name == "SetAbsAlarm"
                    for body in bodies.values() for entry in body.code)
@@ -391,24 +393,66 @@ def build_graph(config: KernelConfig, bodies: dict[str, TaskBody], *,
 
     Nodes are deduplicated by state value, so the graph is insensitive to
     the path that first reached a state.  Non-normal states receive their
-    stutter self-loop and are not expanded further.  Every node is expanded
-    through ``successors``.  Without ``rotate`` an expiry batch has one
-    successor per handling order.  With ``rotate`` the nodes are states up
-    to counter rotation and alarm call order (``model.rotated``), which is
-    sound unless a body calls SetAbsAlarm, and a batch has one successor
-    per distinct outcome up to call order (``successors`` keyed by
-    ``model._call_key``).  The run is booted in ``idle_mode``, which its
-    program keeps.
+    stutter self-loop and are not expanded further.  The run is booted in
+    ``idle_mode``, which its program keeps.
+
+    Without ``rotate`` the nodes are concrete states and an expiry batch has
+    one successor per handling order.  Moving the counter and every alarm
+    time by one amount maps the transition system onto itself
+    (``model.translated``), and no rule reads the label, so a node is keyed
+    by its class, its shift and its label.  The class is the state
+    translated back by the shift, with one fixed label, and the shift is
+    the state's counter; when a body calls SetAbsAlarm, which breaks the
+    symmetry (``rotation_sound``), the shift is 0 and a class only joins
+    states that differ in their label.  Each class is expanded once
+    through ``successors``, and its targets are kept as keys: a node's
+    edges are those targets moved by its shift, and its state is its class
+    moved likewise and relabelled.  With ``rotate`` the nodes
+    are states up to counter rotation and alarm call order
+    (``model.rotated``), which is sound unless a body calls SetAbsAlarm,
+    and a batch has one successor per distinct outcome up to call order
+    (``successors`` keyed by ``model._call_key``); each node is expanded
+    through ``successors``.
     """
-    key = _call_key if rotate else tuple
-
-    def expand(state: KernelState):
-        out = successors(state, strict=strict, key=key)
-        return [(c, rotated(target)) for c, target in out] if rotate else out
-
     boot = kernel_core.boot(config, bodies, idle_mode)
-    return _explore(boot, rotated(boot) if rotate else boot, expand,
-                    bound=bound, strict=strict, rotate=rotate)
+    if rotate:
+        def expand(state: KernelState):
+            return [(c, rotated(target)) for c, target
+                    in successors(state, strict=strict, key=_call_key)]
+
+        return _explore(boot, rotated(boot), expand, bound=bound,
+                        strict=strict, rotate=True)
+    modulus = boot.program.modulus
+    translate = rotation_sound(bodies)
+    memo: dict = {}  # moved alarm cells, shared by this build
+    class_ids: dict[KernelState, int] = {}
+    classes: list[KernelState] = []
+    lifts: dict[int, list] = {}  # class id: (choice, class id, move, label)
+
+    def node_key(state: KernelState) -> tuple[int, int, TransitionLabel]:
+        shift = state.counter_value if translate else 0
+        cls = translated(state, -shift, label=BOOT_LABEL, memo=memo)
+        index = class_ids.setdefault(cls, len(classes))
+        if index == len(classes):
+            classes.append(cls)
+        return index, shift, state.last_label
+
+    def expand(node: tuple[int, int, TransitionLabel]):
+        index, shift, _ = node
+        lift = lifts.get(index)
+        if lift is None:
+            lift = lifts[index] = [
+                (choice, *node_key(target)) for choice, target
+                in successors(classes[index], strict=strict)]
+        return [(choice, (target, (shift + move) % modulus, label))
+                for choice, target, move, label in lift]
+
+    def state_of(node: tuple[int, int, TransitionLabel]) -> KernelState:
+        index, shift, label = node
+        return translated(classes[index], shift, label=label, memo=memo)
+
+    return _explore(boot, node_key(boot), expand, state_of, bound=bound,
+                    strict=strict, rotate=False)
 
 
 def build_graphs(config: KernelConfig, bodies: dict[str, TaskBody],
@@ -463,7 +507,10 @@ def search_final(config: KernelConfig, bodies: dict[str, TaskBody], *,
     States that go all-idle (every task suspended, no armed alarm) are
     intended finals; scheduler dead ends and frozen service errors are
     deadlocks.  Witness traces are shortest by construction, and nodes are
-    numbered in breadth-first order, so shallower ones come first.
+    numbered in breadth-first order, so shallower ones come first.  Each
+    witness is stepped from boot by ``step``, apart from the graph's
+    expansion, and must end at its node's state; ReplayMismatch is raised
+    at its last step if it does not.
     """
     graph = build_graph(config, bodies, bound=bound, strict=True,
                         idle_mode=idle_mode)
@@ -472,6 +519,10 @@ def search_final(config: KernelConfig, bodies: dict[str, TaskBody], *,
     for node in graph.terminal_nodes():
         trace = graph.trace_to(node)
         state = trace.states[-1]
+        if state != graph.nodes[node]:
+            raise ReplayMismatch(len(trace.states) - 1,
+                                 canonical_snapshot(graph.nodes[node]),
+                                 canonical_snapshot(state))
         (finals if state.status == ALLIDLE else deadlocks).append(
             TerminalRecord(state, trace))
     return SearchResult(tuple(finals), tuple(deadlocks), len(graph.nodes),

@@ -16,8 +16,10 @@ ActivateTask, SetEvent or AlarmCallback call by the alarm.  States and cells
 are slotted records that are never changed; every transition builds a new
 state, and two states are the same state exactly when they are equal (the
 program and time-advance amounts are not compared).  A state computes its
-hash once.  ``rotated`` maps a state to its representative up to where the
-counter stands and up to the order in which an expiry batch made its calls.
+hash once.  ``translated`` moves a state's counter and alarm times, a
+symmetry of the transition system; ``rotated`` maps a state to its
+representative up to where the counter stands and up to the order in which
+an expiry batch made its calls.
 ``canonical_snapshot`` renders the cells, with the static columns and code
 text of the program, as stable text for printed traces.
 The program keeps each task, alarm and label line once it is made, so a
@@ -429,21 +431,66 @@ def stutterize(state: KernelState, status: str | None = None) -> KernelState:
                        status if status is not None else state.status)
 
 
+def translated(state: KernelState, k: int, *,
+               label: TransitionLabel | None = None,
+               memo: dict | None = None) -> KernelState:
+    """``state`` with the counter and every alarm time that is set, armed or
+    disarmed, moved ``k`` ticks on (modulo ``MAXALLOWEDVALUE + 1``), and
+    labelled ``label`` when one is given.
+
+    Translation is a symmetry of the transition system: stepping
+    ``translated(s, k)`` gives the translated successors of ``s``, with the
+    same choices and labels.  The rules read the counter only through an
+    armed alarm's distance from it: when it expires, how far an interval or
+    idle time may run, and where ``SetRelAlarm`` and a cyclic expiry put
+    the next expiry.  A one-shot expiry leaves the alarm's time behind, so
+    a disarmed alarm's stored time moves too.  No rule reads the label, and
+    no label holds a counter value.  ``SetAbsAlarm``, which arms an alarm at
+    a fixed counter value, breaks the symmetry, as the ``counter_eq``
+    proposition does for the properties.
+
+    ``memo`` maps ``(cell, k)`` to the moved alarm cell, so that the
+    translations of one graph build move each alarm cell once per amount
+    and share the result.
+    """
+    program = state.program
+    modulus = program.modulus
+    k %= modulus
+    alarms = state.alarms
+    if k:
+        if memo is None:
+            memo = {}
+        moved = []
+        for cell in alarms:
+            if cell.alarm_time is not None:
+                known = memo.get((cell, k))
+                if known is None:
+                    known = memo[cell, k] = AlarmCell(
+                        cell.id, (cell.alarm_time + k) % modulus,
+                        cell.cycle_time)
+                cell = known
+            moved.append(cell)
+        alarms = tuple(moved)
+    return KernelState(program, state.tasks, state.ready, state.running,
+                       state.signals, (state.counter_value + k) % modulus,
+                       state.working_alarms, alarms,
+                       state.last_label if label is None else label,
+                       state.status)
+
+
 def rotated(state: KernelState) -> KernelState:
     """``state`` up to counter rotation and up to alarm call order: counter
     0, each armed alarm's time moved back by the counter value (modulo
     ``MAXALLOWEDVALUE + 1``), each disarmed alarm's time and cycle cleared,
     and an expiry batch's calls in ``_call_key`` order.
 
-    Adding one amount to the counter and to every armed alarm time maps the
-    transition system onto itself, since the rules read the counter only
-    through an armed alarm's distance from it; ``SetAbsAlarm`` and the
-    ``counter_eq`` proposition are the exceptions.  A disarmed alarm's time
-    and cycle are never read before arming sets them again.  No rule reads
-    the label, and the propositions and monitors read an alarm label's calls
-    as a set, except strict error handling, which freezes on the status of
-    the first failing call; the key keeps a call with that status first.  A
-    state that is already in this form is returned as it is.
+    The key rests on the symmetry that ``translated`` states.  A disarmed
+    alarm's time and cycle are never read before arming sets them again,
+    so they are cleared rather than moved.  The propositions and monitors
+    read an alarm label's calls as a set, except strict error handling,
+    which freezes on the status of the first failing call; the key keeps a
+    call with that status first.  A state that is already in this form is
+    returned as it is.
     """
     counter = state.counter_value
     modulus = state.program.modulus

@@ -382,6 +382,19 @@ def unrolled_run(config, bodies, *, bound: int = 10_000,
             f"(counter={state.counter_value})")
 
 
+def plain_graph(config, bodies, *, bound: int = 10_000, strict: bool = False,
+                idle_mode: str = "jump") -> explorer.StateGraph:
+    """The concrete graph worked out the way ``build_graph`` did before it
+    expanded each translation class once: every node is a state, expanded
+    through ``successors`` on its own."""
+    from osekcheck import kernel_core
+
+    boot = kernel_core.boot(config, bodies, idle_mode)
+    return explorer._explore(
+        boot, boot, lambda state: explorer.successors(state, strict=strict),
+        bound=bound, strict=strict, rotate=False)
+
+
 # ==== random application generator =========================================
 
 

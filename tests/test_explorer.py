@@ -12,10 +12,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import (ACTIONS_OIL, ACTIONS_TSK, COINCIDE_OIL, COINCIDE_TSK,
+from helpers import (ABS_LOOP_OIL, ABS_LOOP_TSK, ABS_OIL, ABS_TSK,
+                     ACTIONS_OIL, ACTIONS_TSK, COINCIDE_OIL, COINCIDE_TSK,
                      GOLDEN_SCENARIOS, LOOP_OIL, LOOP_TSK, changed,
-                     check_invariants, coincide_oil, make_app, random_app,
-                     run_deterministic)
+                     check_invariants, coincide_oil, make_app, plain_graph,
+                     random_app, run_deterministic)
 from osekcheck import cli, explorer, kernel_core, model, timing
 from osekcheck.model import (ALLIDLE, DEADLOCK, NORMAL, canonical_label,
                              canonical_snapshot, label_text, state_hash)
@@ -514,6 +515,87 @@ class TestDerivedStrictGraph:
         assert len(graphs[True].nodes) == 28
 
 
+# ==== one expansion per translation class ==================================
+
+
+def assert_plain(config, bodies, **options):
+    """``build_graph`` finds the graph that expanding every node on its own
+    finds: the same states, down to each label's time amount, edges,
+    parents, depths and truncation."""
+    graph = explorer.build_graph(config, bodies, **options)
+    plain = plain_graph(config, bodies, **options)
+    assert (graph.nodes, graph.edges, graph.parents, graph.depths,
+            graph.truncated) == (plain.nodes, plain.edges, plain.parents,
+                                 plain.depths, plain.truncated)
+    assert [s.last_label.amount for s in graph.nodes.values()] == \
+        [s.last_label.amount for s in plain.nodes.values()]
+
+
+PLAIN_APPS = {"loops": (LOOP_OIL, LOOP_TSK),
+              "actions": (ACTIONS_OIL, ACTIONS_TSK),
+              "coincide": (COINCIDE_OIL, COINCIDE_TSK),
+              "abs": (ABS_OIL, ABS_TSK),
+              "abs_loop": (ABS_LOOP_OIL, ABS_LOOP_TSK)}
+
+
+class TestClassExpansion:
+    """Concrete graphs expand each translation class once; the oracle
+    expands every state (``helpers.plain_graph``)."""
+
+    @pytest.mark.parametrize("strict", [False, True])
+    @pytest.mark.parametrize("app", ["ems_app", "ems_repaired_app"])
+    def test_corpus(self, request, app, strict):
+        assert_plain(*request.getfixturevalue(app), strict=strict)
+
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_harmonic(self, monkeypatch, strict):
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent
+                                        / "perfbench"))
+        import harmonic
+        oil, tsk, _ = harmonic.generate(1)
+        assert_plain(*make_app(oil, tsk), strict=strict)
+
+    @pytest.mark.parametrize("strict", [False, True])
+    @pytest.mark.parametrize("app", sorted(PLAIN_APPS))
+    def test_canned_apps(self, app, strict):
+        config, bodies = make_app(*PLAIN_APPS[app])
+        for idle_mode in timing.IDLE_MODES:
+            assert_plain(config, bodies, strict=strict, idle_mode=idle_mode)
+
+    def test_random_apps(self):
+        rng = random.Random(32)
+        for seed in rng.sample(range(1000), 60):
+            config, bodies = make_app(*random_app(random.Random(seed)))
+            for idle_mode in timing.IDLE_MODES:
+                for strict in (False, True):
+                    assert_plain(config, bodies, strict=strict,
+                                 idle_mode=idle_mode)
+
+    def test_bound_truncates_alike(self, ems_repaired_app):
+        assert_plain(*ems_repaired_app, bound=50)
+        assert explorer.build_graph(*ems_repaired_app, bound=50).truncated
+
+    def test_state_budget_raises_alike(self, monkeypatch, ems_repaired_app):
+        monkeypatch.setattr(explorer, "MAX_STATES", 100)
+        for build in (explorer.build_graph, plain_graph):
+            with pytest.raises(explorer.ResourceLimit):
+                build(*ems_repaired_app)
+
+    def test_classes_are_expanded_once(self, monkeypatch, ems_repaired_app):
+        expanded = []
+
+        def successors(state, **options):
+            expanded.append(state)
+            return original(state, **options)
+
+        original = explorer.successors
+        monkeypatch.setattr(explorer, "successors", successors)
+        graph = explorer.build_graph(*ems_repaired_app, strict=True)
+        assert len(graph.nodes) == 4876
+        assert len(expanded) == len(set(expanded)) == 163
+        assert {state.counter_value for state in expanded} == {0}
+
+
 # ==== final-state search ===================================================
 
 
@@ -544,6 +626,28 @@ class TestSearchFinal:
         assert not result.truncated
         assert not result.finals
         assert not result.deadlocks
+
+    def test_witness_must_end_at_its_node(self, monkeypatch):
+        """Each witness is stepped from boot apart from the graph's class
+        expansion.  A translation that leaves a disarmed alarm's stale time
+        behind builds the final's node with the wrong time, and the witness
+        shows it."""
+        config, bodies = mini_app()
+        (final,) = explorer.search_final(config, bodies).finals
+        original = explorer.translated
+
+        def armed_only(state, k, **options):
+            moved = original(state, k, **options)
+            return changed(moved, alarms=tuple(
+                cell if cell.id in state.working_alarms else old
+                for cell, old in zip(moved.alarms, state.alarms)))
+
+        monkeypatch.setattr(explorer, "translated", armed_only)
+        with pytest.raises(explorer.ReplayMismatch) as err:
+            explorer.search_final(config, bodies)
+        assert err.value.index == len(final.trace.states) - 1
+        assert err.value.actual == canonical_snapshot(final.state)
+        assert err.value.expected != err.value.actual
 
     def test_witnesses_share_their_states_snapshots(self, monkeypatch,
                                                      capsys, tmp_path):

@@ -1,10 +1,14 @@
-"""States up to counter rotation: the key, its soundness and its witnesses.
+"""States up to counter rotation: the symmetry, the key, its soundness and
+its witnesses.
 
-``ltlmc`` and ``conform`` explore graphs keyed on ``model.rotated`` unless
-a body calls SetAbsAlarm or a formula reads the counter; every witness is
-stepped from the concrete boot state by its choices.  The differential test
-checks the rotation graphs against the concrete ones on random_app 0-999,
-the six-alarm app and harmonic K=4-6.
+Moving the counter and every alarm time by one amount (``model.translated``)
+commutes with every step unless a body calls SetAbsAlarm; concrete graphs
+expand each translation class once on the strength of it.  ``ltlmc`` and
+``conform`` explore graphs keyed on ``model.rotated`` unless a body calls
+SetAbsAlarm or a formula reads the counter; every witness is stepped from
+the concrete boot state by its choices.  The differential test checks the
+rotation graphs against the concrete ones on random_app 0-999, the
+six-alarm app and harmonic K=4-6.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from helpers import (ABS_OIL, ABS_TSK, ACTIONS_OIL, ACTIONS_TSK,
                      COINCIDE_LTL, COINCIDE_OIL, COINCIDE_TSK, LOOP_OIL,
                      LOOP_TSK, make_app, random_app)
 from osekcheck import cli, conformance, explorer, kernel_core, ltl, timing
-from osekcheck.model import AlarmCell, rotated
+from osekcheck.model import AlarmCell, rotated, translated
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
@@ -133,6 +137,90 @@ def test_rotation_commutes_with_every_step(name, strict):
                 assert rotated(explorer.step(key, choice,
                                              strict=strict)) == \
                     rotated(graph.nodes[target]), (name, node, choice)
+
+
+# ==== translation is a symmetry =============================================
+
+
+def assert_translation_commutes(graph, rng) -> int:
+    """On every node of ``graph``, for k = 1, modulus - 1 and a drawn k, the
+    successors of the node translated by k are its edge targets translated
+    by k, with the same choices.  Returns how many nodes hold a disarmed
+    alarm's stale time."""
+    modulus = graph.program.modulus
+    stale = 0
+    for node, state in graph.nodes.items():
+        working = state.working_alarms
+        stale += any(cell.alarm_time is not None and cell.id not in working
+                     for cell in state.alarms)
+        for k in (1, modulus - 1, rng.randrange(1, modulus)):
+            expected = [(choice, translated(graph.nodes[target], k))
+                        for choice, target in graph.edges[node]]
+            actual = explorer.successors(translated(state, k),
+                                         strict=graph.strict)
+            assert actual == expected, (node, k)
+    return stale
+
+
+def test_translation_moves_the_counter_and_every_set_alarm_time():
+    state = armed_and_cancelled()
+    moved = translated(state, 14)
+    assert moved.counter_value == 1
+    assert moved.alarm_cell("Go") == AlarmCell("Go", 5, 4)
+    assert moved.alarm_cell("Kick") == AlarmCell("Kick", 1, 0)
+    assert moved.alarm_cell("Tock") is state.alarm_cell("Tock")
+    assert (moved.tasks, moved.working_alarms, moved.last_label) == \
+        (state.tasks, state.working_alarms, state.last_label)
+    assert translated(moved, -14) == state
+    assert translated(state, 0) == state
+
+
+@pytest.mark.parametrize("name", sorted(CANNED) + ["random_app"])
+@pytest.mark.parametrize("strict", [False, True])
+def test_translation_commutes_with_every_step(name, strict):
+    """The symmetry that concrete graphs expand each translation class
+    once on, checked on every edge; random_app runs a sample of seeds, whose
+    graphs hold states with a disarmed alarm's stale time, as does the
+    state with Kick cancelled."""
+    rng = random.Random(name)
+    apps = ([make_app(*random_app(random.Random(seed)))
+             for seed in rng.sample(range(1000), 40)]
+            if name == "random_app" else [make_app(*CANNED[name])])
+    stale = 0
+    for config, bodies in apps:
+        for idle_mode in timing.IDLE_MODES:
+            stale += assert_translation_commutes(explorer.build_graph(
+                config, bodies, strict=strict, idle_mode=idle_mode), rng)
+    if name == "random_app":
+        assert stale
+    state = armed_and_cancelled()
+    assert state.alarm_cell("Kick").alarm_time is not None
+    for k in range(16):
+        assert explorer.successors(translated(state, k), strict=strict) == \
+            [(choice, translated(target, k)) for choice, target
+             in explorer.successors(state, strict=strict)]
+
+
+def test_set_abs_alarm_breaks_the_symmetry():
+    """SetAbsAlarm arms Abs at counter 6 wherever the counter stands, so a
+    translated state's step arms it at 6, not 6 + k: why a concrete graph
+    of such an app keys each class at shift 0 only."""
+    config, bodies = make_app(ABS_OIL, ABS_TSK)
+    assert not explorer.rotation_sound(bodies)
+    graph = explorer.build_graph(config, bodies)
+    broken = set()
+    for node, state in graph.nodes.items():
+        for k in range(1, graph.program.modulus):
+            if explorer.successors(translated(state, k)) != \
+                    [(choice, translated(graph.nodes[target], k))
+                     for choice, target in graph.edges[node]]:
+                broken.add(node)
+    assert broken
+    for node in broken:
+        state = graph.nodes[node]
+        assert state.front(state.running).name == "SetAbsAlarm"
+        (_, target), = graph.edges[node]
+        assert graph.nodes[target].alarm_cell("Abs").alarm_time == 6
 
 
 def assert_refuted(formula, trace):
